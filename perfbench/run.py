@@ -6,7 +6,7 @@
 Run from the root of a checkout; the library is imported from ``src/``.
 One run of a workload:
 
-1. starts ``probe.py`` in five fresh interpreters and reports the median
+1. starts ``probe.py`` in seven fresh interpreters and reports the median
    set-up time (import plus the first call of each public function the
    workload uses, on a tiny input);
 2. draws one pass of requests from the seeded generator in ``gen.py``;
@@ -15,16 +15,23 @@ One run of a workload:
    request time are measured.  The first pass checks every output against
    independent oracles and feeds the digest; later passes must repeat the
    first pass's responses exactly.
-4. takes each request's fastest run across the passes as its latency.
-   Shared machines slow down in stretches of seconds to minutes; a
-   request's fastest run is the figure such a stretch disturbs least.
+4. scales every timing by the machine's speed, calibrated between
+   requests at least every 0.1 s (see ``speed.py``; CLI requests by the
+   speed of starting a bare interpreter), and takes each
+   request's median scaled time across the passes as its latency.  Shared
+   machines change speed in stretches of a tenth of a second to minutes;
+   scaling removes most of that and the median removes single slow passes.
    ``ops_per_s`` is the number of requests over the sum of these latencies.
+   Set-up times are scaled by the median of the calibrations taken around
+   the fresh interpreters, per-layer times by the run's median calibration.
+
+The benchmark and every child it starts run on one CPU, one at a time.
 
 With ``--trace 0`` the last line carries the end-to-end metrics.  With
 ``--trace 1`` the run alternates untraced and traced passes, writes the
 spans to ``perfbench/out/``, and the last line carries the per-layer
 metrics.  Per-layer times and counts are per pass over the
-requests, so they compare across commits regardless of speed.
+requests, so they compare across commits regardless of pass count.
 ``--short`` uses tiny passes and one probe, for the benchmark's own tests.
 """
 
@@ -44,6 +51,8 @@ from pathlib import Path
 from time import perf_counter
 
 from spans import plain_call
+from speed import (REF_CAL_S, REF_START_S, Speedometer, calibrate, calibrate_start,
+                   pin_to_one_cpu)
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -93,14 +102,14 @@ NOTES = {
                             "alternating passes",
 }
 
-PROBES, PROBES_SHORT = 5, 1
+PROBES, PROBES_SHORT = 7, 1
 WALL_LIMIT_S = 100.0
 
 
 class Run:
     """Passes over one pool of requests, with checking and accounting."""
 
-    def __init__(self, wl, pool):
+    def __init__(self, wl, pool, speed: Speedometer | None = None):
         self.wl, self.pool = wl, pool
         self.first: list[str | None] = [None] * len(pool)
         self.bad: set[int] = set()
@@ -108,16 +117,16 @@ class Run:
         self.counts: Counter = Counter()
         self.failures: list[str] = []
         self.attempted = self.failed = self.passes = 0
-        self.best = [math.inf] * len(pool)
-        self.best_traced = [math.inf] * len(pool)
-        self.samples = 0
+        self.lat: list[list[float]] = [[] for _ in pool]
+        self.lat_traced: list[list[float]] = [[] for _ in pool]
+        self.speed = speed or Speedometer()
         self.pass_busy: list[float] = []
 
     def one_pass(self, tracer=None) -> float:
         """One pass over the pool; returns the request time it took."""
         wl, first_pass = self.wl, self.passes == 0
         call = plain_call if tracer is None else tracer.call
-        best = self.best if tracer is None else self.best_traced
+        lat = self.lat if tracer is None else self.lat_traced
         pass_busy = 0.0
         for i, req in enumerate(self.pool):
             error = None
@@ -133,7 +142,8 @@ class Run:
                 out, error = None, exc
             elapsed = perf_counter() - start
             pass_busy += elapsed
-            best[i] = min(best[i], elapsed)
+            self.speed.record(lat[i], elapsed)
+            self.speed.tick()
             self.attempted += 1
             problem = None
             if error is not None:
@@ -155,8 +165,14 @@ class Run:
                 self.failed += 1
                 if len(self.failures) < 5:
                     self.failures.append(f"request {i} ({req.kind}): {problem}")
+        self.speed.tick(force=True)
         self.passes += 1
         return pass_busy
+
+    def latencies(self, traced: bool = False) -> list[float]:
+        """Each request's median scaled latency across its passes."""
+        lat = self.lat_traced if traced else self.lat
+        return [statistics.median(v) for v in lat]
 
     def _check(self, req, out) -> str | None:
         try:
@@ -173,7 +189,6 @@ class Run:
         """
         while True:
             self.pass_busy.append(self.one_pass())
-            self.samples += len(self.pool)
             if tracer is not None:
                 self.one_pass(tracer)
             busy = sum(self.pass_busy)
@@ -194,12 +209,24 @@ def nearest_rank(sorted_values: list[float], pct: float) -> float:
     return sorted_values[k]
 
 
-def setup_probe(workload: str) -> dict:
-    done = subprocess.run([sys.executable, str(HERE / "probe.py"), workload],
-                          capture_output=True, text=True, timeout=120, cwd=ROOT)
-    if done.returncode != 0:
-        raise RuntimeError(f"set-up probe failed: {done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+def setup_probes(workload: str, count: int) -> tuple[dict, dict]:
+    """Median set-up times of `count` fresh interpreters, scaled and unscaled.
+
+    The scale comes from the median of the calibrations taken before and
+    after each probe: one calibration is too noisy to scale one probe by.
+    """
+    samples, cals = [], []
+    for _ in range(count):
+        cals.append(calibrate())
+        done = subprocess.run([sys.executable, str(HERE / "probe.py"), workload],
+                              capture_output=True, text=True, timeout=120, cwd=ROOT)
+        cals.append(calibrate())
+        if done.returncode != 0:
+            raise RuntimeError(f"set-up probe failed: {done.stderr.strip()}")
+        samples.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    raw = {k: statistics.median(s[k] for s in samples) for k in samples[0]}
+    factor = REF_CAL_S / statistics.median(cals)
+    return {k: v * factor for k, v in raw.items()}, raw
 
 
 def load_workload(name: str):
@@ -220,9 +247,10 @@ def why(name: str) -> str:
 
 def layer_metrics(name, run, tracer, passes, warm, probes, overhead) -> dict:
     pool = run.pool
+    scale = run.speed.scale()
 
     def durations(span):
-        return tracer.durations(span)
+        return [(req, d * scale) for req, d in tracer.durations(span)]
 
     def busy(span):
         return sum(d for _, d in durations(span)) / passes
@@ -265,7 +293,7 @@ def layer_metrics(name, run, tracer, passes, warm, probes, overhead) -> dict:
         "resultant.nu.busy_s": busy("resultant.nu"),
         "resultant.assignment.busy_s": busy("resultant.assignment"),
         "resultant.ghost_ratio": ratio("resultant.ghost", "resultant.pairs"),
-        "resultant.assignment.first_call_s": warm.get("resultant.assignment", 0.0),
+        "resultant.assignment.first_call_s": warm.get("resultant.assignment", 0.0) * scale,
         "resultant.assignment.overflow": c["resultant.assignment.overflow"],
         "bipoly.scan.busy_s": busy("bipoly.scan"),
         "bipoly.cluster.busy_s": busy("bipoly.report") - busy("bipoly.scan"),
@@ -291,8 +319,8 @@ def layer_metrics(name, run, tracer, passes, warm, probes, overhead) -> dict:
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool, short: bool) -> int:
     started = perf_counter()
-    samples = [setup_probe(name) for _ in range(PROBES_SHORT if short else PROBES)]
-    probes = {k: statistics.median(s[k] for s in samples) for k in samples[0]}
+    probe_count = PROBES_SHORT if short else PROBES
+    probes, raw_probes = setup_probes(name, probe_count)
 
     import gen
     import probe
@@ -310,10 +338,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, short: bool)
         warm = probe.first_calls(name)
     gc.collect()
 
-    run = Run(wl, pool)
+    run = Run(wl, pool, Speedometer(calibrate_start, REF_START_S)
+              if name == "cli_pinned" else None)
     tracer = Tracer() if trace else None
     run.run_for(seconds / 2 if trace else seconds, started, tracer)
-    best = sorted(run.best)
+    lat = sorted(run.latencies())
     pct = tail_percentile(len(pool))
     passes = len(run.pass_busy)
     if trace:
@@ -342,7 +371,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, short: bool)
 
     if trace:
         metrics = layer_metrics(name, run, tracer, passes, warm, probes,
-                                sum(run.best) / sum(run.best_traced))
+                                sum(run.latencies()) / sum(run.latencies(True)))
         units = dict(PER_LAYER)
         out_dir = HERE / "out"
         out_dir.mkdir(exist_ok=True)
@@ -357,17 +386,22 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, short: bool)
                                  else resource.RUSAGE_SELF).ru_maxrss
         metrics = {
             "setup_s": probes["setup_s"],
-            "ops_per_s": len(best) / sum(best),
-            "latency_p50_ms": 1000 * statistics.median(best),
-            "latency_tail_ms": 1000 * nearest_rank(best, pct),
+            "ops_per_s": len(lat) / sum(lat),
+            "latency_p50_ms": 1000 * statistics.median(lat),
+            "latency_tail_ms": 1000 * nearest_rank(lat, pct),
             "peak_rss_mb": rss / 1024,
         }
         units = dict(END_TO_END)
-        print(f"# each request's fastest of {passes} passes ({run.samples} samples): "
-              f"latency_p50_ms is p50 and latency_tail_ms is p{pct:g} of these "
-              f"{len(best)} latencies (at least 10 beyond it); ops_per_s is "
-              f"{len(best)} requests over their summed latency")
-        print(f"# setup_s is the median of {len(samples)} fresh interpreters; "
+        print(f"# each request's median scaled latency over {passes} passes "
+              f"({passes * len(lat)} samples): latency_p50_ms is p50 and "
+              f"latency_tail_ms is p{pct:g} of these {len(lat)} latencies (at least "
+              f"10 beyond it); ops_per_s is {len(lat)} requests over their summed "
+              f"latency")
+        print(f"# machine speed: {run.speed.cal.__name__} median "
+              f"{statistics.median(run.speed.cals) * 1e3:.4f} ms over "
+              f"{len(run.speed.cals)} calibrations (reference {run.speed.ref * 1e3:g} ms)")
+        print(f"# setup_s is the median of {probe_count} fresh interpreters, scaled "
+              f"(unscaled {raw_probes['setup_s']:.4f} s); "
               f"peak_rss_mb is of the {'CLI children' if name == 'cli_pinned' else 'worker'}")
 
     for key, value in metrics.items():
@@ -414,7 +448,14 @@ def main(argv: list[str] | None = None) -> int:
     if not (SRC / "supertrop" / "__init__.py").is_file():
         print(f"error: no supertrop sources under {SRC}", file=sys.stderr)
         return 2
+    # Fresh interpreters (set-up probes, CLI children) import supertrop from
+    # bytecode, as an installed package does.  A checkout holds none, and
+    # the environment may forbid Python to write it, so compile it here, in a
+    # child so that compiling does not count in the worker's peak memory.
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(SRC)],
+                   check=True, capture_output=True, timeout=120)
     sys.path.insert(0, str(SRC))
+    pin_to_one_cpu()
     if args.workload == "all":
         return run_all(args)
     return run_workload(args.workload, args.seed, args.seconds, bool(args.trace),

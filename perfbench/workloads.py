@@ -443,8 +443,8 @@ def uni_shape(pool: list[Request]) -> dict:
 # degree class rather than between two.  The 10+10 pair takes about five
 # seconds on its own (its DP runs in resultant() and again in decide()), so
 # it joins the pass only in traced runs, which report the DP time at every
-# degree: with it, a run gets too few passes for each request's fastest run
-# to even out a slow stretch of the machine.
+# degree: with it, a run gets too few passes for each request's median
+# across passes to even out single slow passes.
 SWEEP = [(4, 8, 2), (5, 8, 2), (6, 10, 2), (7, 8, 1), (8, 4, 1), (9, 2, 0)]
 SWEEP_TRACED = [(10, 1, 0)]
 SWEEP_SHORT = [(4, 2, 1), (5, 2, 0), (6, 1, 0)]
