@@ -28,7 +28,8 @@ from .poly import (CommonRoot, FullPoly, GhostSumAnalysis, HalfTangible,
                    function_samples, ggraph, is_ghost_poly, mul_shift,
                    tangible_domain, tangible_roots)
 from .resultant import (RelPrimeReport, decide, permanent, permanent_oracle,
-                        resultant, resultant_nu, resultant_nu_assignment,
+                        resultant, resultant_dp, resultant_nu,
+                        resultant_nu_assignment,
                         resultant_quadratic, resultant_recursive,
                         resultant_tangible_product, semitangible_blocks,
                         sylvester, sylvester_vectors)
@@ -48,7 +49,7 @@ __all__ = [
     "parse_bipoly", "parse_element", "parse_poly", "partial_frobenius",
     "permanent", "permanent_oracle", "poly_from_json", "poly_to_json",
     "quadratic_factor", "radical_member_check",
-    "resultant", "resultant_in_second", "resultant_nu",
+    "resultant", "resultant_dp", "resultant_in_second", "resultant_nu",
     "resultant_nu_assignment", "resultant_quadratic", "resultant_recursive",
     "resultant_tangible_product", "right_ghost_factor",
     "semitangible_blocks", "split_tan_intan", "sylvester",

@@ -28,10 +28,10 @@ from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, add_shift,
                    analyze_ghost_sum, canonical_full, classify_half_tangible,
                    e_equiv, essential_part, frobenius, full_from_corners,
                    ggraph, is_ghost_poly, mul_shift, tangible_roots)
-from .resultant import (decide, permanent, permanent_oracle, resultant,
-                        resultant_nu, resultant_quadratic,
-                        resultant_recursive, resultant_tangible_product,
-                        sylvester)
+from .resultant import (DEFAULT_METHOD, METHODS, decide, permanent,
+                        permanent_oracle, resultant, resultant_nu,
+                        resultant_quadratic, resultant_recursive,
+                        resultant_tangible_product, sylvester)
 
 
 class Gen:
@@ -465,10 +465,7 @@ def _run_entry(entry: dict) -> None:
         got = [[str(e) for e in row] for row in rows]
         assert got == entry["expect"], (got, entry)
     elif kind == "resultant":
-        routes = {"dp": resultant, "recursive": resultant_recursive,
-                  "product": resultant_tangible_product,
-                  "quadratic": resultant_quadratic, "nu": resultant_nu}
-        fn = routes[entry.get("method", "dp")]
+        fn = METHODS[entry.get("method", DEFAULT_METHOD)]
         got = fn(parse_poly(entry["f"]), parse_poly(entry["g"]))
         assert got == Element.parse(entry["expect"]), (got, entry)
     elif kind == "permanent":

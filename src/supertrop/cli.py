@@ -19,16 +19,7 @@ from .factor import factor_min_ghosts
 from .intervals import IntervalSet, RootSet
 from .parse import ParseError, parse_bipoly, parse_poly, poly_to_json
 from .poly import canonical_full, tangible_roots
-from .resultant import (decide, resultant, resultant_nu, resultant_quadratic,
-                        resultant_recursive, resultant_tangible_product)
-
-_METHODS = {
-    "dp": resultant,
-    "recursive": resultant_recursive,
-    "product": resultant_tangible_product,
-    "quadratic": resultant_quadratic,
-    "nu": resultant_nu,
-}
+from .resultant import DEFAULT_METHOD, METHODS, decide
 
 
 def _text(arg: str) -> str:
@@ -85,7 +76,7 @@ def _cmd_factor(args) -> int:
 def _cmd_resultant(args) -> int:
     f = parse_poly(_text(args.f))
     g = parse_poly(_text(args.g))
-    value = _METHODS[args.method](f, g)
+    value = METHODS[args.method](f, g)
     return _emit(args, str(value), {"resultant": str(value)})
 
 
@@ -212,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("resultant", _cmd_resultant, "resultant of two polynomials")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--method", choices=sorted(_METHODS), default="dp")
+    p.add_argument("--method", choices=sorted(METHODS),
+                   default=DEFAULT_METHOD)
     p = cmd("relprime", _cmd_relprime, "relative primeness decision")
     p.add_argument("f")
     p.add_argument("g")

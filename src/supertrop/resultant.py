@@ -9,18 +9,21 @@ a tangible root, provided at most one of them is divisible by x.  The
 vectors and factors powers of x out; `decide` restores the x | f, x | g
 bookkeeping on top of it.
 
-Several independent routes to the same value live here on purpose:
+`resultant` takes the permanent with an exact O(k^3) engine: a
+maximum-weight assignment for the magnitude and a test of whether the
+maximal permutation is unique for the layer.  Independent routes to the
+same value live here on purpose, as its oracles and cross-checks:
 
-* `permanent`            generic column-subset dynamic program,
+* `permanent`            generic column-subset dynamic program, O(2^k),
+* `resultant_dp`         `resultant` through `permanent`,
 * `permanent_oracle`     brute force over permutations (small sizes),
 * `resultant_recursive`  constant-term peeling recursion,
 * `resultant_tangible_product`  closed form for tangible inputs,
 * `resultant_quadratic`  closed form against a monic quadratic,
-* `resultant_nu`         ghost value by the product formula on hatted roots,
-* `resultant_nu_assignment`  ghost value through an assignment solver.
+* `resultant_nu`         ghost value by the product formula on hatted roots.
 
-They are cross-checked in the test suite; none is allowed to replace
-another.
+`resultant_nu_assignment` is the ghost image of `resultant`.  `METHODS`
+names the resultant routes for the CLI and the example corpus.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .element import Element, ONE, ZERO, ghost, tangible
+from .element import Element, ONE, ZERO, tangible
 from .intervals import Endpoint, RootSet
 from .poly import Poly, canonical_full, tangible_roots
 
@@ -43,16 +46,17 @@ def sylvester_vectors(fvec, gvec, zero=ZERO) -> Grid:
     For deg f = m and deg g = n the matrix has n rows carrying f's
     coefficients followed by m rows carrying g's, each row shifted one
     column to the right of the previous one.  Entries may be any semiring
-    values; missing positions are filled with the additive zero.
+    values; missing positions are filled with the additive zero.  A
+    constant side gives a diagonal matrix, two constants the empty one.
     """
+    if not fvec or not gvec:
+        raise ValueError("sylvester_vectors needs nonempty vectors")
     m, n = len(fvec) - 1, len(gvec) - 1
-    size = m + n
     rows: Grid = []
     for i in range(n):
         rows.append([zero] * i + list(fvec) + [zero] * (n - 1 - i))
     for j in range(m):
         rows.append([zero] * j + list(gvec) + [zero] * (m - 1 - j))
-    assert all(len(r) == size for r in rows)
     return rows
 
 
@@ -117,51 +121,88 @@ def permanent_oracle(rows: Grid, zero=ZERO, one=ONE):
     return total
 
 
-def _perm_scaled(rows: list[list[tuple[int, bool] | None]]) -> tuple[int, bool] | None:
-    # Same DP as `permanent`, on (integer magnitude, ghost flag) pairs with
-    # None as zero; avoids element allocation in the inner loop.
+def _permanent_assignment(rows: Grid) -> Element:
+    """Permanent of a square matrix of Elements in O(k^3).
+
+    The magnitude of the permanent is the largest total magnitude of a
+    permutation that avoids Zero entries: a maximum-weight assignment,
+    found by the Hungarian method (Kuhn 1955) as shortest augmenting paths
+    with row and column potentials.  Magnitudes are scaled to Python ints
+    by the lcm of their denominators, so nothing can overflow, and Zero
+    entries are missing edges.  The value is ZERO when no permutation
+    avoids them.
+
+    The value is ghost when two permutations reach the maximum, or when
+    the only one that does uses a ghost entry.  Every maximal permutation
+    uses only entries that are tight under the final potentials, so a
+    second one exists exactly when the tight entries hold a cycle that
+    alternates with the one found (Butkovic, Max-linear Systems, 2010).
+    """
     size = len(rows)
-    prepared = []
-    for row in rows:
-        entries = [(1 << j, e[0], e[1]) for j, e in enumerate(row) if e is not None]
-        if not entries:
-            return None
-        prepared.append(entries)
-    dp: dict[int, tuple[int, bool]] = {0: (0, False)}
-    for entries in prepared:
-        nxt: dict[int, tuple[int, bool]] = {}
-        for mask, (acc_m, acc_g) in dp.items():
-            for bit, e_m, e_g in entries:
-                if mask & bit:
-                    continue
-                key = mask | bit
-                m = acc_m + e_m
-                g = acc_g or e_g
-                old = nxt.get(key)
-                if old is None or m > old[0]:
-                    nxt[key] = (m, g)
-                elif m == old[0]:
-                    nxt[key] = (m, True)
-        dp = nxt
-        if not dp:
-            return None
-    return dp.get((1 << size) - 1)
-
-
-def _scale_grid(rows: Grid) -> tuple[list[list[tuple[int, bool] | None]], int]:
-    denoms = [e.mag.denominator for row in rows for e in row if not e.is_zero]
-    scale = lcm(*denoms) if denoms else 1
-    scaled = [[None if e.is_zero else (int(e.mag * scale), e.is_ghost) for e in row]
-              for row in rows]
-    return scaled, scale
-
-
-def _element_permanent(rows: Grid) -> Element:
-    scaled, scale = _scale_grid(rows)
-    out = _perm_scaled(scaled)
-    if out is None:
-        return ZERO
-    return Element(Fraction(out[0], scale), out[1])
+    if any(len(r) != size for r in rows):
+        raise ValueError("permanent requires a square matrix")
+    scale = lcm(*(e.mag.denominator for row in rows for e in row
+                  if e.mag is not None))
+    # Minimise cost = -scaled magnitude.  Columns are 1..size; column 0 is
+    # the root of each search and holds the row being added.
+    cost = [{j: -(e.mag.numerator * (scale // e.mag.denominator))
+             for j, e in enumerate(row, 1) if e.mag is not None}
+            for row in rows]
+    u = [0] * size
+    v = [0] * (size + 1)
+    owner = [-1] * (size + 1)
+    for i in range(size):
+        owner[0] = i
+        dist: list[int | None] = [None] * (size + 1)
+        prev = [0] * (size + 1)
+        used = [False] * (size + 1)
+        j0 = 0
+        while owner[j0] != -1:
+            used[j0] = True
+            i0 = owner[j0]
+            for j, c in cost[i0].items():
+                d = c - u[i0] - v[j]
+                if not used[j] and (dist[j] is None or d < dist[j]):
+                    dist[j] = d
+                    prev[j] = j0
+            delta, j0 = min(((d, j) for j, d in enumerate(dist)
+                             if d is not None and not used[j]),
+                            default=(None, 0))
+            if delta is None:
+                # No augmenting path: every permutation meets a Zero entry.
+                return ZERO
+            for j in range(size + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                elif dist[j] is not None:
+                    dist[j] -= delta
+        while j0:
+            owner[j0] = owner[prev[j0]]
+            j0 = prev[j0]
+    col = [0] * size
+    for j in range(1, size + 1):
+        col[owner[j]] = j
+    # Row i points to row r when i could take r's column at no loss; a
+    # cycle is a second maximal permutation.  Peel rows nothing points to.
+    succ = [[owner[j] for j, c in cost[i].items()
+             if j != col[i] and c == u[i] + v[j]] for i in range(size)]
+    indegree = [0] * size
+    for targets in succ:
+        for r in targets:
+            indegree[r] += 1
+    free = [i for i in range(size) if indegree[i] == 0]
+    peeled = 0
+    while free:
+        peeled += 1
+        for r in succ[free.pop()]:
+            indegree[r] -= 1
+            if indegree[r] == 0:
+                free.append(r)
+    is_ghost = peeled < size or any(rows[i][col[i] - 1].is_ghost
+                                    for i in range(size))
+    total = -sum(cost[i][col[i]] for i in range(size))
+    return Element(Fraction(total, scale), is_ghost)
 
 
 def _vectors(f: Poly, g: Poly, canonical: bool) -> tuple[tuple, tuple]:
@@ -173,23 +214,24 @@ def _vectors(f: Poly, g: Poly, canonical: bool) -> tuple[tuple, tuple]:
 
 
 def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
-    """Permanent of the Sylvester matrix of f and g.
+    """Permanent of the Sylvester matrix of f and g, in polynomial time.
 
     With canonical=True (the default) both inputs are replaced by their
     canonical full coefficient vectors with the power of x stripped, so the
     value is an invariant of the functions; ghost or zero output then means
     a shared tangible root.  With canonical=False the raw dense coefficient
-    vectors are used as written.
+    vectors are used as written.  A constant side of value c against a side
+    of degree d gives c^d, and two constants give One.
     """
-    fv, gv = _vectors(f, g, canonical)
-    m, n = len(fv) - 1, len(gv) - 1
-    if m == 0 and n == 0:
-        return ONE
-    if n == 0:
-        return gv[0] ** m
-    if m == 0:
-        return fv[0] ** n
-    return _element_permanent(sylvester_vectors(fv, gv))
+    return _permanent_assignment(sylvester_vectors(*_vectors(f, g, canonical)))
+
+
+def resultant_dp(f: Poly, g: Poly, canonical: bool = True) -> Element:
+    """`resultant` through the generic subset DP `permanent`, in O(2^(m+n)).
+
+    Same inputs and conventions as `resultant`; kept as its oracle.
+    """
+    return permanent(sylvester_vectors(*_vectors(f, g, canonical)))
 
 
 def resultant_nu(f: Poly, g: Poly) -> Element:
@@ -218,36 +260,10 @@ def resultant_nu_assignment(f: Poly, g: Poly, canonical: bool = True) -> Element
     """Ghost value of the resultant, by a maximum-weight assignment.
 
     The magnitude of a permanent is the largest total magnitude of any
-    permutation avoiding zero entries, which is an assignment problem;
-    layers are ignored.  Returns a ghost element of that magnitude, or the
-    zero element when no permutation avoids zeros.  This is the fast path
-    for large matrices and an independent cross-check for the others.
+    permutation avoiding zero entries, which is an assignment problem; this
+    is the ghost image of `resultant`, whose engine solves it exactly.
     """
-    fv, gv = _vectors(f, g, canonical)
-    m, n = len(fv) - 1, len(gv) - 1
-    if m == 0 and n == 0:
-        return ghost(0)
-    if n == 0:
-        return (gv[0] ** m).nu()
-    if m == 0:
-        return (fv[0] ** n).nu()
-    rows = sylvester_vectors(fv, gv)
-    scaled, scale = _scale_grid(rows)
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
-    size = len(scaled)
-    span = max((abs(e[0]) for row in scaled for e in row if e is not None), default=0)
-    sentinel = -(span * size + 1)
-    cost = np.array([[sentinel if e is None else e[0] for e in row] for row in scaled],
-                    dtype=np.int64)
-    rr, cc = linear_sum_assignment(cost, maximize=True)
-    total = 0
-    for i, j in zip(rr, cc):
-        if scaled[i][j] is None:
-            return ZERO
-        total += scaled[i][j][0]
-    return ghost(Fraction(total, scale))
+    return resultant(f, g, canonical).nu()
 
 
 def resultant_recursive(f: Poly, g: Poly) -> Element:
@@ -384,7 +400,23 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
     r = resultant(f, g)
     common = tangible_roots(f).intersect(tangible_roots(g))
     # Root sharing and non-tangible resultant must agree; a failure here
-    # is a bug in one of the two routes.
-    assert r.in_ghost_ideal == (not common.intervals.is_empty), (f, g, r, common)
+    # is a bug in one of the two routes.  Raised rather than asserted, so
+    # that -O keeps the check and selfcheck reports it as a failure.
+    if r.in_ghost_ideal != (not common.intervals.is_empty):
+        raise AssertionError(("resultant and root sets disagree",
+                              f, g, r, common))
     return RelPrimeReport(r, r.is_tangible, common,
                           common.intervals.leftmost_finite())
+
+
+# Resultant routes by name, shared by the CLI's --method and the corpus;
+# DEFAULT_METHOD is the one used when none is named.
+METHODS = {
+    "assignment": resultant,
+    "dp": resultant_dp,
+    "recursive": resultant_recursive,
+    "product": resultant_tangible_product,
+    "quadratic": resultant_quadratic,
+    "nu": resultant_nu,
+}
+DEFAULT_METHOD = "assignment"

@@ -54,6 +54,10 @@ def test_factor_rejects_zero(capsys):
 def test_resultant_methods(capsys):
     code, out, _ = run(capsys, "resultant", "x^2 + 3v*x + 2", "x + 5")
     assert (code, out) == (0, "10")
+    for method in ("assignment", "dp"):
+        code, out, _ = run(capsys, "resultant", "--method", method,
+                           "(x+1)*(x+2)", "x + 1")
+        assert (code, out) == (0, "3v")
     code, out, _ = run(capsys, "resultant", "--method", "nu",
                        "x^2 + 3v*x + 2", "x + 5")
     assert (code, out) == (0, "10v")

@@ -1,19 +1,59 @@
 """Sylvester permanents, resultant routes, relative primeness."""
 
+import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertrop import (ONE, ZERO, Element, decide, ghost, parse_poly,
-                       permanent, permanent_oracle, resultant, resultant_nu,
-                       resultant_nu_assignment, resultant_quadratic,
-                       resultant_recursive, resultant_tangible_product,
-                       sylvester, tangible, tangible_roots)
+import supertrop
+from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
+                       permanent, permanent_oracle, resultant, resultant_dp,
+                       resultant_nu, resultant_nu_assignment,
+                       resultant_quadratic, resultant_recursive,
+                       resultant_tangible_product, sylvester,
+                       sylvester_vectors, tangible, tangible_roots)
 from supertrop.poly import canonical_full, full_from_corners
-from supertrop.resultant import semitangible_blocks
+from supertrop.resultant import _permanent_assignment, semitangible_blocks
 from supertrop.checks import Gen
 
 P = parse_poly
+
+# Few distinct magnitudes, so that sums tie and maximal permutations are
+# often not unique.
+MAGS = [Fraction(k, 2) for k in range(-3, 4)]
+
+
+@st.composite
+def entry_kinds(draw, zero_ok=True):
+    """A strategy for entries: how many magnitudes, and whether Zero and
+    ghosts occur at all, are drawn once per matrix or polynomial."""
+    top = draw(st.integers(0, len(MAGS) - 1))
+    layer = st.booleans() if draw(st.booleans()) else st.just(False)
+    entry = st.builds(Element, st.sampled_from(MAGS[:top + 1]), layer)
+    if zero_ok and draw(st.booleans()):
+        entry = st.one_of(st.just(ZERO), entry)
+    return entry
+
+
+@st.composite
+def matrices(draw):
+    size = draw(st.integers(0, 6))
+    entry = draw(entry_kinds())
+    return draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+
+
+@st.composite
+def polys(draw):
+    deg = draw(st.integers(0, 7))
+    coeffs = draw(st.lists(draw(entry_kinds()), min_size=deg, max_size=deg))
+    lead = draw(draw(entry_kinds(zero_ok=False)))
+    return Poly(dict(enumerate(coeffs + [lead])))
 
 
 def grid(f, g):
@@ -35,6 +75,8 @@ def test_sylvester_rejects_constants():
     with pytest.raises(ValueError):
         # x^2 canonicalizes to a constant once the power is stripped.
         sylvester(P("x^2"), P("x + 1"))
+    with pytest.raises(ValueError):
+        sylvester_vectors([], [ONE])
 
 
 def test_permanent_examples():
@@ -44,6 +86,8 @@ def test_permanent_examples():
     assert permanent(rows) == tangible(2)
     with pytest.raises(ValueError):
         permanent([[ONE, ONE]])
+    with pytest.raises(ValueError):
+        _permanent_assignment([[ONE, ONE]])
 
 
 def test_permanent_matches_oracle():
@@ -55,11 +99,84 @@ def test_permanent_matches_oracle():
             assert permanent(rows) == permanent_oracle(rows), rows
 
 
+@settings(max_examples=120, deadline=None)
+@given(matrices())
+def test_assignment_permanent_matches_oracle(rows):
+    assert _permanent_assignment(rows) == permanent_oracle(rows)
+
+
 def test_resultant_examples():
     assert resultant(P("x + 1"), P("x + 1")) == ghost(1)
     assert resultant(P("x^2 + 3v*x + 2"), P("x + 5")) == tangible(10)
     assert resultant(P("2v*x^2 + 4*x"), P("x + 1v")) == tangible(4)
     assert resultant(P("(x+3)*(x+4)"), P("x + 2")) == tangible(7)
+    # Constant sides: c against degree d gives c^d, two constants One.
+    for route in (resultant, resultant_dp):
+        assert route(P("3v"), P("x^2 + 1")) == ghost(6)
+        assert route(P("x^3 + 0"), P("4")) == tangible(12)
+        assert route(P("2"), P("5")) == ONE
+
+
+@settings(max_examples=15, deadline=None)
+@given(polys(), polys())
+def test_resultant_matches_dp(f, g):
+    for canonical in (True, False):
+        assert resultant(f, g, canonical) == resultant_dp(f, g, canonical)
+
+
+def test_resultant_matches_dp_at_8_plus_8():
+    pairs = [
+        # Tangible, one shared root: ghost only through tied permutations.
+        ((P("(x+1)*(x+2)*(x+3)*(x+4)*(x+5)*(x+6)*(x+7)*(x+8)"),
+          P("(x+1/2)*(x+3/2)*(x+5/2)*(x+7/2)*(x+4)*(x+11/2)*(x+13/2)"
+            "*(x+15/2)")), True),
+        # Sparse raw vectors with ghost coefficients.
+        ((P("x^8 + 2v*x^5 + 1*x^3 + 3"), P("x^8 + 1*x^6 + 5v*x^2 + 2")),
+         False),
+    ]
+    for (f, g), canonical in pairs:
+        assert resultant(f, g, canonical) == resultant_dp(f, g, canonical)
+
+
+def test_assignment_exact_with_large_denominators():
+    # Coefficients k + 1/p for distinct primes p near 10^6, concave so that
+    # every one is a vertex of the canonical form: scaling by the lcm of
+    # the denominators leaves 64 bits far behind.
+    primes = [1000003, 1000033, 1000037, 1000039,
+              1000081, 1000099, 1000117, 1000121]
+    f = Poly({i: tangible(k + Fraction(1, p))
+              for i, (k, p) in enumerate(zip([0, 3, 5, 6], primes[:4]))})
+    g = Poly({i: tangible(k + Fraction(1, p))
+              for i, (k, p) in enumerate(zip([0, 2, 3, 3], primes[4:]))})
+    assert canonical_full(f).to_poly() == f
+    value = resultant_nu_assignment(f, g)
+    assert value == resultant_nu(f, g) == resultant(f, g).nu()
+    assert resultant(f, g) == resultant_dp(f, g)
+
+
+def test_runs_optimized_without_numpy_or_scipy():
+    # -O strips asserts; decide's cross-check must still raise.
+    script = """
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+import importlib
+R = importlib.import_module("supertrop.resultant")
+from supertrop import parse_poly as P
+print(R.resultant_nu_assignment(P("x^2 + 3*x + 1"), P("x + 4")))
+real = R.resultant
+R.resultant = lambda f, g: real(f, g).nu()
+try:
+    R.decide(P("x + 1"), P("x + 2"))
+except AssertionError:
+    print("raised")
+"""
+    src = str(Path(supertrop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["8v", "raised"]
 
 
 def test_resultant_symmetry():
@@ -189,6 +306,15 @@ def test_decide_examples():
 
     with pytest.raises(ValueError):
         decide(P("x + 1"), P("3"))
+
+
+def test_decide_raises_when_routes_disagree(monkeypatch):
+    module = importlib.import_module("supertrop.resultant")
+    real = module.resultant
+    monkeypatch.setattr(module, "resultant",
+                        lambda f, g: real(f, g).nu())
+    with pytest.raises(AssertionError):
+        decide(P("x + 1"), P("x + 2"))
 
 
 def test_decide_against_endpoint_oracle():
