@@ -6,15 +6,23 @@ entries are now polynomials in the first variable.  Because evaluation at
 a point is a semiring map, specialising the first variable commutes with
 taking that permanent, which is the main exactness test for this module.
 
-`common_roots_sample` scans a rational grid for points where both inputs
-take ghost values, entirely in integer arithmetic.  `bezout_report`
-clusters the hits and compares the count of isolated ones against the
-product of the total degrees.  The clustering is heuristic by nature; the
-degree bound on isolated hits is the part that is checked.
+`common_roots_sample` finds the points of a rational grid where both
+inputs take ghost values, entirely in integer arithmetic.  It sweeps the
+grid row by row: on a row y = b every term is a line in x, and the value
+is ghost exactly at the breakpoints of the upper envelope of those lines
+and along its pieces that come from ghost terms.  Each row therefore
+yields its ghost set as a few integer intervals, and the grid points in
+the intersection of both inputs' intervals are listed directly.  With the
+terms sorted by x exponent once, a scan costs O(rows * terms + hits)
+rather than a probe of every grid point.  `bezout_report` clusters the hits in O(hits) and compares the
+count of isolated ones against the product of the total degrees.  The
+clustering is heuristic by nature; the degree bound on isolated hits is
+the part that is checked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -205,22 +213,82 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
     return permanent(grid, zero=Poly.zero(), one=Poly.constant(ONE))
 
 
-def _scaled_terms(f: BiPoly, scale: int) -> list[tuple[int, int, int, bool]]:
-    return [(int(c.mag * scale), i, j, c.is_ghost) for (i, j), c in f.items()]
+def _slope_groups(f: BiPoly, scale: int) -> list[tuple[int, list]]:
+    # Scaled terms grouped by x exponent, in increasing order: on a grid
+    # row y = b each group is a family of parallel lines in x.
+    groups: dict[int, list[tuple[int, int, bool]]] = {}
+    for (i, j), c in f.items():
+        groups.setdefault(i, []).append((int(c.mag * scale), j, c.is_ghost))
+    return sorted(groups.items())
 
 
-def _ghost_at(terms, a: int, b: int) -> bool:
-    # Ghost value at the point: the maximum is attained twice, or once by
-    # a ghost term.  Terms are pre-scaled integers, a and b likewise.
-    best = None
-    ghost = False
-    for m, i, j, g in terms:
-        v = m + i * a + j * b
-        if best is None or v > best:
-            best, ghost = v, g
-        elif v == best:
-            ghost = True
-    return bool(ghost)
+def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Integers of [lo, hi] where the value on row y = b is ghost.
+
+    The value is the upper envelope of the lines of the row.  It is ghost
+    where two lines attain it, which is at the envelope breakpoints, and
+    along every envelope piece whose line is ghost.  Returns sorted,
+    disjoint closed intervals.
+    """
+    hull: list[tuple[int, int, bool]] = []
+    for i, terms in groups:
+        # Parallel lines: keep the highest, ghost on a tie.
+        c, ghost = None, False
+        for m, j, g in terms:
+            v = m + j * b
+            if c is None or v > c:
+                c, ghost = v, g
+            elif v == c:
+                ghost = True
+        # Drop lines that the new, steeper one keeps from ever being
+        # strictly on top (convex-hull trick).
+        while len(hull) >= 2:
+            i1, c1, _ = hull[-2]
+            i2, c2, _ = hull[-1]
+            if (c1 - c) * (i2 - i1) > (c1 - c2) * (i - i1):
+                break
+            hull.pop()
+        hull.append((i, c, ghost))
+
+    out: list[tuple[int, int]] = []
+
+    def add(l: int, h: int) -> None:
+        l, h = max(l, lo), min(h, hi)
+        if l > h:
+            return
+        if out and l <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], h)  # breakpoints increase, so h does
+        else:
+            out.append((l, h))
+
+    start = lo  # ceiling of the previous breakpoint
+    for t, (i, c, ghost) in enumerate(hull):
+        if t + 1 < len(hull):
+            i2, c2, _ = hull[t + 1]
+            end, rem = divmod(c - c2, i2 - i)  # floor of the next breakpoint
+        else:
+            end, rem = hi, 1
+        if ghost:
+            add(start, end)
+        if rem == 0:
+            add(end, end)
+        start = end if rem == 0 else end + 1
+    return out
+
+
+def _intersect(p: list[tuple[int, int]],
+               q: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out = []
+    s = t = 0
+    while s < len(p) and t < len(q):
+        lo, hi = max(p[s][0], q[t][0]), min(p[s][1], q[t][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if p[s][1] < q[t][1]:
+            s += 1
+        else:
+            t += 1
+    return out
 
 
 Window = tuple[Rational, Rational, Rational, Rational]
@@ -238,26 +306,48 @@ def _scan(f: BiPoly, g: BiPoly, window: Window, step: Fraction) -> tuple[set, in
     scale = 2 * lcm(xlo.denominator, xhi.denominator, ylo.denominator,
                     yhi.denominator, step.denominator,
                     *(m.denominator for m in mags))
-    ft, gt = _scaled_terms(f, scale), _scaled_terms(g, scale)
+    fg, gg = _slope_groups(f, scale), _slope_groups(g, scale)
     step_s = int(step * scale)
     half = step_s // 2
+    x0, x1 = int(xlo * scale), int(xhi * scale)
+    rows: dict[int, tuple[list[int], list[int]]] = {}
 
-    def is_hit(a: int, b: int) -> bool:
-        return _ghost_at(ft, a, b) and _ghost_at(gt, a, b)
+    def row(b: int) -> tuple[list[int], list[int]]:
+        # Common ghost intervals of a row, as start and end lists, over the
+        # window widened by the half step that the refinement ring reaches.
+        if b not in rows:
+            both = _intersect(_row_ghost(fg, b, x0 - half, x1 + half),
+                              _row_ghost(gg, b, x0 - half, x1 + half))
+            rows[b] = ([lo for lo, _ in both], [hi for _, hi in both])
+        return rows[b]
 
-    xs = range(int(xlo * scale), int(xhi * scale) + 1, step_s)
-    ys = range(int(ylo * scale), int(yhi * scale) + 1, step_s)
-    hits = {(a, b) for a in xs for b in ys if is_hit(a, b)}
+    hits = []
+    for b in range(int(ylo * scale), int(yhi * scale) + 1, step_s):
+        starts, ends = row(b)
+        if not starts:
+            del rows[b]  # no hits here, so the refinement never asks again
+        for lo, hi in zip(starts, ends):
+            first = x0 - (x0 - max(lo, x0)) // step_s * step_s  # column >= lo
+            hits.extend((a, b) for a in range(first, min(hi, x1) + 1, step_s))
     # One refinement level: probe the half-step ring around every hit so
     # that hits lying on a shared curve piece link up into one component.
     refined = set(hits)
     for a, b in hits:
-        for da in (-half, 0, half):
-            for db in (-half, 0, half):
+        for db in (-half, 0, half):
+            starts, ends = row(b + db)
+            for da in (-half, 0, half):
                 p = (a + da, b + db)
-                if p not in refined and is_hit(*p):
-                    refined.add(p)
+                if p not in refined:
+                    k = bisect_right(starts, p[0]) - 1
+                    if k >= 0 and p[0] <= ends[k]:
+                        refined.add(p)
     return refined, scale
+
+
+def _fractions(points, scale: int) -> list[tuple[Fraction, Fraction]]:
+    # One Fraction per distinct coordinate: hits share rows and columns.
+    memo = {v: Fraction(v, scale) for v in {v for p in points for v in p}}
+    return [(memo[a], memo[b]) for a, b in points]
 
 
 def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
@@ -271,7 +361,7 @@ def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     refined, scale = _scan(f, g, window, as_fraction(step))
-    return sorted((Fraction(a, scale), Fraction(b, scale)) for a, b in refined)
+    return _fractions(sorted(refined), scale)
 
 
 @dataclass(frozen=True)
@@ -309,8 +399,16 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     step = as_fraction(step)
     refined, scale = _scan(f, g, window, step)
     points = sorted(refined)
-    index = {p: k for k, p in enumerate(points)}
+    # Hits lie on the half-step lattice.  Number them u * width + v there,
+    # with the width padded past the reach below, so that each neighbor is
+    # one integer addition away.
+    half = int(step * scale) // 2
+    bmin = min((b for _, b in points), default=0)
+    width = (max((b for _, b in points), default=0) - bmin) // half + 25
+    index = {(a // half) * width + (b - bmin) // half: k
+             for k, (a, b) in enumerate(points)}
     parent = list(range(len(points)))
+    size = [1] * len(points)
 
     def find(u: int) -> int:
         while parent[u] != u:
@@ -318,39 +416,38 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
             u = parent[u]
         return u
 
-    half = int(step * scale) // 2
-    reach = [d * half for d in range(-3, 4)]
-    for (a, b), k in index.items():
-        for da in reach:
-            for db in reach:
-                other = index.get((a + da, b + db))
-                if other is not None and other != k:
-                    parent[find(other)] = find(k)
-
-    sizes: dict[int, int] = {}
-    for k in range(len(points)):
-        root = find(k)
-        sizes[root] = sizes.get(root, 0) + 1
+    # Link hits up to three half steps apart.  The reach is symmetric, so
+    # each pair is found from its first point through a forward offset.
+    forward = [du * width + dv for du in range(4) for dv in range(-3, 4)
+               if (du, dv) > (0, 0)]
+    for key, k in index.items():
+        ra = find(k)
+        for off in forward:
+            other = index.get(key + off)
+            # In dense patches most neighbors already hang under the root.
+            if other is None or parent[other] == ra:
+                continue
+            rb = find(other)
+            if ra != rb:
+                if size[ra] < size[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                size[ra] += size[rb]
 
     # A singleton component only counts as ordinary when no other hit lies
     # within three steps: hits strung along a shared curve piece of slope
     # p/q with |p|, |q| bounded by the degree land at most that far apart,
     # and such pieces are not isolated crossings.
-    far = [d * half for d in range(-12, 13)]
-    ordinary = 0
-    for k, (a, b) in enumerate(points):
-        if sizes[find(k)] != 1:
-            continue
-        alone = not any(index.get((a + da, b + db)) not in (None, k)
-                        for da in far for db in far)
-        if alone:
-            ordinary += 1
+    far = [du * width + dv for du in range(-12, 13) for dv in range(-12, 13)
+           if du or dv]
+    ordinary = sum(1 for key, k in index.items() if size[find(k)] == 1
+                   and not any(key + off in index for off in far))
 
     m, n = f.total_degree, g.total_degree
     bound = m * n
     return BezoutReport(
-        m=m, n=n, bound=bound,
-        hits=tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in points),
-        component_count=len(sizes), ordinary_count=ordinary,
+        m=m, n=n, bound=bound, hits=tuple(_fractions(points, scale)),
+        component_count=sum(parent[k] == k for k in range(len(points))),
+        ordinary_count=ordinary,
         bound_holds=ordinary <= bound,
         window=tuple(as_fraction(w) for w in window), step=step)

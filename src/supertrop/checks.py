@@ -123,11 +123,15 @@ def check_example_table() -> int:
     for k, a in enumerate(range(2, 12)):
         va = f.evaluate(tangible(a))
         vb = g.evaluate(tangible(a))
-        assert va == Element.parse(expected_f[k]), (a, va, expected_f[k])
-        assert vb == Element.parse(expected_g[k]), (a, vb, expected_g[k])
+        if va != Element.parse(expected_f[k]):
+            raise AssertionError((a, va, expected_f[k]))
+        if vb != Element.parse(expected_g[k]):
+            raise AssertionError((a, vb, expected_g[k]))
     stated = parse_poly("x^4 + 10*x^3 + 17*x^2 + 22*x + 24")
-    assert f + g == stated.nu(), (f + g, stated.nu())
-    assert is_ghost_poly(f + g)
+    if f + g != stated.nu():
+        raise AssertionError((f + g, stated.nu()))
+    if not is_ghost_poly(f + g):
+        raise AssertionError
     return 22
 
 
@@ -152,7 +156,8 @@ def check_eq43(seed: int = 43001, cases: int = 100) -> int:
         top = max(values)
         expected = Element(top, values.count(top) >= 2)
         got = resultant(f, g)
-        assert got == expected, (a, b, c, got, expected)
+        if got != expected:
+            raise AssertionError((a, b, c, got, expected))
         done += 1
     return done
 
@@ -176,7 +181,8 @@ def check_root_resultant_equivalence(seed: int = 42002,
         r = resultant(f, g)
         meet = not tangible_roots(f).intervals.intersect(
             tangible_roots(g).intervals).is_empty
-        assert r.in_ghost_ideal == meet, (f, g, r, meet)
+        if r.in_ghost_ideal != meet:
+            raise AssertionError((f, g, r, meet))
     return cases
 
 
@@ -208,10 +214,14 @@ def check_product_formula(seed: int = 42003, cases: int = 500) -> int:
         at_f = alpha ** n
         for a in roots_f:
             at_f = at_f * g.evaluate(tangible(a))
-        assert by_perm == expected, (f, g, by_perm, expected)
-        assert by_rule == expected, (f, g, by_rule, expected)
-        assert at_g == expected, (f, g, at_g, expected)
-        assert at_f == expected, (f, g, at_f, expected)
+        if by_perm != expected:
+            raise AssertionError((f, g, by_perm, expected))
+        if by_rule != expected:
+            raise AssertionError((f, g, by_rule, expected))
+        if at_g != expected:
+            raise AssertionError((f, g, at_g, expected))
+        if at_f != expected:
+            raise AssertionError((f, g, at_f, expected))
     return cases
 
 
@@ -224,7 +234,8 @@ def check_nu_multiplicativity(seed: int = 42004, cases: int = 300) -> int:
         h = gen.canonical_poly(3)
         lhs = resultant(f, g * h).nu()
         rhs = (resultant(f, g) * resultant(f, h)).nu()
-        assert lhs == rhs, (f, g, h, lhs, rhs)
+        if lhs != rhs:
+            raise AssertionError((f, g, h, lhs, rhs))
     return cases
 
 
@@ -236,23 +247,28 @@ def check_cross_algorithms(seed: int = 42005, cases: int = 200) -> int:
         for _ in range(cases):
             rows = [[ZERO if gen.rng.random() < 0.25 else gen.element()
                      for _ in range(side)] for _ in range(side)]
-            assert permanent(rows) == permanent_oracle(rows), rows
+            if permanent(rows) != permanent_oracle(rows):
+                raise AssertionError(rows)
             total += 1
     for _ in range(cases):
         f = gen.full_poly(3)
         g = gen.full_poly(3)
         direct = permanent(sylvester(f, g))
-        assert direct == resultant(f, g), (f, g)
-        assert resultant_recursive(f, g) == direct, (f, g)
+        if direct != resultant(f, g):
+            raise AssertionError((f, g))
+        if resultant_recursive(f, g) != direct:
+            raise AssertionError((f, g))
         nu_value = resultant_nu(f, g)
-        assert nu_value == direct.nu(), (f, g, nu_value, direct)
+        if nu_value != direct.nu():
+            raise AssertionError((f, g, nu_value, direct))
         total += 1
     for _ in range(cases):
         f = gen.full_poly(4)
         r1, r2 = gen.corners(2)
         flags = [gen.rng.random() < 0.5, gen.rng.random() < 0.5, False]
         g = canonical_full(full_from_corners([r1, r2], flags)).to_poly()
-        assert resultant_quadratic(f, g) == resultant(f, g), (f, g)
+        if resultant_quadratic(f, g) != resultant(f, g):
+            raise AssertionError((f, g))
         total += 1
     return total
 
@@ -263,10 +279,12 @@ def check_factorization(seed: int = 42006, cases: int = 500) -> int:
     for _ in range(cases):
         f = gen.monic_full(8)
         fact = factor_min_ghosts(f)
-        assert e_equiv(expand(fact), f), (f, fact)
+        if not e_equiv(expand(fact), f):
+            raise AssertionError((f, fact))
         covered = IntervalSet.of(
             (lo, hi) for lo, hi, _ in fact.factor_intervals())
-        assert covered == tangible_roots(f).intervals, (f, fact)
+        if covered != tangible_roots(f).intervals:
+            raise AssertionError((f, fact))
     return cases
 
 
@@ -304,40 +322,54 @@ def check_ghost_sums(seed: int = 42007, cases: int = 300) -> int:
     gen = Gen(seed)
     for _ in range(cases):
         f, g, want = _ghost_sum_pair(gen)
-        assert is_ghost_poly(f + g), (f, g)
+        if not is_ghost_poly(f + g):
+            raise AssertionError((f, g))
         got = analyze_ghost_sum(f, g)
         if isinstance(want, CommonRoot):
-            assert isinstance(got, CommonRoot), (f, g, got)
-            assert got.witness in tangible_roots(f), (f, g, got)
-            assert got.witness in tangible_roots(g), (f, g, got)
+            if not isinstance(got, CommonRoot):
+                raise AssertionError((f, g, got))
+            if got.witness not in tangible_roots(f):
+                raise AssertionError((f, g, got))
+            if got.witness not in tangible_roots(g):
+                raise AssertionError((f, g, got))
         else:
-            assert got == want, (f, g, got, want)
+            if got != want:
+                raise AssertionError((f, g, got, want))
             left = f if classify_half_tangible(f)[0].value == "left" else g
             other = g if left is f else f
-            assert left.degree > other.degree, (f, g)
-            assert left.ldeg > other.ldeg, (f, g)
+            if left.degree <= other.degree:
+                raise AssertionError((f, g))
+            if left.ldeg <= other.ldeg:
+                raise AssertionError((f, g))
         p = gen.poly(3, 0)
         q = _relayer(gen, p)
-        assert is_ghost_poly(p * f + q * g), (f, g, p, q)
+        if not is_ghost_poly(p * f + q * g):
+            raise AssertionError((f, g, p, q))
     # The third leg of the trichotomy: a sum that stays tangible somewhere.
-    assert isinstance(
-        analyze_ghost_sum(parse_poly("x+1"), parse_poly("x+5")), NotGhostSum)
+    if not isinstance(analyze_ghost_sum(parse_poly("x+1"), parse_poly("x+5")),
+                      NotGhostSum):
+        raise AssertionError
     return cases
 
 
 def check_division_examples() -> int:
     """Both worked division examples, and the divisor interval for a = 0..7."""
     f = parse_poly("x^2 + 6v*x + 7")
-    assert verify_division(f, parse_poly("x+4"), parse_poly("x+3"))
-    assert verify_division(f * f, parse_poly("x^2 + 4v*x + 6"),
-                           parse_poly("x^2 + 8"))
+    if not verify_division(f, parse_poly("x+4"), parse_poly("x+3")):
+        raise AssertionError
+    if not verify_division(f * f, parse_poly("x^2 + 4v*x + 6"),
+                           parse_poly("x^2 + 8")):
+        raise AssertionError
     expected = {0: False, 1: True, 4: True, 6: True, 7: False}
     for a, want in expected.items():
         w = divides_linear(f, a)
-        assert (w is not None) == want, (a, w)
+        if (w is not None) != want:
+            raise AssertionError((a, w))
         if w is not None:
-            assert verify_division(f, linear_factor(Fraction(a)), w.q)
-            assert w.ghost_sum == f + w.q * linear_factor(Fraction(a))
+            if not verify_division(f, linear_factor(Fraction(a)), w.q):
+                raise AssertionError
+            if w.ghost_sum != f + w.q * linear_factor(Fraction(a)):
+                raise AssertionError
     return 2 + len(expected)
 
 
@@ -348,8 +380,10 @@ def check_bezout_bound(seed: int = 42010, cases: int = 100) -> int:
         fb = gen.bipoly(3)
         gb = gen.bipoly(3)
         rep = bezout_report(fb, gb)
-        assert rep.bound_holds, (fb, gb, rep.ordinary_count, rep.bound)
-        assert rep.ordinary_count <= rep.m * rep.n
+        if not rep.bound_holds:
+            raise AssertionError((fb, gb, rep.ordinary_count, rep.bound))
+        if rep.ordinary_count > rep.m * rep.n:
+            raise AssertionError
     return cases
 
 
@@ -364,7 +398,8 @@ def check_specialization(seed: int = 42011, cases: int = 200) -> int:
         lhs = r.evaluate(tangible(c))
         rhs = resultant(fb.specialize_x(tangible(c)),
                         gb.specialize_x(tangible(c)), canonical=False)
-        assert lhs == rhs, (fb, gb, c, lhs, rhs)
+        if lhs != rhs:
+            raise AssertionError((fb, gb, c, lhs, rhs))
     return cases
 
 
@@ -395,132 +430,175 @@ def _run_entry(entry: dict) -> None:
     kind = entry["kind"]
     if kind == "element":
         got = eval_scalar_expr(entry["expr"])
-        assert got == Element.parse(entry["expect"]), (got, entry)
+        if got != Element.parse(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "add":
         got = parse_poly(entry["a"]) + parse_poly(entry["b"])
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "mul":
         got = parse_poly(entry["a"]) * parse_poly(entry["b"])
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "eval":
         got = parse_poly(entry["poly"]).evaluate(Element.parse(entry["at"]))
-        assert got == Element.parse(entry["expect"]), (got, entry)
+        if got != Element.parse(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "canon":
         got = canonical_full(parse_poly(entry["poly"])).to_poly()
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "essential":
         got = essential_part(parse_poly(entry["poly"]))
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "ggraph":
         pl = ggraph(parse_poly(entry["poly"]))
-        assert [str(b) for b in pl.breakpoints] == entry["breakpoints"]
-        assert list(pl.slopes) == entry["slopes"], (pl, entry)
+        if [str(b) for b in pl.breakpoints] != entry["breakpoints"]:
+            raise AssertionError
+        if list(pl.slopes) != entry["slopes"]:
+            raise AssertionError((pl, entry))
         if "piece_ghost" in entry:
-            assert list(pl.piece_ghost) == entry["piece_ghost"], (pl, entry)
+            if list(pl.piece_ghost) != entry["piece_ghost"]:
+                raise AssertionError((pl, entry))
     elif kind == "e_equiv":
         got = e_equiv(parse_poly(entry["a"]), parse_poly(entry["b"]))
-        assert got == entry["expect"], (got, entry)
+        if got != entry["expect"]:
+            raise AssertionError((got, entry))
     elif kind == "roots":
         got = tangible_roots(parse_poly(entry["poly"]))
-        assert str(got.intervals) == entry["expect"], (got, entry)
+        if str(got.intervals) != entry["expect"]:
+            raise AssertionError((got, entry))
         if "at_bottom" in entry:
-            assert got.at_bottom == entry["at_bottom"], (got, entry)
+            if got.at_bottom != entry["at_bottom"]:
+                raise AssertionError((got, entry))
     elif kind == "classify":
         got = classify_half_tangible(parse_poly(entry["poly"]))
         if entry["expect"] is None:
-            assert got is None, (got, entry)
+            if got is not None:
+                raise AssertionError((got, entry))
         else:
             side, at = got
-            assert [side.value, str(at)] == entry["expect"], (got, entry)
+            if [side.value, str(at)] != entry["expect"]:
+                raise AssertionError((got, entry))
     elif kind == "ghost_sum":
         got = analyze_ghost_sum(parse_poly(entry["f"]), parse_poly(entry["g"]))
         want = entry["expect"]
         if want["kind"] == "common_root":
-            assert got == CommonRoot(Fraction(want["witness"])), (got, entry)
+            if got != CommonRoot(Fraction(want["witness"])):
+                raise AssertionError((got, entry))
         elif want["kind"] == "half_tangible":
-            assert got == HalfTangible(Fraction(want["alpha"]),
-                                       Fraction(want["beta"])), (got, entry)
+            if got != HalfTangible(Fraction(want["alpha"]),
+                                   Fraction(want["beta"])):
+                raise AssertionError((got, entry))
         else:
-            assert isinstance(got, NotGhostSum), (got, entry)
+            if not isinstance(got, NotGhostSum):
+                raise AssertionError((got, entry))
     elif kind == "factor":
         fact = factor_min_ghosts(parse_poly(entry["poly"]))
-        assert str(fact) == entry["expect"], (str(fact), entry)
-        assert e_equiv(expand(fact), parse_poly(entry["poly"]))
+        if str(fact) != entry["expect"]:
+            raise AssertionError((str(fact), entry))
+        if not e_equiv(expand(fact), parse_poly(entry["poly"])):
+            raise AssertionError
     elif kind == "split":
         tan, intan = split_tan_intan(parse_poly(entry["poly"]))
-        assert tan == parse_poly(entry["tan"]), (tan, entry)
-        assert intan == parse_poly(entry["intan"]), (intan, entry)
+        if tan != parse_poly(entry["tan"]):
+            raise AssertionError((tan, entry))
+        if intan != parse_poly(entry["intan"]):
+            raise AssertionError((intan, entry))
     elif kind == "e_divides":
         got = e_divides(parse_poly(entry["g"]), parse_poly(entry["f"]))
-        assert got == entry["expect"], (got, entry)
+        if got != entry["expect"]:
+            raise AssertionError((got, entry))
     elif kind == "mul_shift":
         got = mul_shift(parse_poly(entry["poly"]), Fraction(entry["b"]))
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "add_shift":
         got = add_shift(parse_poly(entry["poly"]),
                         Element.parse(entry["beta"]))
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "sylvester":
         rows = sylvester(parse_poly(entry["f"]), parse_poly(entry["g"]))
         got = [[str(e) for e in row] for row in rows]
-        assert got == entry["expect"], (got, entry)
+        if got != entry["expect"]:
+            raise AssertionError((got, entry))
     elif kind == "resultant":
         fn = METHODS[entry.get("method", DEFAULT_METHOD)]
         got = fn(parse_poly(entry["f"]), parse_poly(entry["g"]))
-        assert got == Element.parse(entry["expect"]), (got, entry)
+        if got != Element.parse(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "permanent":
         rows = [[Element.parse(e) for e in row] for row in entry["matrix"]]
         got = permanent(rows)
-        assert got == Element.parse(entry["expect"]), (got, entry)
-        assert permanent_oracle(rows) == got, (got, entry)
+        if got != Element.parse(entry["expect"]):
+            raise AssertionError((got, entry))
+        if permanent_oracle(rows) != got:
+            raise AssertionError((got, entry))
     elif kind == "relprime":
         rep = decide(parse_poly(entry["f"]), parse_poly(entry["g"]))
-        assert rep.relatively_prime == entry["expect_prime"], (rep, entry)
+        if rep.relatively_prime != entry["expect_prime"]:
+            raise AssertionError((rep, entry))
         if entry.get("witness") is not None:
-            assert rep.witness == Fraction(entry["witness"]), (rep, entry)
+            if rep.witness != Fraction(entry["witness"]):
+                raise AssertionError((rep, entry))
         if entry.get("resultant") is not None:
-            assert rep.resultant == Element.parse(entry["resultant"])
+            if rep.resultant != Element.parse(entry["resultant"]):
+                raise AssertionError
     elif kind == "verify_division":
         got = verify_division(parse_poly(entry["f"]), parse_poly(entry["g"]),
                               parse_poly(entry["q"]))
-        assert got == entry["expect"], (got, entry)
+        if got != entry["expect"]:
+            raise AssertionError((got, entry))
     elif kind == "divides_linear":
         w = divides_linear(parse_poly(entry["f"]), Fraction(entry["a"]))
-        assert (w is not None) == entry["expect"], (w, entry)
+        if (w is not None) != entry["expect"]:
+            raise AssertionError((w, entry))
         if w is not None and entry.get("q") is not None:
-            assert w.q == parse_poly(entry["q"]), (w, entry)
+            if w.q != parse_poly(entry["q"]):
+                raise AssertionError((w, entry))
     elif kind == "radical":
         got = radical_member_check(parse_poly(entry["a"]), entry["k"],
                                    parse_poly(entry["b"]),
                                    parse_poly(entry["q"]))
-        assert got == entry["expect"], (got, entry)
+        if got != entry["expect"]:
+            raise AssertionError((got, entry))
     elif kind == "frobenius":
         got = frobenius(parse_poly(entry["poly"]), entry["m"])
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "eval2":
         got = parse_bipoly(entry["poly"]).evaluate(
             Element.parse(entry["x"]), Element.parse(entry["y"]))
-        assert got == Element.parse(entry["expect"]), (got, entry)
+        if got != Element.parse(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "specialize":
         f = parse_bipoly(entry["poly"])
         at = Element.parse(entry["at"])
         got = f.specialize_y(at) if entry["var"] == "y" else f.specialize_x(at)
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "res2":
         got = resultant_in_second(parse_bipoly(entry["f"]),
                                   parse_bipoly(entry["g"]))
-        assert got == parse_poly(entry["expect"]), (got, entry)
+        if got != parse_poly(entry["expect"]):
+            raise AssertionError((got, entry))
     elif kind == "bezout":
         rep = bezout_report(parse_bipoly(entry["f"]), parse_bipoly(entry["g"]))
-        assert rep.bound_holds, (rep, entry)
+        if not rep.bound_holds:
+            raise AssertionError((rep, entry))
         for field in ("component_count", "ordinary_count"):
             if field in entry:
-                assert getattr(rep, field) == entry[field], (rep, entry)
+                if getattr(rep, field) != entry[field]:
+                    raise AssertionError((rep, entry))
         if "hit_count" in entry:
-            assert len(rep.hits) == entry["hit_count"], (rep, entry)
+            if len(rep.hits) != entry["hit_count"]:
+                raise AssertionError((rep, entry))
     elif kind == "parse_print":
         got = str(parse_poly(entry["text"]))
-        assert got == entry["expect"], (got, entry)
+        if got != entry["expect"]:
+            raise AssertionError((got, entry))
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
 
@@ -528,7 +606,8 @@ def _run_entry(entry: dict) -> None:
 def eval_scalar_expr(expr: str) -> Element:
     """Scalar arithmetic over the grammar, for corpus element entries."""
     p = parse_bipoly(expr)
-    assert p.is_zero or p.total_degree == 0, expr
+    if not (p.is_zero or p.total_degree == 0):
+        raise AssertionError(expr)
     return p.coeff(0, 0)
 
 

@@ -65,10 +65,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+# Parentheses nest by recursion, four frames a level; the cap keeps deep
+# input a parse error well inside the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.idx]
@@ -117,8 +123,12 @@ class _Parser:
         if kind == "var":
             return BiPoly.monomial(1, 0) if value == "x" else BiPoly.monomial(0, 1)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError("nesting too deep", pos)
             out = self.poly()
             self.expect(")")
+            self.depth -= 1
             return out
         raise ParseError(f"expected a scalar, variable or '(', found {kind!r}", pos)
 

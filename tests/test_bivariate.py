@@ -1,12 +1,17 @@
 """Two-variable polynomials, specialization, grid intersection counts."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertrop import (BiPoly, ONE, bezout_report, common_roots_sample,
-                       ghost, parse_bipoly, parse_poly, partial_frobenius,
-                       resultant, resultant_in_second, tangible)
+from supertrop import (BiPoly, Element, ONE, bezout_report,
+                       common_roots_sample, ghost, parse_bipoly, parse_poly,
+                       partial_frobenius, resultant, resultant_in_second,
+                       tangible)
+from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
+                              _scan)
 from supertrop.checks import Gen
 
 B = parse_bipoly
@@ -153,3 +158,151 @@ def test_bezout_bound_random():
         assert rep.ordinary_count <= rep.m * rep.n
         assert rep.ordinary_count <= rep.component_count <= len(rep.hits) \
             or rep.component_count == len(rep.hits) == 0
+
+
+# -- per-point oracle for the row-sweep scan ---------------------------------
+
+
+def _ghost_at(terms, a: int, b: int) -> bool:
+    # Ghost value at the point: the maximum is attained twice, or once by
+    # a ghost term.  Terms are pre-scaled integers, a and b likewise.
+    best = None
+    ghost_ = False
+    for m, i, j, g in terms:
+        v = m + i * a + j * b
+        if best is None or v > best:
+            best, ghost_ = v, g
+        elif v == best:
+            ghost_ = True
+    return ghost_
+
+
+def oracle_scan(f, g, window, step):
+    """Probe every grid point, then the half-step ring around each hit."""
+    xlo, xhi, ylo, yhi = (Fraction(w) for w in window)
+    mags = [c.mag for p in (f, g) for _, c in p.items()]
+    scale = 2 * lcm(xlo.denominator, xhi.denominator, ylo.denominator,
+                    yhi.denominator, step.denominator,
+                    *(m.denominator for m in mags))
+    ft, gt = ([(int(c.mag * scale), i, j, c.is_ghost)
+               for (i, j), c in p.items()] for p in (f, g))
+    step_s = int(step * scale)
+    half = step_s // 2
+
+    def is_hit(a, b):
+        return _ghost_at(ft, a, b) and _ghost_at(gt, a, b)
+
+    xs = range(int(xlo * scale), int(xhi * scale) + 1, step_s)
+    ys = range(int(ylo * scale), int(yhi * scale) + 1, step_s)
+    hits = {(a, b) for a in xs for b in ys if is_hit(a, b)}
+    refined = set(hits)
+    for a, b in hits:
+        for da in (-half, 0, half):
+            for db in (-half, 0, half):
+                p = (a + da, b + db)
+                if p not in refined and is_hit(*p):
+                    refined.add(p)
+    return refined, scale
+
+
+def oracle_report(f, g, window=DEFAULT_WINDOW, step=DEFAULT_STEP):
+    """Oracle scan, then flood fill over the 7x7 half-step reach."""
+    step = Fraction(step)
+    refined, scale = oracle_scan(f, g, window, step)
+    half = int(step * scale) // 2
+    near = [(da * half, db * half) for da in range(-3, 4)
+            for db in range(-3, 4) if da or db]
+    far = [(da * half, db * half) for da in range(-12, 13)
+           for db in range(-12, 13) if da or db]
+    left, components, ordinary = set(refined), 0, 0
+    while left:
+        start = left.pop()
+        components += 1
+        todo, size = [start], 0
+        while todo:
+            a, b = todo.pop()
+            size += 1
+            for da, db in near:
+                q = (a + da, b + db)
+                if q in left:
+                    left.remove(q)
+                    todo.append(q)
+        a, b = start
+        if size == 1 and not any((a + da, b + db) in refined
+                                 for da, db in far):
+            ordinary += 1
+    m, n = f.total_degree, g.total_degree
+    return BezoutReport(
+        m=m, n=n, bound=m * n,
+        hits=tuple((Fraction(a, scale), Fraction(b, scale))
+                   for a, b in sorted(refined)),
+        component_count=components, ordinary_count=ordinary,
+        bound_holds=ordinary <= m * n,
+        window=tuple(Fraction(w) for w in window), step=step)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def scan_cases(draw):
+    """Pairs with ghost and tangible terms, forced ties, odd windows."""
+    xlo, ylo = draw(small), draw(small)
+    width = st.fractions(min_value=0, max_value=4, max_denominator=4)
+    window = (xlo, xlo + draw(width), ylo, ylo + draw(width))
+    step = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3),
+                                 Fraction(2, 5), Fraction(1, 2),
+                                 Fraction(3, 4), Fraction(1)]))
+    exps = [(i, j) for i in range(4) for j in range(4 - i)]
+    # A grid point of the window where tie terms meet.
+    px = xlo + step * draw(st.integers(0, int((window[1] - xlo) / step)))
+    py = ylo + step * draw(st.integers(0, int((window[3] - ylo) / step)))
+
+    def poly():
+        coeffs = {e: Element(draw(small), draw(st.booleans()))
+                  for e in draw(st.lists(st.sampled_from(exps), min_size=1,
+                                         max_size=5, unique=True))}
+        # Two or three terms of equal value at (px, py): three lines
+        # through one point, or parallel lines tied on the row y = py
+        # when two of them share the x exponent.
+        top = draw(small) + 5
+        for i, j in draw(st.lists(st.sampled_from(exps), max_size=3,
+                                  unique=True)):
+            coeffs[(i, j)] = Element(top - i * px - j * py,
+                                     draw(st.booleans()))
+        return BiPoly(coeffs)
+
+    return poly(), poly(), window, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_row_sweep_matches_point_oracle(case):
+    f, g, window, step = case
+    assert _scan(f, g, window, step) == oracle_scan(f, g, window, step)
+
+
+def test_row_sweep_forced_ties():
+    # All four terms of f equal 2 at (1, 1), and on the row y = 1 both of
+    # its pairs of parallel lines tie; the three terms of g meet there too.
+    f = B("1*x + 1*y + 2 + x*y")
+    g = B("x + y + 1v")
+    window = (Fraction(-5, 3), Fraction(7, 2), Fraction(-2), Fraction(13, 4))
+    for step in (Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)):
+        refined, _ = _scan(f, g, window, step)
+        assert refined and (refined, _) == oracle_scan(f, g, window, step)
+
+
+def test_bezout_report_matches_oracle_on_check_pairs():
+    gen = Gen(42010)  # the pairs of checks.check_bezout_bound
+    for _ in range(100):
+        f, g = gen.bipoly(3), gen.bipoly(3)
+        assert bezout_report(f, g) == oracle_report(f, g), (f, g)
+
+
+def test_bezout_report_fine_step():
+    # A 20001 x 20001 grid: the sweep visits 20001 rows, not 4e8 points.
+    rep = bezout_report(B("x + y + 0"), B("1*x + y + 3"),
+                        step=Fraction(1, 1000))
+    assert rep.hits == ((Fraction(2), Fraction(2)),)
+    assert (rep.component_count, rep.ordinary_count) == (1, 1)

@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import supertrop
 from supertrop.cli import main
 
 
@@ -154,6 +159,40 @@ def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "canon", "x +")
     assert code == 1
     assert err.startswith("parse error:") and "position" in err
+
+
+def test_parse_error_for_deep_nesting(capsys):
+    code, _, err = run(capsys, "canon", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 1
+    assert err.startswith("parse error: nesting too deep")
+
+
+def test_selfcheck_fails_under_optimize():
+    # -O strips asserts; the corpus verdicts must still fail.
+    script = """
+import sys
+from supertrop import checks
+from supertrop.cli import main
+assert False, "not optimized"
+corpus = checks.load_corpus()
+for entry in corpus:
+    if entry.get("name") == "resultant tie case":
+        entry["expect"] = "7v"
+checks.load_corpus = lambda: corpus
+sys.exit(main(["selfcheck", "--only", "corpus"]))
+"""
+    src = str(Path(supertrop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stdout.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL resultant tie case")
+    m = re.fullmatch(r"(\d+)/(\d+) passed", lines[-1])
+    assert m and int(m.group(1)) == int(m.group(2)) - 1
 
 
 def test_selfcheck_corpus(capsys):

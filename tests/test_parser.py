@@ -95,3 +95,11 @@ def test_json_validation():
     f = parse_poly("x + 4")
     lifted = bipoly_from_json(poly_to_json(f))
     assert lifted == parse_bipoly("x + 4")
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert parse_bipoly("(" * 50 + "x + 1" + ")" * 50) == parse_bipoly("x + 1")
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_bipoly("(" * 3000 + "x" + ")" * 3000)
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_poly("x + " + "(" * 101 + "1" + ")" * 101)
