@@ -33,6 +33,62 @@ from .poly import Poly
 from .resultant import permanent, sylvester_vectors
 
 
+Terms = dict[tuple[int, int], Element]
+
+
+# The sparse core: exponent pair -> coefficient maps that never hold Zero.
+# Sums and products of nonzero elements are nonzero, so the results keep
+# that invariant with no filtering.
+
+def terms_add(p: Terms, *rest: Terms) -> Terms:
+    out = dict(p)
+    for q in rest:
+        for key, c in q.items():
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+    return out
+
+
+def terms_mul(p: Terms, q: Terms) -> Terms:
+    for mono, other in ((q, p), (p, q)):
+        if len(mono) == 1:
+            ((k, l), d), = mono.items()
+            if d is ONE:  # a bare monomial, as in "3*x^2": shift exponents
+                return {(i + k, j + l): c for (i, j), c in other.items()}
+    out: Terms = {}
+    for (i, j), c in p.items():
+        for (k, l), d in q.items():
+            key = (i + k, j + l)
+            term = c * d
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
+    return out
+
+
+def terms_pow(p: Terms, n: int) -> Terms:
+    """The n-th power by squaring; a monomial's power is read off directly.
+
+    Supertropical addition is associative and commutative and
+    multiplication distributes over it, so this equals n - 1 repeated
+    products.
+    """
+    if n < 0:
+        raise ValueError("negative power")
+    if n == 0:
+        return {(0, 0): ONE}
+    if len(p) == 1:
+        ((i, j), c), = p.items()
+        return {(n * i, n * j): c if c is ONE else c ** n}
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else terms_mul(out, p)
+        n >>= 1
+        if not n:
+            return out
+        p = terms_mul(p, p)
+
+
 class BiPoly:
     """Polynomial in x and y with supertropical coefficients."""
 
@@ -46,6 +102,14 @@ class BiPoly:
             if not c.is_zero:
                 data[(i, j)] = c
         object.__setattr__(self, "_coeffs", data)
+
+    @classmethod
+    def _of(cls, terms: Terms) -> "BiPoly":
+        # Trusted: `terms` is a core map.  Nothing mutates a polynomial's
+        # map, so it may be shared.
+        out = object.__new__(cls)
+        object.__setattr__(out, "_coeffs", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -99,27 +163,13 @@ class BiPoly:
         return sorted(self._coeffs.items())
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            out[key] = out[key] + c if key in out else c
-        return BiPoly(out)
+        return BiPoly._of(terms_add(self._coeffs, other._coeffs))
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict[tuple[int, int], Element] = {}
-        for (i, j), c in self._coeffs.items():
-            for (k, l), d in other._coeffs.items():
-                key = (i + k, j + l)
-                term = c * d
-                out[key] = out[key] + term if key in out else term
-        return BiPoly(out)
+        return BiPoly._of(terms_mul(self._coeffs, other._coeffs))
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BiPoly.constant(ONE)
-        for _ in range(n):
-            result = result * self
-        return result
+        return BiPoly._of(terms_pow(self._coeffs, n))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._coeffs == other._coeffs

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -41,8 +42,24 @@ def _intervals_json(s: IntervalSet) -> list[list[str]]:
     return [[_endpoint_json(lo), _endpoint_json(hi)] for lo, hi in s.intervals]
 
 
+def _quiet_stdout() -> None:
+    # A reader that quit early (`| head -1`) closed stdout.  Point it at
+    # devnull, as the Python docs advise for SIGPIPE, so that neither the
+    # rest of the output nor the flush at exit raises again.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _print(text: str) -> None:
+    try:
+        print(text)
+    except BrokenPipeError:
+        _quiet_stdout()
+
+
 def _emit(args, text: str, payload: dict) -> int:
-    print(json.dumps(payload, indent=2) if args.json else text)
+    _print(json.dumps(payload, indent=2) if args.json else text)
     return 0
 
 
@@ -168,13 +185,13 @@ def _cmd_selfcheck(args) -> int:
                 results.append((name, False, str(exc)))
     failed = [r for r in results if not r[1]]
     if args.json:
-        print(json.dumps([{"name": n, "ok": ok, "detail": d}
-                          for n, ok, d in results], indent=2))
+        _print(json.dumps([{"name": n, "ok": ok, "detail": d}
+                           for n, ok, d in results], indent=2))
     else:
         for name, ok, detail in results:
             mark = "ok" if ok else "FAIL"
-            print(f"{mark:4s} {name}" + (f"  [{detail}]" if detail else ""))
-        print(f"{len(results) - len(failed)}/{len(results)} passed")
+            _print(f"{mark:4s} {name}" + (f"  [{detail}]" if detail else ""))
+        _print(f"{len(results) - len(failed)}/{len(results)} passed")
     return 3 if failed else 0
 
 
@@ -234,13 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _quiet_stdout()
+    return code
 
 
 if __name__ == "__main__":

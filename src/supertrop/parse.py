@@ -11,6 +11,12 @@ Grammar, with no implicit multiplication:
 
 A trailing 'v' marks a ghost scalar, so "3v" is the ghost at magnitude 3.
 The printed forms of Element, Poly and BiPoly parse back to equal values.
+
+Parsing is one pass of recursive descent over the tokens, computing on
+the sparse core maps of `bipoly` (`terms_add`, `terms_mul`, `terms_pow`):
+no polynomial object is built per node, and the result is wrapped once,
+as a BiPoly, a Poly or an Element.  The JSON readers are strict and
+name the offending term.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .bipoly import BiPoly
-from .element import Element, ZERO
+from .bipoly import BiPoly, Terms, terms_add, terms_mul, terms_pow
+from .element import Element, ONE, ZERO
 from .poly import Poly
 
 
@@ -29,15 +35,26 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_RATIONAL = r"(?P<num>-?\d+)(?:/(?P<den>\d+))?"
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<neginf>-inf\b)
-      | (?P<number>-?\d+(?:/\d+)?(?P<ghost>v)?)
+      | (?P<number>{_RATIONAL}(?P<ghost>v)?)
       | (?P<var>[xy])
       | (?P<op>[-+*^()])
     """,
     re.VERBOSE,
 )
+
+
+def _rational(num: str, den: str | None) -> Fraction | None:
+    """The regex groups of a rational as a Fraction; None for a zero denominator."""
+    n = int(num)
+    if den is None:
+        return Fraction(n)
+    d = int(den)
+    return Fraction(n, d) if d else None
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -47,13 +64,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup if m.lastgroup != "ghost" else "number"
+        kind = m.lastgroup
         if kind == "number":
-            try:
-                value = Element.parse(m.group("number"))
-            except ZeroDivisionError:
+            num, den, ghost = m.group("num", "den", "ghost")
+            mag = _rational(num, den)
+            if mag is None:
                 raise ParseError("malformed rational", pos)
-            tokens.append(("scalar", value, pos))
+            tokens.append(("scalar", Element(mag, ghost is not None), pos))
         elif kind == "neginf":
             tokens.append(("scalar", ZERO, pos))
         elif kind == "var":
@@ -71,13 +88,12 @@ MAX_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent straight onto the sparse core maps of `bipoly`."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.idx]
 
     def take(self) -> tuple[str, object, int]:
         tok = self.tokens[self.idx]
@@ -90,38 +106,37 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    def poly(self) -> BiPoly:
-        out = self.term()
-        while self.peek()[0] == "+":
-            self.take()
-            out = out + self.term()
-        return out
+    def poly(self) -> Terms:
+        terms = [self.term()]
+        while self.tokens[self.idx][0] == "+":
+            self.idx += 1
+            terms.append(self.term())
+        return terms_add(*terms)  # one pass, so long sums stay linear
 
-    def term(self) -> BiPoly:
+    def term(self) -> Terms:
         out = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            out = out * self.factor()
+        while self.tokens[self.idx][0] == "*":
+            self.idx += 1
+            out = terms_mul(out, self.factor())
         return out
 
-    def factor(self) -> BiPoly:
+    def factor(self) -> Terms:
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, value, pos = self.expect("scalar")
-            if (not isinstance(value, Element) or value.is_zero
-                    or value.is_ghost or value.mag.denominator != 1
-                    or value.mag < 0):
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            return base ** int(value.mag)
-        return base
+        if self.tokens[self.idx][0] != "^":
+            return base
+        self.idx += 1
+        kind, value, pos = self.expect("scalar")
+        if (value.is_zero or value.is_ghost or value.mag.denominator != 1
+                or value.mag < 0):
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        return terms_pow(base, int(value.mag))
 
-    def atom(self) -> BiPoly:
+    def atom(self) -> Terms:
         kind, value, pos = self.take()
         if kind == "scalar":
-            return BiPoly.constant(value)
+            return {} if value.is_zero else {(0, 0): value}
         if kind == "var":
-            return BiPoly.monomial(1, 0) if value == "x" else BiPoly.monomial(0, 1)
+            return {(1, 0): ONE} if value == "x" else {(0, 1): ONE}
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
@@ -133,37 +148,34 @@ class _Parser:
         raise ParseError(f"expected a scalar, variable or '(', found {kind!r}", pos)
 
 
-def parse_bipoly(text: str) -> BiPoly:
+def _parse(text: str) -> Terms:
     parser = _Parser(text)
     out = parser.poly()
     parser.expect("end")
     return out
 
 
+def parse_bipoly(text: str) -> BiPoly:
+    return BiPoly._of(_parse(text))
+
+
 def parse_poly(text: str) -> Poly:
-    bi = parse_bipoly(text)
-    if not bi.is_zero and bi.deg_y > 0:
+    terms = _parse(text)
+    if any(j for _, j in terms):
         raise ParseError("'y' is not allowed in a one-variable polynomial", 0)
-    return Poly({i: c for (i, _), c in bi.items()})
+    return Poly({i: c for (i, _), c in sorted(terms.items())})
 
 
 def parse_element(text: str) -> Element:
-    bi = parse_bipoly(text)
-    if not bi.is_zero and bi.total_degree > 0:
+    terms = _parse(text)
+    if any(key != (0, 0) for key in terms):
         raise ParseError("expected a scalar", 0)
-    return bi.coeff(0, 0)
+    return terms.get((0, 0), ZERO)
 
 
 def _term_json(c: Element) -> dict:
     return {"value": "-inf" if c.is_zero else str(c.mag),
             "layer": "ghost" if c.is_ghost else "tangible"}
-
-
-def _term_element(term: dict) -> Element:
-    value = term["value"]
-    if value == "-inf":
-        return ZERO
-    return Element(Fraction(value), term.get("layer") == "ghost")
 
 
 def poly_to_json(f: Poly) -> dict:
@@ -177,14 +189,68 @@ def bipoly_to_json(f: BiPoly) -> dict:
                       for (i, j), c in f.items()]}
 
 
+_RATIONAL_RE = re.compile(_RATIONAL)
+
+
+def _term_element(term: dict, k: int) -> Element:
+    value, layer = term["value"], term["layer"]
+    if layer not in ("tangible", "ghost"):
+        raise ValueError(f"term {k}: layer must be 'tangible' or 'ghost'")
+    if value == "-inf":
+        return ZERO
+    m = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    mag = _rational(m.group("num"), m.group("den")) if m else None
+    if mag is None:
+        raise ValueError(f"term {k}: value must be '-inf' or a rational like '-5/2'")
+    return Element(mag, layer == "ghost")
+
+
+def _vars(data: dict) -> int | None:
+    vars_ = data.get("vars") if isinstance(data, dict) else None
+    return vars_ if type(vars_) is int else None
+
+
+def _key_problem(term, keys: tuple[str, ...]) -> str:
+    if not isinstance(term, dict):
+        return "expected an object"
+    for key in keys:
+        if key not in term:
+            return f"missing key {key!r}"
+    return f"unknown key {next(key for key in term if key not in keys)!r}"
+
+
+def _terms_from_json(data: dict, names: tuple[str, ...]) -> dict[tuple, Element]:
+    """Exponent tuple -> coefficient of a JSON term list, checked strictly."""
+    terms = data.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError("expected a 'terms' list")
+    keys = (*names, "value", "layer")
+    key_set = set(keys)
+    out: dict[tuple, Element] = {}
+    for k, term in enumerate(terms):
+        if not isinstance(term, dict) or term.keys() != key_set:
+            raise ValueError(f"term {k}: {_key_problem(term, keys)}")
+        exps = tuple([term[name] for name in names])
+        for e in exps:
+            if type(e) is not int or e < 0:
+                raise ValueError(f"term {k}: exponents must be nonnegative integers")
+        if exps in out:
+            raise ValueError(f"term {k}: repeated exponent")
+        out[exps] = _term_element(term, k)
+    return out
+
+
 def poly_from_json(data: dict) -> Poly:
-    if data.get("vars") != 1:
+    if _vars(data) != 1:
         raise ValueError("expected a one-variable polynomial")
-    return Poly({int(t["i"]): _term_element(t) for t in data["terms"]})
+    return Poly({i: c for (i,), c in _terms_from_json(data, ("i",)).items()})
 
 
 def bipoly_from_json(data: dict) -> BiPoly:
-    if data.get("vars") not in (1, 2):
+    """Reads two-variable data, and one-variable data as a polynomial in x."""
+    vars_ = _vars(data)
+    if vars_ == 1:
+        return BiPoly.from_poly(poly_from_json(data))
+    if vars_ != 2:
         raise ValueError("expected 'vars' of 1 or 2")
-    return BiPoly({(int(t["i"]), int(t.get("j", 0))): _term_element(t)
-                   for t in data["terms"]})
+    return BiPoly(_terms_from_json(data, ("i", "j")))

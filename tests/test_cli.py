@@ -202,3 +202,30 @@ def test_selfcheck_corpus(capsys):
     m = re.fullmatch(r"(\d+)/(\d+) passed", last)
     assert m and m.group(1) == m.group(2)
     assert int(m.group(1)) >= 100
+
+
+def _run_into_closed_pipe(*argv):
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE, as under `| head -1` once head has quit.
+    src = str(Path(supertrop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "supertrop.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_keeps_the_exit_status():
+    for argv in (["bezout", "x + y + 0", "1*x + y + 3"],
+                 ["canon", "--json", "x + 1"],
+                 ["selfcheck", "--only", "corpus"]):
+        proc = _run_into_closed_pipe(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    proc = _run_into_closed_pipe("canon", "x +")
+    assert proc.returncode == 1 and proc.stderr.startswith("parse error:")
