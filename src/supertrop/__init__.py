@@ -6,6 +6,12 @@ The package provides one-variable polynomials with canonical full forms,
 tangible root sets, factorization, Sylvester-permanent resultants,
 relative-primeness decisions, division witnesses, and a grid-based
 two-variable intersection probe, plus a parser and a CLI (`supertrop`).
+
+Answers (root sets, factorizations, division witnesses, resultant and
+Bezout reports) are slotted value records: immutable, compared and hashed
+by their fields.  Importing the package loads only the modules its
+answers need; `checks`, behind `supertrop selfcheck`, is imported on
+demand.
 """
 
 from .bipoly import (BiPoly, BezoutReport, DEFAULT_STEP, DEFAULT_WINDOW,

@@ -23,13 +23,13 @@ the part that is checked.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
 
 from .element import Element, ONE, ZERO, Rational, as_fraction
 from .poly import Poly
+from .record import Record
 from .resultant import permanent, sylvester_vectors
 
 
@@ -414,8 +414,7 @@ def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     return _fractions(sorted(refined), scale)
 
 
-@dataclass(frozen=True)
-class BezoutReport:
+class BezoutReport(Record):
     """Grid evidence for the intersection-count bound.
 
     `ordinary_count` counts components that are a single sampled point;
@@ -423,6 +422,9 @@ class BezoutReport:
     bound `m*n` applies to them.  `component_count` includes the extended
     components as well and is experimental: no bound is asserted for it.
     """
+
+    __slots__ = ("m", "n", "bound", "hits", "component_count",
+                 "ordinary_count", "bound_holds", "window", "step")
 
     m: int
     n: int
@@ -433,6 +435,22 @@ class BezoutReport:
     bound_holds: bool
     window: tuple[Fraction, Fraction, Fraction, Fraction]
     step: Fraction
+
+    def __init__(self, m: int, n: int, bound: int,
+                 hits: tuple[tuple[Fraction, Fraction], ...],
+                 component_count: int, ordinary_count: int,
+                 bound_holds: bool,
+                 window: tuple[Fraction, Fraction, Fraction, Fraction],
+                 step: Fraction):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "hits", hits)
+        object.__setattr__(self, "component_count", component_count)
+        object.__setattr__(self, "ordinary_count", ordinary_count)
+        object.__setattr__(self, "bound_holds", bound_holds)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "step", step)
 
 
 def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,

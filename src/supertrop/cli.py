@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import checks
 from .bipoly import DEFAULT_STEP, DEFAULT_WINDOW, bezout_report
 from .divide import divides_linear, verify_division
 from .factor import factor_min_ghosts
@@ -173,6 +172,9 @@ def _cmd_bezout(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    # Only this command needs the corpus and the property suite.
+    from . import checks
+
     results: list[tuple[str, bool, str]] = []
     if args.only in ("all", "corpus"):
         results.extend(checks.run_corpus())

@@ -13,20 +13,25 @@ and the witness is read off the factorization of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import Rational, as_fraction, tangible
 from .factor import Factorization, expand, factor_min_ghosts, linear_factor
 from .poly import Poly, e_equiv, is_ghost_poly, tangible_roots
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DivisionWitness:
+class DivisionWitness(Record):
     """Tangible quotient q together with the ghost sum f + q*g it produces."""
+
+    __slots__ = ("q", "ghost_sum")
 
     q: Poly
     ghost_sum: Poly
+
+    def __init__(self, q: Poly, ghost_sum: Poly):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "ghost_sum", ghost_sum)
 
 
 def verify_division(f: Poly, g: Poly, q: Poly) -> bool:

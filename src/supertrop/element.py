@@ -17,9 +17,8 @@ which plays the role of zero in all root and singularity tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-Rational = Union[int, str, Fraction]
+Rational = int | str | Fraction
 
 
 def as_fraction(value: Rational) -> Fraction:

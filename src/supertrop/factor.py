@@ -21,12 +21,12 @@ is written as a ghost scalar lead times a product of tangible linears.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import Element, ONE, ghost, tangible
 from .intervals import NEG_INF, POS_INF, IntervalSet
 from .poly import Poly, canonical_full, e_equiv, full_from_corners, tangible_roots
+from .record import Record
 
 
 def linear_factor(a: Fraction) -> Poly:
@@ -45,32 +45,47 @@ def right_ghost_factor(a: Fraction) -> Poly:
     return Poly({1: ONE, 0: ghost(a)})
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factor data: lead * x^power * ghost boundaries * linears * quadratics."""
+class Factorization(Record):
+    """Canonical factor data: lead * x^power * ghost boundaries * linears * quadratics.
+
+    A value record (`record`) whose constructor rejects malformed data.
+    """
+
+    __slots__ = ("lead", "power", "left_ghost", "right_ghost", "linears",
+                 "quadratics")
 
     lead: Element
-    power: int = 0
-    left_ghost: Fraction | None = None
-    right_ghost: Fraction | None = None
-    linears: tuple[tuple[Fraction, int], ...] = ()
-    quadratics: tuple[tuple[Fraction, Fraction, int], ...] = ()
+    power: int
+    left_ghost: Fraction | None
+    right_ghost: Fraction | None
+    linears: tuple[tuple[Fraction, int], ...]
+    quadratics: tuple[tuple[Fraction, Fraction, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.lead.is_zero:
+    def __init__(self, lead: Element, power: int = 0,
+                 left_ghost: Fraction | None = None,
+                 right_ghost: Fraction | None = None,
+                 linears: tuple[tuple[Fraction, int], ...] = (),
+                 quadratics: tuple[tuple[Fraction, Fraction, int], ...] = ()):
+        if lead.is_zero:
             raise ValueError("factorization of the zero polynomial")
-        if self.power < 0:
+        if power < 0:
             raise ValueError("negative power of x")
-        roots = [a for a, _ in self.linears]
+        roots = [a for a, _ in linears]
         if roots != sorted(roots) or len(set(roots)) != len(roots):
             raise ValueError("linear factors must be sorted by distinct root")
-        if any(m < 1 for _, m in self.linears):
+        if any(m < 1 for _, m in linears):
             raise ValueError("linear multiplicities must be positive")
-        for b, c, m in self.quadratics:
+        for b, c, m in quadratics:
             if m < 1:
                 raise ValueError("quadratic multiplicities must be positive")
             if c - b >= b:
                 raise ValueError(f"degenerate quadratic (b={b}, c={c})")
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "left_ghost", left_ghost)
+        object.__setattr__(self, "right_ghost", right_ghost)
+        object.__setattr__(self, "linears", linears)
+        object.__setattr__(self, "quadratics", quadratics)
 
     def factor_intervals(self) -> list[tuple]:
         """Root interval of each non-scalar factor, with multiplicity."""

@@ -8,19 +8,21 @@ separated, so equality of sets is equality of the representation.
 
 Tangible root sets of one-variable supertropical polynomials are exactly such
 unions; RootSet couples the intervals with a flag recording whether the
-bottom element -inf itself is a root.
+bottom element -inf itself is a root.  Both are value records (`record`):
+slotted, immutable, compared and hashed by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+
+from .record import Record
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-Endpoint = Union[Fraction, float]
+Endpoint = Fraction | float
 
 
 def _fmt_endpoint(x: Endpoint) -> str:
@@ -31,11 +33,15 @@ def _fmt_endpoint(x: Endpoint) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Record):
     """Sorted union of disjoint, separated closed intervals [lo, hi]."""
 
-    intervals: tuple[tuple[Endpoint, Endpoint], ...] = ()
+    __slots__ = ("intervals",)
+
+    intervals: tuple[tuple[Endpoint, Endpoint], ...]
+
+    def __init__(self, intervals: tuple[tuple[Endpoint, Endpoint], ...] = ()):
+        object.__setattr__(self, "intervals", intervals)
 
     @staticmethod
     def of(pairs: Iterable[tuple[Endpoint, Endpoint]]) -> "IntervalSet":
@@ -67,7 +73,7 @@ class IntervalSet:
 
     @staticmethod
     def empty() -> "IntervalSet":
-        return IntervalSet(())
+        return _EMPTY
 
     @property
     def is_empty(self) -> bool:
@@ -141,12 +147,20 @@ class IntervalSet:
         return " u ".join(parts)
 
 
-@dataclass(frozen=True)
-class RootSet:
+_EMPTY = IntervalSet(())
+
+
+class RootSet(Record):
     """Tangible root locus: closed intervals plus the bottom-element flag."""
 
-    intervals: IntervalSet = field(default_factory=IntervalSet.empty)
-    at_bottom: bool = False
+    __slots__ = ("intervals", "at_bottom")
+
+    intervals: IntervalSet
+    at_bottom: bool
+
+    def __init__(self, intervals: IntervalSet = _EMPTY, at_bottom: bool = False):
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "at_bottom", at_bottom)
 
     @property
     def is_empty(self) -> bool:

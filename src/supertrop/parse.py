@@ -49,7 +49,11 @@ _TOKEN_RE = re.compile(
 
 
 def _rational(num: str, den: str | None) -> Fraction | None:
-    """The regex groups of a rational as a Fraction; None for a zero denominator."""
+    """The regex groups of a rational as a Fraction; None for a zero denominator.
+
+    Raises ValueError for a number past the interpreter's limit on digits
+    (`sys.get_int_max_str_digits`).
+    """
     n = int(num)
     if den is None:
         return Fraction(n)
@@ -67,7 +71,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         kind = m.lastgroup
         if kind == "number":
             num, den, ghost = m.group("num", "den", "ghost")
-            mag = _rational(num, den)
+            try:
+                mag = _rational(num, den)
+            except ValueError:
+                raise ParseError("number too long", pos) from None
             if mag is None:
                 raise ParseError("malformed rational", pos)
             tokens.append(("scalar", Element(mag, ghost is not None), pos))
@@ -199,7 +206,10 @@ def _term_element(term: dict, k: int) -> Element:
     if value == "-inf":
         return ZERO
     m = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
-    mag = _rational(m.group("num"), m.group("den")) if m else None
+    try:
+        mag = _rational(m.group("num"), m.group("den")) if m else None
+    except ValueError:
+        raise ValueError(f"term {k}: number too long") from None
     if mag is None:
         raise ValueError(f"term {k}: value must be '-inf' or a rational like '-5/2'")
     return Element(mag, layer == "ghost")

@@ -16,18 +16,22 @@ and the tangible root locus is the union of the corner points together with
 the closed dominance regions of ghost coefficients.  The bottom element -inf
 is a root exactly when evaluation at it lands in the ghost ideal, i.e. the
 variable divides the polynomial or the constant term is a ghost.
+
+The answers built here (FullPoly, PiecewiseLinear and the ghost-sum
+verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
+(`record`): slotted, immutable, compared and hashed by their fields.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .element import Element, ONE, ZERO, Rational, as_fraction, ghost, tangible
 from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
+from .record import Record
 
 
 class Poly:
@@ -193,8 +197,7 @@ class Poly:
 # -- canonical full form ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FullPoly:
+class FullPoly(Record):
     """Canonical full form: shift records the extracted power of x.
 
     coeffs runs over slots 0..hi of the shifted polynomial with no Zero
@@ -203,9 +206,17 @@ class FullPoly:
     magnitude.
     """
 
+    __slots__ = ("shift", "coeffs", "vertex")
+
     shift: int
     coeffs: tuple[Element, ...]
     vertex: tuple[bool, ...]
+
+    def __init__(self, shift: int, coeffs: tuple[Element, ...],
+                 vertex: tuple[bool, ...]):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "vertex", vertex)
 
     @property
     def lo(self) -> int:
@@ -343,8 +354,7 @@ def tangible_domain(f: Poly) -> tuple[tuple[Endpoint, Endpoint], ...]:
 # -- graph of the polynomial function ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     """Convex piecewise-linear graph with per-piece and breakpoint layers.
 
     Pieces are listed left to right; piece k is x -> intercepts[k] +
@@ -352,11 +362,24 @@ class PiecewiseLinear:
     values always tie two monomials, hence their layer is ghost.
     """
 
+    __slots__ = ("breakpoints", "slopes", "intercepts", "piece_ghost",
+                 "breakpoint_ghost")
+
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[int, ...]
     intercepts: tuple[Fraction, ...]
     piece_ghost: tuple[bool, ...]
     breakpoint_ghost: tuple[bool, ...]
+
+    def __init__(self, breakpoints: tuple[Fraction, ...],
+                 slopes: tuple[int, ...], intercepts: tuple[Fraction, ...],
+                 piece_ghost: tuple[bool, ...],
+                 breakpoint_ghost: tuple[bool, ...]):
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(self, "piece_ghost", piece_ghost)
+        object.__setattr__(self, "breakpoint_ghost", breakpoint_ghost)
 
     def value_at(self, x: Fraction) -> Fraction:
         # At a breakpoint the two adjacent pieces agree, so the piece with
@@ -416,24 +439,34 @@ def classify_half_tangible(f: Poly) -> tuple[Side, Fraction] | None:
     return None
 
 
-@dataclass(frozen=True)
-class CommonRoot:
+class CommonRoot(Record):
     """A ghost sum explained by a shared tangible root."""
+
+    __slots__ = ("witness",)
 
     witness: Fraction
 
+    def __init__(self, witness: Fraction):
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class HalfTangible:
+
+class HalfTangible(Record):
     """A ghost sum of two half-tangible polynomials, thresholds alpha < beta."""
+
+    __slots__ = ("alpha", "beta")
 
     alpha: Fraction
     beta: Fraction
 
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
-@dataclass(frozen=True)
-class NotGhostSum:
+
+class NotGhostSum(Record):
     """The sum takes a tangible value somewhere."""
+
+    __slots__ = ()
 
 
 GhostSumAnalysis = CommonRoot | HalfTangible | NotGhostSum

@@ -29,13 +29,13 @@ names the resultant routes for the CLI and the example corpus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .element import Element, ONE, ZERO, tangible
 from .intervals import Endpoint, RootSet
 from .poly import Poly, canonical_full, tangible_roots
+from .record import Record
 
 Grid = list[list]
 
@@ -374,14 +374,22 @@ def semitangible_blocks(f: Poly) -> list[Poly]:
     return blocks
 
 
-@dataclass(frozen=True)
-class RelPrimeReport:
+class RelPrimeReport(Record):
     """Outcome of the relative primeness decision."""
+
+    __slots__ = ("resultant", "relatively_prime", "common", "witness")
 
     resultant: Element
     relatively_prime: bool
     common: RootSet
     witness: Endpoint | None
+
+    def __init__(self, resultant: Element, relatively_prime: bool,
+                 common: RootSet, witness: Endpoint | None):
+        object.__setattr__(self, "resultant", resultant)
+        object.__setattr__(self, "relatively_prime", relatively_prime)
+        object.__setattr__(self, "common", common)
+        object.__setattr__(self, "witness", witness)
 
 
 def decide(f: Poly, g: Poly) -> RelPrimeReport:

@@ -161,6 +161,12 @@ def test_parse_error_exit(capsys):
     assert err.startswith("parse error:") and "position" in err
 
 
+def test_over_long_number_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "canon", "x + " + "1" * 5000)
+    assert code == 1
+    assert err.startswith("parse error: number too long at position 4")
+
+
 def test_parse_error_for_deep_nesting(capsys):
     code, _, err = run(capsys, "canon", "(" * 3000 + "x" + ")" * 3000)
     assert code == 1
@@ -229,3 +235,30 @@ def test_closed_stdout_keeps_the_exit_status():
         assert (proc.returncode, proc.stderr) == (0, ""), argv
     proc = _run_into_closed_pipe("canon", "x +")
     assert proc.returncode == 1 and proc.stderr.startswith("parse error:")
+
+
+# Modules the CLI must not load at start: the record machinery of
+# `dataclasses` (with `inspect`), runtime `typing`, and the self-check with
+# the corpus reader and its generator.
+_NOT_AT_START = ("dataclasses", "inspect", "typing", "importlib.resources",
+                 "random", "supertrop.checks")
+
+
+def _bare_child(script):
+    # -S skips the site module, so nothing a .pth file imports hides what
+    # the package itself loads.
+    src = str(Path(supertrop.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys\nsys.path.insert(0, {src!r})\n{script}"],
+        capture_output=True, text=True)
+
+
+def test_cold_start_loads_only_what_the_answer_needs():
+    proc = _bare_child("import supertrop.cli\n"
+                       f"print(sorted(set({_NOT_AT_START!r}) & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = _bare_child("from supertrop.cli import main\n"
+                       "sys.exit(main(['selfcheck', '--only', 'corpus']))")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.fullmatch(r"(\d+)/\1 passed", proc.stdout.splitlines()[-1])

@@ -134,6 +134,7 @@ def _one_term(**term):
      "term 1: expected an object"),
     ({"vars": 1}, "'terms' list"),
     ({"vars": True, "terms": []}, "one-variable"),
+    (_one_term(i=1, value="1" * 5000, layer="tangible"), "term 0: number too long"),
 ])
 def test_poly_json_is_strict(data, problem):
     with pytest.raises(ValueError, match=re.escape(problem)):
@@ -150,6 +151,9 @@ def test_poly_json_is_strict(data, problem):
      "term 2: repeated exponent"),
     ([{"i": 0, "j": 1, "value": "1", "layer": "tangible "}], "term 0: layer"),
     ([{"i": 0, "j": 1, "value": "1E3", "layer": "ghost"}], "term 0: value"),
+    ([{"i": 0, "j": 1, "value": "1", "layer": "ghost"},
+      {"i": 1, "j": 0, "value": "2/" + "3" * 5000, "layer": "ghost"}],
+     "term 1: number too long"),
 ])
 def test_bipoly_json_is_strict(terms, problem):
     with pytest.raises(ValueError, match=re.escape(problem)):
@@ -178,6 +182,20 @@ def test_deep_nesting_is_a_parse_error():
         parse_bipoly("(" * 3000 + "x" + ")" * 3000)
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_poly("x + " + "(" * 101 + "1" + ")" * 101)
+
+
+def test_over_long_number_is_a_parse_error():
+    # Past the interpreter's limit on digits, int() raises a bare
+    # ValueError; the oracle below lets it through, so these inputs are
+    # checked here rather than against it.
+    digits = "1" * 5000
+    for text, pos in [(digits, 0), ("x + " + digits + "v", 4),
+                      ("x^" + digits, 2), ("(y + -2/" + digits + ")", 5)]:
+        for parse in (parse_poly, parse_bipoly, parse_element):
+            with pytest.raises(ParseError, match="^number too long at") as info:
+                parse(text)
+            assert info.value.pos == pos, (parse.__name__, text[:12])
+    assert parse_element("1" * 4300) == Element(Fraction(int("1" * 4300)))
 
 
 # -- BiPoly-per-node oracle for the one-pass parser ---------------------------
@@ -431,7 +449,7 @@ def _nest(levels, inner="x + 1"):
     "x + x", "x*y + 2v*y^3 + (x + y)^2", " \t x ^ 2+ 3v *x+ 2 \n", "x^12",
     "(x + y + 1)^5", "(2v*x)^7", "x^4/2", "x + + 1/0", "1/0 + +", "x + + 3",
     "x^-1", "x^2v", "x^1/2", "(x + 1", "x + 1)", "", "   ", "z", "x y",
-    "2 3", "x ^", "-", "-infx", "x + 1/00", "١٢*x", "1" * 5000,
+    "2 3", "x ^", "-", "-infx", "x + 1/00", "١٢*x",
     _nest(MAX_DEPTH), _nest(MAX_DEPTH + 1), _nest(MAX_DEPTH + 1, "1/0 +"),
     "x + " + _nest(MAX_DEPTH + 1, "1") + " + ", _nest(MAX_DEPTH, "y"),
 ])
