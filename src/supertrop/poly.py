@@ -17,6 +17,11 @@ the closed dominance regions of ghost coefficients.  The bottom element -inf
 is a root exactly when evaluation at it lands in the ghost ideal, i.e. the
 variable divides the polynomial or the constant term is a ghost.
 
+Both kernels avoid Fraction arithmetic where they can: the hull is taken on
+magnitudes scaled once to Python ints by the lcm of their denominators,
+vertex slots keep their Element, each ghost slot costs one Fraction, and the
+root locus is merged in one left-to-right pass over the corners.
+
 The answers built here (FullPoly, PiecewiseLinear and the ghost-sum
 verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
 (`record`): slotted, immutable, compared and hashed by their fields.
@@ -28,6 +33,7 @@ import enum
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction, ghost, tangible
 from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
@@ -245,9 +251,9 @@ class FullPoly(Record):
         return str(self.to_poly())
 
 
-def _upper_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Strict vertices of the upper concave hull; collinear points dropped."""
-    stack: list[tuple[int, Fraction]] = []
+    stack: list[tuple[int, int]] = []
     for p in points:
         while len(stack) >= 2:
             o, a = stack[-2], stack[-1]
@@ -268,30 +274,31 @@ def canonical_full(f: Poly) -> FullPoly:
     their original coefficient, and all other slots become ghosts of the hull
     magnitude.  Idempotent, and equal canonical forms characterize equality
     of polynomial functions.
+
+    The hull is taken on integers: magnitudes are scaled once by the lcm
+    `den` of their denominators.  The slots strictly inside a hull segment
+    from (x0, y0) to (x0 + dx, y0 + dy) get the ghosts of
+    (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one Fraction each.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no canonical full form")
     shift = f.ldeg
-    points = sorted((deg - shift, c.mag) for deg, c in f.items())
-    hull = _upper_hull(points)
-    vertex_at = dict(hull)
-    hi = points[-1][0]
-    coeffs: list[Element] = []
-    flags: list[bool] = []
-    seg = 0
-    for i in range(hi + 1):
-        if i in vertex_at:
-            coeffs.append(f.coeff(shift + i))
-            flags.append(True)
-            if seg + 1 < len(hull) and hull[seg + 1][0] == i:
-                seg += 1
-        else:
-            while hull[seg + 1][0] < i:
-                seg += 1
-            (x0, y0), (x1, y1) = hull[seg], hull[seg + 1]
-            mag = y0 + (y1 - y0) * Fraction(i - x0, x1 - x0)
-            coeffs.append(ghost(mag))
-            flags.append(False)
+    items = sorted(f.items())
+    den = lcm(*(c.mag.denominator for _, c in items))
+    hull = _upper_hull([(deg - shift, c.mag.numerator * (den // c.mag.denominator))
+                        for deg, c in items])
+    coeffs: list[Element] = [f.coeff(shift)]
+    flags: list[bool] = [True]
+    x0, y0 = hull[0]
+    for x1, y1 in hull[1:]:
+        dx, dy = x1 - x0, y1 - y0
+        num, scale = y0 * dx, dx * den
+        coeffs.extend([Element(Fraction(num + dy * i, scale), True)
+                       for i in range(1, dx)])
+        flags.extend([False] * (dx - 1))
+        coeffs.append(f.coeff(shift + x1))
+        flags.append(True)
+        x0, y0 = x1, y1
     return FullPoly(shift, tuple(coeffs), tuple(flags))
 
 
@@ -330,19 +337,31 @@ def tangible_roots(f: Poly) -> RootSet:
     regions are unbounded.  The flag records a root at -inf (positive shift
     or ghost constant term).
     """
-    full = canonical_full(f)
-    corners = full.corner_roots()
-    h = full.hi
-    pieces: list[tuple[Endpoint, Endpoint]] = []
-    for i in range(h + 1):
-        lo: Endpoint = corners[i - 1] if i >= 1 else NEG_INF
-        hi: Endpoint = corners[i] if i < h else POS_INF
-        if full.coeffs[i].is_ghost:
-            pieces.append((lo, hi))
-    for a in corners:
-        pieces.append((a, a))
+    return _root_set(canonical_full(f))
+
+
+def _root_set(full: FullPoly) -> RootSet:
+    """`tangible_roots` of a canonical full form, in one left-to-right pass.
+
+    Slot i dominates [a_i, a_{i+1}] (a_0 = -inf, a_{h+1} = +inf) and the
+    corner a_{i+1} is a root in any case, so slot i adds the piece
+    [a_i, a_{i+1}] when it is ghost and the point a_{i+1} otherwise.  The
+    pieces come with nondecreasing ends, so each one either extends the
+    last interval or starts a new one to its right.
+    """
+    merged: list[tuple[Endpoint, Endpoint]] = []
+    lo: Endpoint = NEG_INF
+    for c, hi in zip(full.coeffs, (*full.corner_roots(), POS_INF)):
+        start = lo if c.is_ghost else hi
+        if start == POS_INF:
+            break  # a tangible top slot adds no point at +inf
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((start, hi))
+        lo = hi
     at_bottom = full.shift > 0 or full.coeffs[0].is_ghost
-    return RootSet(IntervalSet.of(pieces), at_bottom)
+    return RootSet(IntervalSet(tuple(merged)), at_bottom)
 
 
 def tangible_domain(f: Poly) -> tuple[tuple[Endpoint, Endpoint], ...]:
@@ -488,7 +507,10 @@ def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
     common = tangible_roots(f).intervals.intersect(tangible_roots(g).intervals)
     if not common.is_empty:
         witness = common.leftmost_finite()
-        assert witness is not None
+        # Invariants raise rather than assert, so that -O keeps them.
+        if witness is None:
+            raise AssertionError(("nonempty common root set without a "
+                                  "finite point", f, g, common))
         return CommonRoot(witness)
     cf = classify_half_tangible(f)
     cg = classify_half_tangible(g)
@@ -498,7 +520,9 @@ def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
     left = cf if cf[0] is Side.LEFT else cg
     right = cg if cf[0] is Side.LEFT else cf
     alpha, beta = right[1], left[1]
-    assert alpha < beta
+    if not alpha < beta:
+        raise AssertionError(("half-tangible thresholds out of order",
+                              f, g, alpha, beta))
     return HalfTangible(alpha, beta)
 
 

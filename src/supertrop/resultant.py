@@ -34,7 +34,7 @@ from math import lcm
 
 from .element import Element, ONE, ZERO, tangible
 from .intervals import Endpoint, RootSet
-from .poly import Poly, canonical_full, tangible_roots
+from .poly import Poly, _root_set, canonical_full
 from .record import Record
 
 Grid = list[list]
@@ -405,11 +405,14 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
     for p in (f, g):
         if p.is_zero or p.degree == 0:
             raise ValueError("relative primeness needs nonconstant polynomials")
-    r = resultant(f, g)
-    common = tangible_roots(f).intersect(tangible_roots(g))
+    ff, gf = canonical_full(f), canonical_full(g)
+    r = _permanent_assignment(sylvester_vectors(ff.coeffs, gf.coeffs))
+    common = _root_set(ff).intersect(_root_set(gf))
     # Root sharing and non-tangible resultant must agree; a failure here
-    # is a bug in one of the two routes.  Raised rather than asserted, so
-    # that -O keeps the check and selfcheck reports it as a failure.
+    # is a bug in one of the two routes (the engine's uniqueness test and
+    # the root-set intersection read the shared canonical forms
+    # independently).  Raised rather than asserted, so that -O keeps the
+    # check and selfcheck reports it as a failure.
     if r.in_ghost_ideal != (not common.intervals.is_empty):
         raise AssertionError(("resultant and root sets disagree",
                               f, g, r, common))

@@ -1,10 +1,17 @@
 """One-variable polynomials: canonical forms, roots, ghost sums."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertrop import (CommonRoot, HalfTangible, NotGhostSum, Poly, Side,
+import supertrop
+from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
+                       IntervalSet, NotGhostSum, Poly, RootSet, Side,
                        add_shift, analyze_ghost_sum, canonical_full,
                        classify_half_tangible, e_equiv, essential_part,
                        frobenius, function_samples, ggraph, ghost,
@@ -18,6 +25,109 @@ P = parse_poly
 
 def sample_points(f: Poly) -> list:
     return function_samples([f])
+
+
+# -- Fraction oracles for the integer canonical form and root locus ----------
+
+
+def _fraction_hull(points):
+    stack = []
+    for p in points:
+        while len(stack) >= 2:
+            o, a = stack[-2], stack[-1]
+            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+            if cross >= 0:
+                stack.pop()
+            else:
+                break
+        stack.append(p)
+    return stack
+
+
+def canonical_full_oracle(f: Poly) -> FullPoly:
+    """Hull on Fraction magnitudes, filled slot by slot."""
+    shift = f.ldeg
+    points = sorted((deg - shift, c.mag) for deg, c in f.items())
+    hull = _fraction_hull(points)
+    vertex_at = dict(hull)
+    coeffs, flags = [], []
+    seg = 0
+    for i in range(points[-1][0] + 1):
+        if i in vertex_at:
+            coeffs.append(f.coeff(shift + i))
+            flags.append(True)
+            if seg + 1 < len(hull) and hull[seg + 1][0] == i:
+                seg += 1
+        else:
+            while hull[seg + 1][0] < i:
+                seg += 1
+            (x0, y0), (x1, y1) = hull[seg], hull[seg + 1]
+            coeffs.append(ghost(y0 + (y1 - y0) * Fraction(i - x0, x1 - x0)))
+            flags.append(False)
+    return FullPoly(shift, tuple(coeffs), tuple(flags))
+
+
+def tangible_roots_oracle(f: Poly) -> RootSet:
+    """Every ghost region and every corner point, sorted and merged."""
+    full = canonical_full_oracle(f)
+    corners = full.corner_roots()
+    h = full.hi
+    pieces = []
+    for i in range(h + 1):
+        lo = corners[i - 1] if i >= 1 else NEG_INF
+        hi = corners[i] if i < h else POS_INF
+        if full.coeffs[i].is_ghost:
+            pieces.append((lo, hi))
+    pieces.extend((a, a) for a in corners)
+    return RootSet(IntervalSet.of(pieces),
+                   full.shift > 0 or full.coeffs[0].is_ghost)
+
+
+# Denominators near 10^6, like the benchmark's large pairs, and numerators
+# far beyond machine words.
+_PRIMES = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037)
+_magnitude = st.one_of(
+    st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-10**7, 10**7), st.sampled_from(_PRIMES)),
+    st.builds(Fraction, st.integers(-10**300, 10**300),
+              st.integers(1, 10**6)))
+
+
+@st.composite
+def polys(draw, max_deg=12):
+    """Sparse supports, both layers, shifts and single terms; half of the
+    draws put the magnitudes on one line, some pushed below it, which makes
+    collinear runs and ties."""
+    degrees = draw(st.sets(st.integers(0, max_deg), min_size=1,
+                           max_size=max_deg + 1))
+    if draw(st.booleans()):
+        a, b = draw(_magnitude), draw(_magnitude)
+        drop = st.sampled_from([0, 0, 0, 1, Fraction(1, 3)])
+        mags = {d: a + b * d - draw(drop) for d in degrees}
+    else:
+        mags = {d: draw(_magnitude) for d in degrees}
+    return Poly({d: Element(m, draw(st.booleans())) for d, m in mags.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys())
+def test_canonical_full_matches_fraction_oracle(f):
+    assert canonical_full(f) == canonical_full_oracle(f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys())
+def test_tangible_roots_match_fraction_oracle(f):
+    assert tangible_roots(f) == tangible_roots_oracle(f)
+
+
+def test_canonical_oracles_on_examples():
+    for text in ["5", "3v*x^4", "x^2 + -5*x + 0", "x^4 + 0v", "x^6 + 2*x^3",
+                 "0v*x^2 + 1*x", "x^3 + 1*x^2 + 2*x + 3", "x^2 + 6v*x + 7",
+                 "1/999983*x^3 + -1/1000003"]:
+        f = P(text)
+        assert canonical_full(f) == canonical_full_oracle(f), text
+        assert tangible_roots(f) == tangible_roots_oracle(f), text
 
 
 def test_evaluate_is_a_homomorphism():
@@ -38,18 +148,17 @@ def test_zero_and_constant_evaluation():
     assert P("x^2").evaluate(ZERO) == ZERO
 
 
-def test_canonical_is_idempotent_and_function_equal():
-    gen = Gen(102)
-    for _ in range(200):
-        f = gen.poly(6)
-        full = canonical_full(f)
-        c = full.to_poly()
-        assert canonical_full(c).to_poly() == c
-        for a in sample_points(f):
-            assert f.evaluate(a) == c.evaluate(a), (f, c, a)
-        # Corner roots are nondecreasing along the hull.
-        corners = full.corner_roots()
-        assert all(x <= y for x, y in zip(corners, corners[1:]))
+@settings(max_examples=200, deadline=None)
+@given(polys(max_deg=8))
+def test_canonical_is_idempotent_and_function_equal(f):
+    full = canonical_full(f)
+    c = full.to_poly()
+    assert canonical_full(c).to_poly() == c
+    for a in sample_points(f):
+        assert f.evaluate(a) == c.evaluate(a), (f, c, a)
+    # Corner roots are nondecreasing along the hull.
+    corners = full.corner_roots()
+    assert all(x <= y for x, y in zip(corners, corners[1:]))
 
 
 def test_canonical_rejects_zero():
@@ -193,6 +302,49 @@ def test_analyze_ghost_sum_examples():
     assert isinstance(analyze_ghost_sum(P("x+1"), P("x+5")), NotGhostSum)
     with pytest.raises(ValueError):
         analyze_ghost_sum(P("x"), P("x"))
+
+
+def test_analyze_ghost_sum_invariants_survive_optimize():
+    # -O strips asserts; both invariants must still raise.  Each one is
+    # forced by a patched helper on a pair whose sum is ghost.
+    script = """
+import types
+import supertrop.poly as M
+from supertrop import parse_poly as P
+assert False, "not optimized"
+f, g = P("0v*x^2 + 1*x"), P("1*x + 0v")
+
+class Hollow:
+    is_empty = False
+    def intersect(self, other):
+        return self
+    def leftmost_finite(self):
+        return None
+
+flip = {M.Side.LEFT: M.Side.RIGHT, M.Side.RIGHT: M.Side.LEFT}
+real = M.classify_half_tangible
+patches = [
+    ("tangible_roots", lambda p: types.SimpleNamespace(intervals=Hollow())),
+    ("classify_half_tangible", lambda p: (flip[real(p)[0]], real(p)[1])),
+]
+for name, fake in patches:
+    saved = getattr(M, name)
+    setattr(M, name, fake)
+    try:
+        M.analyze_ghost_sum(f, g)
+    except AssertionError as err:
+        print(name, err.args[0][0])
+    setattr(M, name, saved)
+"""
+    src = str(Path(supertrop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "tangible_roots nonempty common root set without a finite point",
+        "classify_half_tangible half-tangible thresholds out of order"]
 
 
 def test_layer_perturbation_keeps_ghost_sums_ghost():

@@ -163,8 +163,8 @@ import importlib
 R = importlib.import_module("supertrop.resultant")
 from supertrop import parse_poly as P
 print(R.resultant_nu_assignment(P("x^2 + 3*x + 1"), P("x + 4")))
-real = R.resultant
-R.resultant = lambda f, g: real(f, g).nu()
+real = R._permanent_assignment
+R._permanent_assignment = lambda rows: real(rows).nu()
 try:
     R.decide(P("x + 1"), P("x + 2"))
 except AssertionError:
@@ -310,9 +310,9 @@ def test_decide_examples():
 
 def test_decide_raises_when_routes_disagree(monkeypatch):
     module = importlib.import_module("supertrop.resultant")
-    real = module.resultant
-    monkeypatch.setattr(module, "resultant",
-                        lambda f, g: real(f, g).nu())
+    real = module._permanent_assignment
+    monkeypatch.setattr(module, "_permanent_assignment",
+                        lambda rows: real(rows).nu())
     with pytest.raises(AssertionError):
         decide(P("x + 1"), P("x + 2"))
 
