@@ -1,5 +1,9 @@
 """Polynomials in two variables and a desk-scale common-root probe.
 
+A BiPoly wraps a map of the sparse core (`sparse`) keyed by exponent
+pairs (i, j); its sums, products and powers are the core's, shared with
+`Poly` and the parser.
+
 The resultant that eliminates the second variable is computed exactly as
 in the one-variable case: a permanent of the Sylvester matrix, except the
 entries are now polynomials in the first variable.  Because evaluation at
@@ -14,8 +18,9 @@ and along its pieces that come from ghost terms.  Each row therefore
 yields its ghost set as a few integer intervals, and the grid points in
 the intersection of both inputs' intervals are listed directly.  With the
 terms sorted by x exponent once, a scan costs O(rows * terms + hits)
-rather than a probe of every grid point.  `bezout_report` clusters the hits in O(hits) and compares the
-count of isolated ones against the product of the total degrees.  The
+rather than a probe of every grid point.  `bezout_report` clusters the
+hits in O(hits) and compares the count of isolated ones against the
+product of the total degrees.  The
 clustering is heuristic by nature; the degree bound on isolated hits is
 the part that is checked.
 """
@@ -31,62 +36,7 @@ from .element import Element, ONE, ZERO, Rational, as_fraction
 from .poly import Poly
 from .record import Record
 from .resultant import permanent, sylvester_vectors
-
-
-Terms = dict[tuple[int, int], Element]
-
-
-# The sparse core: exponent pair -> coefficient maps that never hold Zero.
-# Sums and products of nonzero elements are nonzero, so the results keep
-# that invariant with no filtering.
-
-def terms_add(p: Terms, *rest: Terms) -> Terms:
-    out = dict(p)
-    for q in rest:
-        for key, c in q.items():
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-    return out
-
-
-def terms_mul(p: Terms, q: Terms) -> Terms:
-    for mono, other in ((q, p), (p, q)):
-        if len(mono) == 1:
-            ((k, l), d), = mono.items()
-            if d is ONE:  # a bare monomial, as in "3*x^2": shift exponents
-                return {(i + k, j + l): c for (i, j), c in other.items()}
-    out: Terms = {}
-    for (i, j), c in p.items():
-        for (k, l), d in q.items():
-            key = (i + k, j + l)
-            term = c * d
-            cur = out.get(key)
-            out[key] = term if cur is None else cur + term
-    return out
-
-
-def terms_pow(p: Terms, n: int) -> Terms:
-    """The n-th power by squaring; a monomial's power is read off directly.
-
-    Supertropical addition is associative and commutative and
-    multiplication distributes over it, so this equals n - 1 repeated
-    products.
-    """
-    if n < 0:
-        raise ValueError("negative power")
-    if n == 0:
-        return {(0, 0): ONE}
-    if len(p) == 1:
-        ((i, j), c), = p.items()
-        return {(n * i, n * j): c if c is ONE else c ** n}
-    out = None
-    while True:
-        if n & 1:
-            out = p if out is None else terms_mul(out, p)
-        n >>= 1
-        if not n:
-            return out
-        p = terms_mul(p, p)
+from .sparse import Terms, terms_add, terms_mul, terms_pow
 
 
 class BiPoly:
@@ -105,8 +55,7 @@ class BiPoly:
 
     @classmethod
     def _of(cls, terms: Terms) -> "BiPoly":
-        # Trusted: `terms` is a core map.  Nothing mutates a polynomial's
-        # map, so it may be shared.
+        # Trusted: `terms` is a core map (`sparse`), shared, never mutated.
         out = object.__new__(cls)
         object.__setattr__(out, "_coeffs", terms)
         return out
@@ -169,7 +118,7 @@ class BiPoly:
         return BiPoly._of(terms_mul(self._coeffs, other._coeffs))
 
     def __pow__(self, n: int) -> "BiPoly":
-        return BiPoly._of(terms_pow(self._coeffs, n))
+        return BiPoly._of(terms_pow(self._coeffs, n, (0, 0)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._coeffs == other._coeffs

@@ -98,10 +98,8 @@ def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
         else:
             scale = corners[-1] - a
             corners.pop()
-        q = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
-        for r in corners:
-            q = q * linear_factor(r)
-        return witness(q)
+        lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
+        return witness(Poly.product([lead, *map(linear_factor, corners)]))
 
     for i, (r, _) in enumerate(fact.linears):
         if r == a:

@@ -173,16 +173,14 @@ def factor_min_ghosts(f: Poly) -> Factorization:
 
 def expand(fact: Factorization) -> Poly:
     """Multiply the factorization back out."""
-    result = Poly.monomial(fact.power, fact.lead)
+    factors = [Poly.monomial(fact.power, fact.lead)]
     if fact.left_ghost is not None:
-        result = result * left_ghost_factor(fact.left_ghost)
+        factors.append(left_ghost_factor(fact.left_ghost))
     if fact.right_ghost is not None:
-        result = result * right_ghost_factor(fact.right_ghost)
-    for a, m in fact.linears:
-        result = result * linear_factor(a) ** m
-    for b, c, m in fact.quadratics:
-        result = result * quadratic_factor(b, c) ** m
-    return result
+        factors.append(right_ghost_factor(fact.right_ghost))
+    factors.extend(linear_factor(a) ** m for a, m in fact.linears)
+    factors.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
+    return Poly.product(factors)
 
 
 def split_tan_intan(f: Poly) -> tuple[Poly, Poly]:
@@ -194,17 +192,15 @@ def split_tan_intan(f: Poly) -> tuple[Poly, Poly]:
     back to f.
     """
     fact = factor_min_ghosts(f)
-    tan = Poly.monomial(fact.power)
-    for a, m in fact.linears:
-        tan = tan * linear_factor(a) ** m
-    intan = Poly.constant(ONE)
+    tan = Poly.product([Poly.monomial(fact.power),
+                        *(linear_factor(a) ** m for a, m in fact.linears)])
+    intan = [Poly.constant(ONE)]
     if fact.left_ghost is not None:
-        intan = intan * left_ghost_factor(fact.left_ghost)
+        intan.append(left_ghost_factor(fact.left_ghost))
     if fact.right_ghost is not None:
-        intan = intan * right_ghost_factor(fact.right_ghost)
-    for b, c, m in fact.quadratics:
-        intan = intan * quadratic_factor(b, c) ** m
-    return tan, intan
+        intan.append(right_ghost_factor(fact.right_ghost))
+    intan.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
+    return tan, Poly.product(intan)
 
 
 def e_divides(g: Poly, f: Poly) -> bool:

@@ -12,11 +12,14 @@ Grammar, with no implicit multiplication:
 A trailing 'v' marks a ghost scalar, so "3v" is the ghost at magnitude 3.
 The printed forms of Element, Poly and BiPoly parse back to equal values.
 
-Parsing is one pass of recursive descent over the tokens, computing on
-the sparse core maps of `bipoly` (`terms_add`, `terms_mul`, `terms_pow`):
-no polynomial object is built per node, and the result is wrapped once,
-as a BiPoly, a Poly or an Element.  The JSON readers are strict and
-name the offending term.
+The tokenizer is one regex scan whose last alternative catches any
+character the grammar does not know.  Parsing is one pass of recursive
+descent over the tokens, computing on the maps of the sparse core
+(`sparse`): a sum of terms is one `terms_add`, a product of factors one
+n-ary `terms_mul` on a common integer scale, and a power `terms_pow`.  No
+polynomial object is built per node, and the result is wrapped once, as
+a BiPoly, a Poly or an Element.  The JSON readers are strict and name
+the offending term.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .bipoly import BiPoly, Terms, terms_add, terms_mul, terms_pow
+from .bipoly import BiPoly
 from .element import Element, ONE, ZERO
 from .poly import Poly
+from .sparse import Terms, terms_add, terms_mul, terms_pow
 
 
 class ParseError(ValueError):
@@ -43,8 +47,9 @@ _TOKEN_RE = re.compile(
       | (?P<number>{_RATIONAL}(?P<ghost>v)?)
       | (?P<var>[xy])
       | (?P<op>[-+*^()])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -62,13 +67,14 @@ def _rational(num: str, den: str | None) -> Fraction | None:
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    # One pass: the last alternative takes any character the others miss.
     tokens: list[tuple[str, object, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws":
+            continue
+        pos = m.start()
         if kind == "number":
             num, den, ghost = m.group("num", "den", "ghost")
             try:
@@ -77,15 +83,17 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 raise ParseError("number too long", pos) from None
             if mag is None:
                 raise ParseError("malformed rational", pos)
-            tokens.append(("scalar", Element(mag, ghost is not None), pos))
-        elif kind == "neginf":
-            tokens.append(("scalar", ZERO, pos))
-        elif kind == "var":
-            tokens.append(("var", m.group("var"), pos))
+            append(("scalar", Element(mag, ghost is not None), pos))
         elif kind == "op":
-            tokens.append((m.group("op"), m.group("op"), pos))
-        pos = m.end()
-    tokens.append(("end", None, pos))
+            op = m.group()
+            append((op, op, pos))
+        elif kind == "var":
+            append(("var", m.group(), pos))
+        elif kind == "neginf":
+            append(("scalar", ZERO, pos))
+        else:
+            raise ParseError(f"unexpected character {m.group()!r}", pos)
+    append(("end", None, len(text)))
     return tokens
 
 
@@ -95,7 +103,7 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent straight onto the sparse core maps of `bipoly`."""
+    """Recursive descent straight onto the maps of the sparse core."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -121,11 +129,12 @@ class _Parser:
         return terms_add(*terms)  # one pass, so long sums stay linear
 
     def term(self) -> Terms:
-        out = self.factor()
+        factors = [self.factor()]
         while self.tokens[self.idx][0] == "*":
             self.idx += 1
-            out = terms_mul(out, self.factor())
-        return out
+            factors.append(self.factor())
+        # One product, on one scale for all its factors.
+        return factors[0] if len(factors) == 1 else terms_mul(*factors)
 
     def factor(self) -> Terms:
         base = self.atom()
@@ -136,7 +145,7 @@ class _Parser:
         if (value.is_zero or value.is_ghost or value.mag.denominator != 1
                 or value.mag < 0):
             raise ParseError("exponent must be a nonnegative integer", pos)
-        return terms_pow(base, int(value.mag))
+        return terms_pow(base, int(value.mag), (0, 0))
 
     def atom(self) -> Terms:
         kind, value, pos = self.take()
@@ -170,7 +179,7 @@ def parse_poly(text: str) -> Poly:
     terms = _parse(text)
     if any(j for _, j in terms):
         raise ParseError("'y' is not allowed in a one-variable polynomial", 0)
-    return Poly({i: c for (i, _), c in sorted(terms.items())})
+    return Poly._of({i: c for (i, _), c in sorted(terms.items())})
 
 
 def parse_element(text: str) -> Element:

@@ -17,7 +17,11 @@ the closed dominance regions of ghost coefficients.  The bottom element -inf
 is a root exactly when evaluation at it lands in the ghost ideal, i.e. the
 variable divides the polynomial or the constant term is a ghost.
 
-Both kernels avoid Fraction arithmetic where they can: the hull is taken on
+A Poly wraps a map of the sparse core (`sparse`) keyed by degree, so its
+sums, products and powers are the core's: products and powers run on
+magnitudes scaled to Python ints, and a power squares.
+
+The canonical kernels avoid Fraction arithmetic too: the hull is taken on
 magnitudes scaled once to Python ints by the lcm of their denominators,
 vertex slots keep their Element, each ghost slot costs one Fraction, and the
 root locus is merged in one left-to-right pass over the corners.
@@ -38,6 +42,7 @@ from math import lcm
 from .element import Element, ONE, ZERO, Rational, as_fraction, ghost, tangible
 from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
 from .record import Record
+from .sparse import terms_add, terms_mul, terms_pow
 
 
 class Poly:
@@ -59,6 +64,13 @@ class Poly:
                 if not c.is_zero:
                     clean[deg] = c
         self._coeffs = clean
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, Element]) -> "Poly":
+        # Trusted: `coeffs` is a core map (`sparse`), shared, never mutated.
+        out = object.__new__(cls)
+        out._coeffs = coeffs
+        return out
 
     # -- constructors --------------------------------------------------
 
@@ -137,29 +149,20 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self._coeffs)
-        for deg, c in other._coeffs.items():
-            cur = out.get(deg)
-            out[deg] = c if cur is None else cur + c
-        return Poly(out)
+        return Poly._of(terms_add(self._coeffs, other._coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[int, Element] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                deg = d1 + d2
-                prod = c1 * c2
-                cur = out.get(deg)
-                out[deg] = prod if cur is None else cur + prod
-        return Poly(out)
+        return Poly._of(terms_mul(self._coeffs, other._coeffs))
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
-        result = Poly.constant(ONE)
-        for _ in range(n):
-            result = result * self
-        return result
+        return Poly._of(terms_pow(self._coeffs, n, 0))
+
+    @staticmethod
+    def product(factors: Iterable["Poly"]) -> "Poly":
+        """The product of one or more factors, left to right, on one scale."""
+        return Poly._of(terms_mul(*[f._coeffs for f in factors]))
 
     def scale(self, c: Element) -> "Poly":
         return Poly({deg: coeff * c for deg, coeff in self._coeffs.items()})
@@ -447,7 +450,11 @@ def classify_half_tangible(f: Poly) -> tuple[Side, Fraction] | None:
     (-inf, a]).  The bottom element is not an argument here.  Returns None
     when neither pattern matches.
     """
-    roots = tangible_roots(f)
+    return _half_tangible(tangible_roots(f))
+
+
+def _half_tangible(roots: RootSet) -> tuple[Side, Fraction] | None:
+    """`classify_half_tangible` read off a tangible root set."""
     if len(roots.intervals.intervals) != 1:
         return None
     lo, hi = roots.intervals.intervals[0]
@@ -504,7 +511,9 @@ def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
         raise ValueError("ghost-sum analysis needs two non-monomial polynomials")
     if not is_ghost_poly(f + g):
         return NotGhostSum()
-    common = tangible_roots(f).intervals.intersect(tangible_roots(g).intervals)
+    # One canonical form per input serves both tests below.
+    roots_f, roots_g = tangible_roots(f), tangible_roots(g)
+    common = roots_f.intervals.intersect(roots_g.intervals)
     if not common.is_empty:
         witness = common.leftmost_finite()
         # Invariants raise rather than assert, so that -O keeps them.
@@ -512,8 +521,8 @@ def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
             raise AssertionError(("nonempty common root set without a "
                                   "finite point", f, g, common))
         return CommonRoot(witness)
-    cf = classify_half_tangible(f)
-    cg = classify_half_tangible(g)
+    cf = _half_tangible(roots_f)
+    cg = _half_tangible(roots_g)
     if cf is None or cg is None or cf[0] == cg[0]:
         raise ArithmeticError("ghost sum without common root or opposite "
                               "half-tangible shapes; input outside the theory")

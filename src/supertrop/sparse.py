@@ -1,0 +1,156 @@
+"""The sparse core: coefficient maps and their semiring arithmetic.
+
+A polynomial is a dict from exponents to Elements that never holds Zero.
+The exponent is an int in one variable (`Poly`) and a pair (i, j) in two
+(`BiPoly` and the parser).  Sums and products of nonzero elements are
+nonzero, so results keep that invariant with no filtering.  Nothing
+mutates a map once it is built, so the wrappers share them freely.
+
+Sums stay on the Elements: `terms_add` only compares magnitudes and keeps
+one of the summands, or makes a ghost copy on a tie, so it creates no new
+Fraction.
+
+A one-term operand of a product (as in "3*x^2") only shifts exponents
+and multiplies each coefficient by its own.  The other operands are
+multiplied on Python ints: `terms_mul` scales their magnitudes once, by
+the lcm of their denominators, and convolves (int, ghost) pairs.
+Magnitudes add, ghost absorbs, and two products that land on one
+exponent keep the larger, turning ghost on a tie.  Pair exponents are
+packed into one int, i * w + j with w past the product's degree in y (a
+Kronecker substitution), so one loop serves both kinds.  Each output
+coefficient then costs one Fraction.  The scale is taken per
+product, never per sum: a sum never needs it, and one scale across a
+whole text would make every product of a long sum with many distinct
+denominators pay for all of them.
+
+Output keys come in the order in which the nested convolution loop first
+meets them, as a product of Elements would list them; a power lists the
+keys of its square-and-multiply chain.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from math import lcm
+
+from .element import Element, ONE
+
+# Exponent (int or (i, j) pair) -> nonzero coefficient.
+Terms = dict
+
+
+def terms_add(p: Terms, *rest: Terms) -> Terms:
+    out = dict(p)
+    for q in rest:
+        for key, c in q.items():
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+    return out
+
+
+def terms_mul(p: Terms, *rest: Terms) -> Terms:
+    """The product of one or more maps, left to right.
+
+    A one-term operand (as in "3*x^2") only shifts exponents and
+    multiplies coefficients; the other operands are multiplied on ints.
+    """
+    shift = scalar = None
+    ops = []
+    for q in (p, *rest):
+        if len(q) != 1:
+            if not q:
+                return {}
+            ops.append(q)
+            continue
+        (key, c), = q.items()
+        shift = key if shift is None else _shifted(shift, key)
+        if c is not ONE:
+            scalar = c if scalar is None else scalar * c
+    if not ops:
+        return {shift: ONE if scalar is None else scalar}
+    out = ops[0]
+    if len(ops) > 1:
+        den, w, scaled = _scaled(ops, 1)
+        out = _unscaled(reduce(_convolve, scaled), den, w)
+    if shift is None:
+        return out
+    if scalar is None:
+        return {_shifted(key, shift): c for key, c in out.items()}
+    return {_shifted(key, shift): c * scalar for key, c in out.items()}
+
+
+def terms_pow(p: Terms, n: int, unit) -> Terms:
+    """The n-th power by squaring; a monomial's power is read off directly.
+
+    `unit` is the exponent of the constant term (0 or (0, 0)), for n = 0.
+    Supertropical addition is associative and commutative and
+    multiplication distributes over it, so this equals n - 1 repeated
+    products.
+    """
+    if n < 0:
+        raise ValueError("negative power")
+    if n == 0:
+        return {unit: ONE}
+    if len(p) == 1:
+        (key, c), = p.items()
+        key = (key[0] * n, key[1] * n) if type(key) is tuple else key * n
+        return {key: c if c is ONE else c ** n}
+    if n == 1 or not p:
+        return p
+    den, w, (q,) = _scaled([p], n)
+    out = None
+    while True:
+        if n & 1:
+            out = q if out is None else _convolve(out, q)
+        n >>= 1
+        if not n:
+            return _unscaled(out, den, w)
+        q = _convolve(q, q)
+
+
+def _shifted(key, by):
+    if type(key) is tuple:
+        return (key[0] + by[0], key[1] + by[1])
+    return key + by
+
+
+def _scaled(ops: list[Terms], n: int) -> tuple[int, int | None, list[dict]]:
+    """The common scale `den`, the packing width `w` and the scaled maps.
+
+    Each map becomes packed exponent -> (magnitude * den, ghost).  Pairs
+    (i, j) pack to i * w + j, with w past the degree in y of the product
+    of `ops` raised to the n-th power; ints stay as they are (w is None).
+    """
+    den = lcm(*[c.mag.denominator for p in ops for c in p.values()])
+    w = None
+    if type(next(iter(ops[0]))) is tuple:
+        w = 1 + n * sum(max(j for _, j in p) for p in ops)
+    return den, w, [{(key if w is None else key[0] * w + key[1]):
+                     (c.mag.numerator * (den // c.mag.denominator), c.is_ghost)
+                     for key, c in p.items()} for p in ops]
+
+
+def _unscaled(out: dict, den: int, w: int | None) -> Terms:
+    # One Fraction per coefficient.
+    if w is not None:
+        out = {divmod(key, w): v for key, v in out.items()}
+    if den == 1:
+        return {key: Element(Fraction(m), g) for key, (m, g) in out.items()}
+    return {key: Element(Fraction(m, den), g) for key, (m, g) in out.items()}
+
+
+def _convolve(p: dict, q: dict) -> dict:
+    """The max-plus product of two scaled maps: the one convolution loop."""
+    out: dict = {}
+    get = out.get
+    for k1, (m1, g1) in p.items():
+        for k2, (m2, g2) in q.items():
+            key = k1 + k2
+            m = m1 + m2
+            cur = get(key)
+            if cur is None or m > cur[0]:
+                out[key] = (m, g1 or g2)
+            elif m == cur[0]:
+                out[key] = (m, True)
+    return out

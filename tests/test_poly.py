@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import supertrop
+import supertrop.poly as M
 from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        IntervalSet, NotGhostSum, Poly, RootSet, Side,
                        add_shift, analyze_ghost_sum, canonical_full,
@@ -304,6 +305,25 @@ def test_analyze_ghost_sum_examples():
         analyze_ghost_sum(P("x"), P("x"))
 
 
+def test_analyze_ghost_sum_takes_one_canonical_form_per_polynomial(monkeypatch):
+    # f + g, f and g: three canonical forms on either path, shared between
+    # the common-root test and the half-tangible test.
+    calls = []
+    real = M.canonical_full
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(M, "canonical_full", counted)
+    pairs = [(P("0v*x^2 + 1*x"), P("1*x + 0v")),
+             (P("(x+2)*(x+5v)*(x+8v)*(x+9)"), P("(x+3)*(x+4)*(0v*x+7)*(x+10)"))]
+    for f, g in pairs:
+        calls.clear()
+        analyze_ghost_sum(f, g)
+        assert calls == [f + g, f, g]
+
+
 def test_analyze_ghost_sum_invariants_survive_optimize():
     # -O strips asserts; both invariants must still raise.  Each one is
     # forced by a patched helper on a pair whose sum is ghost.
@@ -322,10 +342,10 @@ class Hollow:
         return None
 
 flip = {M.Side.LEFT: M.Side.RIGHT, M.Side.RIGHT: M.Side.LEFT}
-real = M.classify_half_tangible
+real = M._half_tangible
 patches = [
     ("tangible_roots", lambda p: types.SimpleNamespace(intervals=Hollow())),
-    ("classify_half_tangible", lambda p: (flip[real(p)[0]], real(p)[1])),
+    ("_half_tangible", lambda r: (flip[real(r)[0]], real(r)[1])),
 ]
 for name, fake in patches:
     saved = getattr(M, name)
@@ -344,7 +364,7 @@ for name, fake in patches:
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == [
         "tangible_roots nonempty common root set without a finite point",
-        "classify_half_tangible half-tangible thresholds out of order"]
+        "_half_tangible half-tangible thresholds out of order"]
 
 
 def test_layer_perturbation_keeps_ghost_sums_ghost():

@@ -1,0 +1,167 @@
+"""The integer sparse core against the Element-by-Element loops it replaced."""
+
+from fractions import Fraction
+from functools import reduce
+
+from hypothesis import given, settings, strategies as st
+
+from supertrop import BiPoly, Element, ONE, Poly, ghost
+from supertrop.sparse import terms_add, terms_mul, terms_pow
+
+
+# -- oracles: the products before the integer core ----------------------------
+
+
+def oracle_terms_mul(p, q):
+    """The two-argument core product on pair keys, one Element at a time."""
+    for mono, other in ((q, p), (p, q)):
+        if len(mono) == 1:
+            ((k, l), d), = mono.items()
+            if d is ONE:  # a bare monomial: shift exponents
+                return {(i + k, j + l): c for (i, j), c in other.items()}
+    out = {}
+    for (i, j), c in p.items():
+        for (k, l), d in q.items():
+            key = (i + k, j + l)
+            term = c * d
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
+    return out
+
+
+def oracle_poly_mul(f, g):
+    """`Poly.__mul__` before the core: the convolution on Elements."""
+    out = {}
+    for d1, c1 in f.items():
+        for d2, c2 in g.items():
+            deg = d1 + d2
+            prod = c1 * c2
+            cur = out.get(deg)
+            out[deg] = prod if cur is None else cur + prod
+    return Poly(out)
+
+
+def oracle_poly_pow(f, n):
+    """`Poly.__pow__` before the core: n repeated products."""
+    result = Poly.constant(ONE)
+    for _ in range(n):
+        result = oracle_poly_mul(result, f)
+    return result
+
+
+def oracle_squaring(p, n, mul):
+    """The square-and-multiply chain of `mul`, which fixes a power's key order."""
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else mul(out, p)
+        n >>= 1
+        if not n:
+            return out
+        p = mul(p, p)
+
+
+# -- strategies -----------------------------------------------------------------
+
+# Few magnitudes, so products tie and turn ghost often; ONE itself takes the
+# bare-monomial shortcut.
+tied = st.one_of(st.just(ONE),
+                 st.builds(Element, st.integers(-2, 2).map(Fraction), st.booleans()))
+
+# Coprime denominators near 10^6 and numerators up to 10^300.
+PRIMES = [999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037]
+huge = st.builds(lambda n, d, g: Element(Fraction(n, d), g),
+                 st.integers(-10 ** 300, 10 ** 300), st.sampled_from(PRIMES),
+                 st.booleans())
+coeffs = st.one_of(tied, tied, huge)
+
+polys = st.dictionaries(st.integers(0, 6), coeffs, max_size=5).map(Poly)
+pair_maps = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            coeffs, max_size=4)
+bare = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda k: {k: ONE})
+factor_maps = st.one_of(pair_maps, pair_maps, bare)
+
+
+def same(a, b):
+    """Equal coefficient maps that also list their keys in the same order."""
+    return a == b and list(a) == list(b)
+
+
+# -- products and powers against the oracles ------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys)
+def test_poly_product_matches_oracle(f, g):
+    assert same((f * g)._coeffs, oracle_poly_mul(f, g)._coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_maps, factor_maps)
+def test_pair_product_matches_oracle(p, q):
+    assert same(terms_mul(p, q), oracle_terms_mul(p, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(factor_maps, min_size=1, max_size=5))
+def test_n_ary_product_is_the_left_fold(maps):
+    assert same(terms_mul(*maps), reduce(oracle_terms_mul, maps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polys, min_size=1, max_size=4))
+def test_poly_product_of_many_is_the_left_fold(factors):
+    assert same(Poly.product(factors)._coeffs,
+                reduce(oracle_poly_mul, factors)._coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.integers(0, 8))
+def test_poly_power_matches_repeated_product(f, n):
+    power = f ** n
+    assert power == oracle_poly_pow(f, n)
+    if n:
+        assert same(power._coeffs, oracle_squaring(f, n, oracle_poly_mul)._coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_maps, st.integers(1, 8))
+def test_pair_power_keeps_the_squaring_order(p, n):
+    assert same(terms_pow(p, n, (0, 0)), oracle_squaring(p, n, oracle_terms_mul))
+
+
+def test_edge_cases():
+    x, c = {1: ONE}, {0: ghost(3)}
+    assert terms_mul({}, x) == terms_mul(c, {}) == {}
+    assert terms_mul(x, x, x) == {3: ONE}
+    assert terms_mul(x) == x and terms_mul(c) == c
+    assert terms_pow({}, 0, 0) == {0: ONE} and terms_pow({}, 3, (0, 0)) == {}
+    assert terms_add({}, c, c) == {0: ghost(3)}
+    # A monomial's power is read off, whatever the exponent.
+    big = Poly.monomial(3, ghost(2)) ** 10 ** 12
+    assert list(big.items()) == [(3 * 10 ** 12, ghost(2 * 10 ** 12))]
+    # A pair product packs exponents past the product's degree in y.
+    p = {(0, 3): ghost(1), (2, 0): ONE}
+    assert same(terms_mul(p, p, p), reduce(oracle_terms_mul, [p, p, p]))
+
+
+# -- the polynomial semiring laws -----------------------------------------------
+
+small_polys = st.dictionaries(st.integers(0, 4), tied, max_size=4).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_poly_semiring_laws(f, g, h):
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h) == Poly.product([f, g, h])
+    assert f * (g + h) == f * g + f * h
+    assert f + g == g + f and (f + g) + h == f + (g + h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_maps.map(BiPoly), pair_maps.map(BiPoly), pair_maps.map(BiPoly))
+def test_bipoly_semiring_laws(f, g, h):
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
