@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction
+from .intervals import intersect_sorted
 from .poly import Poly
 from .record import Record
 from .resultant import permanent, sylvester_vectors
@@ -134,18 +135,20 @@ class BiPoly:
 
     def specialize_y(self, b: Element) -> Poly:
         """Substitute y = b, leaving a polynomial in x."""
-        out: dict[int, Element] = {}
-        for (i, j), c in self._coeffs.items():
-            term = c * b ** j
-            out[i] = out[i] + term if i in out else term
-        return Poly(out)
+        return self._specialize(b, 1)
 
     def specialize_x(self, a: Element) -> Poly:
         """Substitute x = a, leaving a polynomial in y."""
+        return self._specialize(a, 0)
+
+    def _specialize(self, at: Element, axis: int) -> Poly:
+        # Substitute `at` for the variable of exponent slot `axis`; the
+        # other slot indexes the result.
         out: dict[int, Element] = {}
-        for (i, j), c in self._coeffs.items():
-            term = c * a ** i
-            out[j] = out[j] + term if j in out else term
+        for key, c in self._coeffs.items():
+            term = c * at ** key[axis]
+            k = key[1 - axis]
+            out[k] = out[k] + term if k in out else term
         return Poly(out)
 
     def y_vector(self) -> list[Poly]:
@@ -275,21 +278,6 @@ def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
     return out
 
 
-def _intersect(p: list[tuple[int, int]],
-               q: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    s = t = 0
-    while s < len(p) and t < len(q):
-        lo, hi = max(p[s][0], q[t][0]), min(p[s][1], q[t][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if p[s][1] < q[t][1]:
-            s += 1
-        else:
-            t += 1
-    return out
-
-
 Window = tuple[Rational, Rational, Rational, Rational]
 
 DEFAULT_WINDOW: Window = (-10, 10, -10, 10)
@@ -315,8 +303,8 @@ def _scan(f: BiPoly, g: BiPoly, window: Window, step: Fraction) -> tuple[set, in
         # Common ghost intervals of a row, as start and end lists, over the
         # window widened by the half step that the refinement ring reaches.
         if b not in rows:
-            both = _intersect(_row_ghost(fg, b, x0 - half, x1 + half),
-                              _row_ghost(gg, b, x0 - half, x1 + half))
+            both = intersect_sorted(_row_ghost(fg, b, x0 - half, x1 + half),
+                                    _row_ghost(gg, b, x0 - half, x1 + half))
             rows[b] = ([lo for lo, _ in both], [hi for _, hi in both])
         return rows[b]
 

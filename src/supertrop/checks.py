@@ -7,7 +7,10 @@ returns the number of cases checked.  `CHECKS` lists them all in the
 order they are reported.
 
 `run_corpus` replays the worked examples stored in corpus.json through
-the public API and returns a list of per-entry results.
+the public API and returns a list of per-entry results.  The corpus is
+one table with one verdict: `_ENTRIES` maps each entry kind to a function
+of the entry that returns (got, want), and an entry fails exactly when
+the two differ.  Optional fields are checked only where an entry has them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .element import Element, ONE, ZERO, ghost, tangible
 from .factor import (e_divides, expand, factor_min_ghosts, linear_factor,
                      split_tan_intan)
 from .intervals import IntervalSet
-from .parse import parse_bipoly, parse_poly
+from .parse import parse_bipoly, parse_element, parse_poly
 from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, add_shift,
                    analyze_ghost_sum, canonical_full, classify_half_tangible,
                    e_equiv, essential_part, frobenius, full_from_corners,
@@ -426,189 +429,145 @@ def load_corpus() -> list[dict]:
     return json.loads(text)
 
 
-def _run_entry(entry: dict) -> None:
-    kind = entry["kind"]
-    if kind == "element":
-        got = eval_scalar_expr(entry["expr"])
-        if got != Element.parse(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "add":
-        got = parse_poly(entry["a"]) + parse_poly(entry["b"])
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "mul":
-        got = parse_poly(entry["a"]) * parse_poly(entry["b"])
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "eval":
-        got = parse_poly(entry["poly"]).evaluate(Element.parse(entry["at"]))
-        if got != Element.parse(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "canon":
-        got = canonical_full(parse_poly(entry["poly"])).to_poly()
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "essential":
-        got = essential_part(parse_poly(entry["poly"]))
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "ggraph":
-        pl = ggraph(parse_poly(entry["poly"]))
-        if [str(b) for b in pl.breakpoints] != entry["breakpoints"]:
-            raise AssertionError
-        if list(pl.slopes) != entry["slopes"]:
-            raise AssertionError((pl, entry))
-        if "piece_ghost" in entry:
-            if list(pl.piece_ghost) != entry["piece_ghost"]:
-                raise AssertionError((pl, entry))
-    elif kind == "e_equiv":
-        got = e_equiv(parse_poly(entry["a"]), parse_poly(entry["b"]))
-        if got != entry["expect"]:
-            raise AssertionError((got, entry))
-    elif kind == "roots":
-        got = tangible_roots(parse_poly(entry["poly"]))
-        if str(got.intervals) != entry["expect"]:
-            raise AssertionError((got, entry))
-        if "at_bottom" in entry:
-            if got.at_bottom != entry["at_bottom"]:
-                raise AssertionError((got, entry))
-    elif kind == "classify":
-        got = classify_half_tangible(parse_poly(entry["poly"]))
-        if entry["expect"] is None:
-            if got is not None:
-                raise AssertionError((got, entry))
-        else:
-            side, at = got
-            if [side.value, str(at)] != entry["expect"]:
-                raise AssertionError((got, entry))
-    elif kind == "ghost_sum":
-        got = analyze_ghost_sum(parse_poly(entry["f"]), parse_poly(entry["g"]))
-        want = entry["expect"]
-        if want["kind"] == "common_root":
-            if got != CommonRoot(Fraction(want["witness"])):
-                raise AssertionError((got, entry))
-        elif want["kind"] == "half_tangible":
-            if got != HalfTangible(Fraction(want["alpha"]),
-                                   Fraction(want["beta"])):
-                raise AssertionError((got, entry))
-        else:
-            if not isinstance(got, NotGhostSum):
-                raise AssertionError((got, entry))
-    elif kind == "factor":
-        fact = factor_min_ghosts(parse_poly(entry["poly"]))
-        if str(fact) != entry["expect"]:
-            raise AssertionError((str(fact), entry))
-        if not e_equiv(expand(fact), parse_poly(entry["poly"])):
-            raise AssertionError
-    elif kind == "split":
-        tan, intan = split_tan_intan(parse_poly(entry["poly"]))
-        if tan != parse_poly(entry["tan"]):
-            raise AssertionError((tan, entry))
-        if intan != parse_poly(entry["intan"]):
-            raise AssertionError((intan, entry))
-    elif kind == "e_divides":
-        got = e_divides(parse_poly(entry["g"]), parse_poly(entry["f"]))
-        if got != entry["expect"]:
-            raise AssertionError((got, entry))
-    elif kind == "mul_shift":
-        got = mul_shift(parse_poly(entry["poly"]), Fraction(entry["b"]))
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "add_shift":
-        got = add_shift(parse_poly(entry["poly"]),
-                        Element.parse(entry["beta"]))
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "sylvester":
-        rows = sylvester(parse_poly(entry["f"]), parse_poly(entry["g"]))
-        got = [[str(e) for e in row] for row in rows]
-        if got != entry["expect"]:
-            raise AssertionError((got, entry))
-    elif kind == "resultant":
-        fn = METHODS[entry.get("method", DEFAULT_METHOD)]
-        got = fn(parse_poly(entry["f"]), parse_poly(entry["g"]))
-        if got != Element.parse(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "permanent":
-        rows = [[Element.parse(e) for e in row] for row in entry["matrix"]]
-        got = permanent(rows)
-        if got != Element.parse(entry["expect"]):
-            raise AssertionError((got, entry))
-        if permanent_oracle(rows) != got:
-            raise AssertionError((got, entry))
-    elif kind == "relprime":
-        rep = decide(parse_poly(entry["f"]), parse_poly(entry["g"]))
-        if rep.relatively_prime != entry["expect_prime"]:
-            raise AssertionError((rep, entry))
-        if entry.get("witness") is not None:
-            if rep.witness != Fraction(entry["witness"]):
-                raise AssertionError((rep, entry))
-        if entry.get("resultant") is not None:
-            if rep.resultant != Element.parse(entry["resultant"]):
-                raise AssertionError
-    elif kind == "verify_division":
-        got = verify_division(parse_poly(entry["f"]), parse_poly(entry["g"]),
-                              parse_poly(entry["q"]))
-        if got != entry["expect"]:
-            raise AssertionError((got, entry))
-    elif kind == "divides_linear":
-        w = divides_linear(parse_poly(entry["f"]), Fraction(entry["a"]))
-        if (w is not None) != entry["expect"]:
-            raise AssertionError((w, entry))
-        if w is not None and entry.get("q") is not None:
-            if w.q != parse_poly(entry["q"]):
-                raise AssertionError((w, entry))
-    elif kind == "radical":
-        got = radical_member_check(parse_poly(entry["a"]), entry["k"],
-                                   parse_poly(entry["b"]),
-                                   parse_poly(entry["q"]))
-        if got != entry["expect"]:
-            raise AssertionError((got, entry))
-    elif kind == "frobenius":
-        got = frobenius(parse_poly(entry["poly"]), entry["m"])
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "eval2":
-        got = parse_bipoly(entry["poly"]).evaluate(
-            Element.parse(entry["x"]), Element.parse(entry["y"]))
-        if got != Element.parse(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "specialize":
-        f = parse_bipoly(entry["poly"])
-        at = Element.parse(entry["at"])
-        got = f.specialize_y(at) if entry["var"] == "y" else f.specialize_x(at)
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "res2":
-        got = resultant_in_second(parse_bipoly(entry["f"]),
-                                  parse_bipoly(entry["g"]))
-        if got != parse_poly(entry["expect"]):
-            raise AssertionError((got, entry))
-    elif kind == "bezout":
-        rep = bezout_report(parse_bipoly(entry["f"]), parse_bipoly(entry["g"]))
-        if not rep.bound_holds:
-            raise AssertionError((rep, entry))
-        for field in ("component_count", "ordinary_count"):
-            if field in entry:
-                if getattr(rep, field) != entry[field]:
-                    raise AssertionError((rep, entry))
-        if "hit_count" in entry:
-            if len(rep.hits) != entry["hit_count"]:
-                raise AssertionError((rep, entry))
-    elif kind == "parse_print":
-        got = str(parse_poly(entry["text"]))
-        if got != entry["expect"]:
-            raise AssertionError((got, entry))
+def _p(e: dict, key: str) -> Poly:
+    return parse_poly(e[key])
+
+
+def _el(e: dict, key: str) -> Element:
+    return Element.parse(e[key])
+
+
+# Rows that observe several fields return tuples.  Where an entry leaves
+# out an optional field, the observed value stands in for it, so the field
+# is checked exactly when the entry carries it.
+
+
+def _ggraph(e: dict) -> tuple:
+    pl = ggraph(_p(e, "poly"))
+    got = ([str(b) for b in pl.breakpoints], list(pl.slopes),
+           list(pl.piece_ghost))
+    return got, (e["breakpoints"], e["slopes"], e.get("piece_ghost", got[2]))
+
+
+def _roots(e: dict) -> tuple:
+    r = tangible_roots(_p(e, "poly"))
+    return ((str(r.intervals), r.at_bottom),
+            (e["expect"], e.get("at_bottom", r.at_bottom)))
+
+
+def _classify(e: dict) -> tuple:
+    got = classify_half_tangible(_p(e, "poly"))
+    side = None if got is None else [got[0].value, str(got[1])]
+    return side, e["expect"]
+
+
+def _ghost_sum(e: dict) -> tuple:
+    w = e["expect"]
+    if w["kind"] == "common_root":
+        want = CommonRoot(Fraction(w["witness"]))
+    elif w["kind"] == "half_tangible":
+        want = HalfTangible(Fraction(w["alpha"]), Fraction(w["beta"]))
     else:
-        raise ValueError(f"unknown corpus entry kind {kind!r}")
+        want = NotGhostSum()
+    return analyze_ghost_sum(_p(e, "f"), _p(e, "g")), want
 
 
-def eval_scalar_expr(expr: str) -> Element:
-    """Scalar arithmetic over the grammar, for corpus element entries."""
-    p = parse_bipoly(expr)
-    if not (p.is_zero or p.total_degree == 0):
-        raise AssertionError(expr)
-    return p.coeff(0, 0)
+def _factor(e: dict) -> tuple:
+    f = _p(e, "poly")
+    fact = factor_min_ghosts(f)
+    return (str(fact), e_equiv(expand(fact), f)), (e["expect"], True)
+
+
+def _permanent(e: dict) -> tuple:
+    rows = [[Element.parse(c) for c in row] for row in e["matrix"]]
+    want = _el(e, "expect")
+    return (permanent(rows), permanent_oracle(rows)), (want, want)
+
+
+def _relprime(e: dict) -> tuple:
+    rep = decide(_p(e, "f"), _p(e, "g"))
+    got = (rep.relatively_prime, rep.witness, rep.resultant)
+    return got, (e["expect_prime"],
+                 Fraction(e["witness"]) if "witness" in e else rep.witness,
+                 _el(e, "resultant") if "resultant" in e else rep.resultant)
+
+
+def _divides_linear(e: dict) -> tuple:
+    w = divides_linear(_p(e, "f"), Fraction(e["a"]))
+    q = None if w is None else w.q
+    return (w is not None, q), (e["expect"], _p(e, "q") if "q" in e else q)
+
+
+def _specialize(e: dict) -> tuple:
+    f, at = parse_bipoly(e["poly"]), _el(e, "at")
+    got = f.specialize_y(at) if e["var"] == "y" else f.specialize_x(at)
+    return got, _p(e, "expect")
+
+
+def _bezout(e: dict) -> tuple:
+    rep = bezout_report(parse_bipoly(e["f"]), parse_bipoly(e["g"]))
+    got = (rep.bound_holds, rep.component_count, rep.ordinary_count,
+           len(rep.hits))
+    return got, (True, e.get("component_count", got[1]),
+                 e.get("ordinary_count", got[2]), e.get("hit_count", got[3]))
+
+
+# Entry kind -> function of the entry returning (got, want).
+_ENTRIES = {
+    "element": lambda e: (parse_element(e["expr"]), _el(e, "expect")),
+    "add": lambda e: (_p(e, "a") + _p(e, "b"), _p(e, "expect")),
+    "mul": lambda e: (_p(e, "a") * _p(e, "b"), _p(e, "expect")),
+    "eval": lambda e: (_p(e, "poly").evaluate(_el(e, "at")),
+                       _el(e, "expect")),
+    "canon": lambda e: (canonical_full(_p(e, "poly")).to_poly(),
+                        _p(e, "expect")),
+    "essential": lambda e: (essential_part(_p(e, "poly")), _p(e, "expect")),
+    "ggraph": _ggraph,
+    "e_equiv": lambda e: (e_equiv(_p(e, "a"), _p(e, "b")), e["expect"]),
+    "roots": _roots,
+    "classify": _classify,
+    "ghost_sum": _ghost_sum,
+    "factor": _factor,
+    "split": lambda e: (split_tan_intan(_p(e, "poly")),
+                        (_p(e, "tan"), _p(e, "intan"))),
+    "e_divides": lambda e: (e_divides(_p(e, "g"), _p(e, "f")), e["expect"]),
+    "mul_shift": lambda e: (mul_shift(_p(e, "poly"), Fraction(e["b"])),
+                            _p(e, "expect")),
+    "add_shift": lambda e: (add_shift(_p(e, "poly"), _el(e, "beta")),
+                            _p(e, "expect")),
+    "sylvester": lambda e: ([[str(c) for c in row]
+                             for row in sylvester(_p(e, "f"), _p(e, "g"))],
+                            e["expect"]),
+    "resultant": lambda e: (METHODS[e.get("method", DEFAULT_METHOD)](
+        _p(e, "f"), _p(e, "g")), _el(e, "expect")),
+    "permanent": _permanent,
+    "relprime": _relprime,
+    "verify_division": lambda e: (verify_division(
+        _p(e, "f"), _p(e, "g"), _p(e, "q")), e["expect"]),
+    "divides_linear": _divides_linear,
+    "radical": lambda e: (radical_member_check(
+        _p(e, "a"), e["k"], _p(e, "b"), _p(e, "q")), e["expect"]),
+    "frobenius": lambda e: (frobenius(_p(e, "poly"), e["m"]),
+                            _p(e, "expect")),
+    "eval2": lambda e: (parse_bipoly(e["poly"]).evaluate(
+        _el(e, "x"), _el(e, "y")), _el(e, "expect")),
+    "specialize": _specialize,
+    "res2": lambda e: (resultant_in_second(parse_bipoly(e["f"]),
+                                           parse_bipoly(e["g"])),
+                       _p(e, "expect")),
+    "bezout": _bezout,
+    "parse_print": lambda e: (str(_p(e, "text")), e["expect"]),
+}
+
+
+def _run_entry(entry: dict) -> None:
+    """The one verdict: AssertionError((got, entry)) unless got == want."""
+    row = _ENTRIES.get(entry["kind"])
+    if row is None:
+        raise ValueError(f"unknown corpus entry kind {entry['kind']!r}")
+    got, want = row(entry)
+    if got != want:
+        raise AssertionError((got, entry))
 
 
 def run_corpus() -> list[tuple[str, bool, str]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bipoly import DEFAULT_STEP, DEFAULT_WINDOW, bezout_report
 from .divide import divides_linear, verify_division
 from .factor import factor_min_ghosts
-from .intervals import IntervalSet, RootSet
+from .intervals import RootSet
 from .parse import ParseError, parse_bipoly, parse_poly, poly_to_json
 from .poly import canonical_full, tangible_roots
 from .resultant import DEFAULT_METHOD, METHODS, decide
@@ -37,8 +37,10 @@ def _endpoint_json(x) -> str:
     return str(x) if isinstance(x, Fraction) else ("-inf" if x < 0 else "inf")
 
 
-def _intervals_json(s: IntervalSet) -> list[list[str]]:
-    return [[_endpoint_json(lo), _endpoint_json(hi)] for lo, hi in s.intervals]
+def _root_set_json(roots: RootSet) -> dict:
+    return {"intervals": [[_endpoint_json(lo), _endpoint_json(hi)]
+                          for lo, hi in roots.intervals],
+            "at_bottom": roots.at_bottom}
 
 
 def _quiet_stdout() -> None:
@@ -70,9 +72,7 @@ def _cmd_canon(args) -> int:
 
 def _cmd_roots(args) -> int:
     roots = tangible_roots(parse_poly(_text(args.poly)))
-    payload = {"intervals": _intervals_json(roots.intervals),
-               "at_bottom": roots.at_bottom}
-    return _emit(args, str(roots), payload)
+    return _emit(args, str(roots), _root_set_json(roots))
 
 
 def _cmd_factor(args) -> int:
@@ -96,11 +96,6 @@ def _cmd_resultant(args) -> int:
     return _emit(args, str(value), {"resultant": str(value)})
 
 
-def _common_json(common: RootSet) -> dict:
-    return {"intervals": _intervals_json(common.intervals),
-            "at_bottom": common.at_bottom}
-
-
 def _cmd_relprime(args) -> int:
     rep = decide(parse_poly(_text(args.f)), parse_poly(_text(args.g)))
     if rep.relatively_prime:
@@ -110,7 +105,7 @@ def _cmd_relprime(args) -> int:
     payload = {"relatively_prime": rep.relatively_prime,
                "resultant": str(rep.resultant),
                "witness": None if rep.witness is None else str(rep.witness),
-               "common": _common_json(rep.common)}
+               "common": _root_set_json(rep.common)}
     return _emit(args, text, payload)
 
 

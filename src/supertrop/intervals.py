@@ -14,7 +14,7 @@ slotted, immutable, compared and hashed by their fields.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .record import Record
@@ -31,6 +31,30 @@ def _fmt_endpoint(x: Endpoint) -> str:
     if x == POS_INF:
         return "inf"
     return str(x)
+
+
+def intersect_sorted(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
+    """Intersection of two sorted lists of disjoint closed intervals.
+
+    A two-pointer merge in O(n + m): each step intersects the current pair
+    and drops the one that ends first.  Two pieces of the result that come
+    from the same interval on one side come from different, hence
+    separated, intervals on the other, so the result is sorted and
+    disjoint, and separated when both inputs are.
+    """
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (alo, ahi), (blo, bhi) = a[i], b[j]
+        lo = max(alo, blo)
+        hi = min(ahi, bhi)
+        if lo <= hi:
+            out.append((lo, hi))
+        if ahi < bhi:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 class IntervalSet(Record):
@@ -89,27 +113,8 @@ class IntervalSet(Record):
         return IntervalSet.of(list(self.intervals) + list(other.intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Two-pointer merge of the two sorted lists, in O(n + m).
-
-        Each step intersects the current pair and drops the one that ends
-        first.  Two pieces of the result that come from the same interval
-        on one side come from different, hence separated, intervals on the
-        other, so the result is normalized as it stands.
-        """
-        a, b = self.intervals, other.intervals
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (alo, ahi), (blo, bhi) = a[i], b[j]
-            lo = max(alo, blo)
-            hi = min(ahi, bhi)
-            if lo <= hi:
-                out.append((lo, hi))
-            if ahi < bhi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
+        return IntervalSet(tuple(intersect_sorted(self.intervals,
+                                                  other.intervals)))
 
     def contains_set(self, other: "IntervalSet") -> bool:
         return other.intersect(self) == other

@@ -196,7 +196,8 @@ def _term_json(c: Element) -> dict:
 
 def poly_to_json(f: Poly) -> dict:
     return {"vars": 1,
-            "terms": [{"i": i, **_term_json(c)} for i, c in f.items()]}
+            "terms": [{"i": i, **_term_json(c)}
+                      for i, c in sorted(f.items())]}
 
 
 def bipoly_to_json(f: BiPoly) -> dict:

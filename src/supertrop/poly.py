@@ -427,9 +427,9 @@ def ggraph(f: Poly) -> PiecewiseLinear:
         slopes.append(full.shift + i)
         intercepts.append(full.coeffs[i].mag)
         piece_ghost.append(full.coeffs[i].is_ghost)
-    bp_ghost = tuple(f.evaluate(tangible(b)).is_ghost for b in breaks)
+    # Each breakpoint ties two monomials, so f is ghost there.
     return PiecewiseLinear(breaks, tuple(slopes), tuple(intercepts),
-                           tuple(piece_ghost), bp_ghost)
+                           tuple(piece_ghost), (True,) * len(breaks))
 
 
 # -- half-tangible classification and ghost sums ------------------------------

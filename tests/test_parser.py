@@ -90,6 +90,15 @@ def test_json_shape():
     assert terms[1] == {"i": 1, "value": "0", "layer": "tangible"}
 
 
+def test_poly_json_lists_terms_by_ascending_degree():
+    # Equal polynomials serialize alike, whatever order built them.
+    built, parsed = Poly.linear(1), parse_poly("x + 1")
+    assert built == parsed
+    assert poly_to_json(built) == poly_to_json(parsed)
+    data = poly_to_json(Poly({3: ONE, 0: ZERO, 5: ONE, 1: Element(2, True)}))
+    assert [t["i"] for t in data["terms"]] == [1, 3, 5]
+
+
 def test_json_validation():
     with pytest.raises(ValueError):
         poly_from_json({"vars": 2, "terms": []})
