@@ -1,8 +1,8 @@
 """Polynomials in two variables and a desk-scale common-root probe.
 
-A BiPoly wraps a map of the sparse core (`sparse`) keyed by exponent
-pairs (i, j); its sums, products and powers are the core's, shared with
-`Poly` and the parser.
+A BiPoly is a `sparse.SparsePoly` keyed by exponent pairs (i, j): its
+sums, products and powers are the core's, shared with `Poly` and the
+parser.
 
 The resultant that eliminates the second variable is computed exactly as
 in the one-variable case: a permanent of the Sylvester matrix, except the
@@ -14,7 +14,9 @@ taking that permanent, which is the main exactness test for this module.
 inputs take ghost values, entirely in integer arithmetic.  It sweeps the
 grid row by row: on a row y = b every term is a line in x, and the value
 is ghost exactly at the breakpoints of the upper envelope of those lines
-and along its pieces that come from ghost terms.  Each row therefore
+and along its pieces that come from ghost terms; the envelope is the
+upper hull of the points (slope, intercept), taken by the hull routine of
+`canonical_full`.  Each row therefore
 yields its ghost set as a few integer intervals, and the grid points in
 the intersection of both inputs' intervals are listed directly.  With the
 terms sorted by x exponent once, a scan costs O(rows * terms + hits)
@@ -34,16 +36,17 @@ from math import lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction
 from .intervals import intersect_sorted
-from .poly import Poly
+from .poly import Poly, _upper_hull
 from .record import Record
 from .resultant import permanent, sylvester_vectors
-from .sparse import Terms, terms_add, terms_mul, terms_pow
+from .sparse import SparsePoly
 
 
-class BiPoly:
+class BiPoly(SparsePoly):
     """Polynomial in x and y with supertropical coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _unit = (0, 0)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Element] | None = None):
         data: dict[tuple[int, int], Element] = {}
@@ -53,13 +56,6 @@ class BiPoly:
             if not c.is_zero:
                 data[(i, j)] = c
         object.__setattr__(self, "_coeffs", data)
-
-    @classmethod
-    def _of(cls, terms: Terms) -> "BiPoly":
-        # Trusted: `terms` is a core map (`sparse`), shared, never mutated.
-        out = object.__new__(cls)
-        object.__setattr__(out, "_coeffs", terms)
-        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -77,16 +73,9 @@ class BiPoly:
         return BiPoly({(i, j): coeff})
 
     @staticmethod
-    def from_poly(f: Poly, var: str = "x") -> "BiPoly":
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        if var == "x":
-            return BiPoly({(i, 0): c for i, c in f.items()})
-        return BiPoly({(0, j): c for j, c in f.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
+    def from_poly(f: Poly) -> "BiPoly":
+        """f as a polynomial in x."""
+        return BiPoly({(i, 0): c for i, c in f.items()})
 
     @property
     def deg_x(self) -> int:
@@ -111,15 +100,6 @@ class BiPoly:
 
     def items(self):
         return sorted(self._coeffs.items())
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        return BiPoly._of(terms_add(self._coeffs, other._coeffs))
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        return BiPoly._of(terms_mul(self._coeffs, other._coeffs))
-
-    def __pow__(self, n: int) -> "BiPoly":
-        return BiPoly._of(terms_pow(self._coeffs, n, (0, 0)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._coeffs == other._coeffs
@@ -229,10 +209,12 @@ def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
 
     The value is the upper envelope of the lines of the row.  It is ghost
     where two lines attain it, which is at the envelope breakpoints, and
-    along every envelope piece whose line is ghost.  Returns sorted,
-    disjoint closed intervals.
+    along every envelope piece whose line is ghost.  The lines strictly on
+    top somewhere are the strict vertices of the upper hull of the points
+    (slope, intercept), so `_upper_hull` gives the envelope.  Returns
+    sorted, disjoint closed intervals.
     """
-    hull: list[tuple[int, int, bool]] = []
+    tops: list[tuple[int, int, bool]] = []
     for i, terms in groups:
         # Parallel lines: keep the highest, ghost on a tie.
         c, ghost = None, False
@@ -242,15 +224,8 @@ def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
                 c, ghost = v, g
             elif v == c:
                 ghost = True
-        # Drop lines that the new, steeper one keeps from ever being
-        # strictly on top (convex-hull trick).
-        while len(hull) >= 2:
-            i1, c1, _ = hull[-2]
-            i2, c2, _ = hull[-1]
-            if (c1 - c) * (i2 - i1) > (c1 - c2) * (i - i1):
-                break
-            hull.pop()
-        hull.append((i, c, ghost))
+        tops.append((i, c, ghost))
+    hull = _upper_hull(tops)
 
     out: list[tuple[int, int]] = []
 
@@ -372,22 +347,6 @@ class BezoutReport(Record):
     bound_holds: bool
     window: tuple[Fraction, Fraction, Fraction, Fraction]
     step: Fraction
-
-    def __init__(self, m: int, n: int, bound: int,
-                 hits: tuple[tuple[Fraction, Fraction], ...],
-                 component_count: int, ordinary_count: int,
-                 bound_holds: bool,
-                 window: tuple[Fraction, Fraction, Fraction, Fraction],
-                 step: Fraction):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "hits", hits)
-        object.__setattr__(self, "component_count", component_count)
-        object.__setattr__(self, "ordinary_count", ordinary_count)
-        object.__setattr__(self, "bound_holds", bound_holds)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "step", step)
 
 
 def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,

@@ -11,6 +11,9 @@ the public API and returns a list of per-entry results.  The corpus is
 one table with one verdict: `_ENTRIES` maps each entry kind to a function
 of the entry that returns (got, want), and an entry fails exactly when
 the two differ.  Optional fields are checked only where an entry has them.
+
+`outcome` runs one check or one entry: any exception it raises, a wrong
+answer or a crash, is that one name's failure.
 """
 
 from __future__ import annotations
@@ -560,23 +563,30 @@ _ENTRIES = {
 }
 
 
-def _run_entry(entry: dict) -> None:
+def _run_entry(row, entry: dict) -> str:
     """The one verdict: AssertionError((got, entry)) unless got == want."""
-    row = _ENTRIES.get(entry["kind"])
-    if row is None:
-        raise ValueError(f"unknown corpus entry kind {entry['kind']!r}")
     got, want = row(entry)
     if got != want:
         raise AssertionError((got, entry))
+    return ""
+
+
+def outcome(name: str, fn) -> tuple[str, bool, str]:
+    """(name, ok, detail): `fn()` is the detail of a pass, and anything it
+    raises fails this name alone."""
+    try:
+        return name, True, fn()
+    except Exception as exc:
+        return name, False, f"{type(exc).__name__}: {exc}"
 
 
 def run_corpus() -> list[tuple[str, bool, str]]:
+    # An unknown kind is a fault of the corpus, not of an entry: it raises.
     results = []
     for entry in load_corpus():
-        name = entry.get("name", entry["kind"])
-        try:
-            _run_entry(entry)
-            results.append((name, True, ""))
-        except AssertionError as exc:
-            results.append((name, False, str(exc)))
+        row = _ENTRIES.get(entry["kind"])
+        if row is None:
+            raise ValueError(f"unknown corpus entry kind {entry['kind']!r}")
+        results.append(outcome(entry.get("name", entry["kind"]),
+                               lambda: _run_entry(row, entry)))
     return results

@@ -174,12 +174,8 @@ def _cmd_selfcheck(args) -> int:
     if args.only in ("all", "corpus"):
         results.extend(checks.run_corpus())
     if args.only in ("all", "properties"):
-        for name, fn in checks.CHECKS:
-            try:
-                count = fn()
-                results.append((name, True, f"{count} cases"))
-            except AssertionError as exc:
-                results.append((name, False, str(exc)))
+        results.extend(checks.outcome(name, lambda: f"{fn()} cases")
+                       for name, fn in checks.CHECKS)
     failed = [r for r in results if not r[1]]
     if args.json:
         _print(json.dumps([{"name": n, "ok": ok, "detail": d}

@@ -29,10 +29,6 @@ class DivisionWitness(Record):
     q: Poly
     ghost_sum: Poly
 
-    def __init__(self, q: Poly, ghost_sum: Poly):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ghost_sum", ghost_sum)
-
 
 def verify_division(f: Poly, g: Poly, q: Poly) -> bool:
     """Check that the tangible polynomial q witnesses g | f up to ghosts."""

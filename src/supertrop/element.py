@@ -129,10 +129,6 @@ class Element:
             return ZERO
         return Element(self.mag, False)
 
-    def nu_eq(self, other: "Element") -> bool:
-        """Equality of ghost images (magnitude equality, layers ignored)."""
-        return self.mag == other.mag
-
     def nu_le(self, other: "Element") -> bool:
         """Magnitude comparison with Zero below everything."""
         if self.mag is None:

@@ -80,12 +80,8 @@ class Factorization(Record):
                 raise ValueError("quadratic multiplicities must be positive")
             if c - b >= b:
                 raise ValueError(f"degenerate quadratic (b={b}, c={c})")
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "left_ghost", left_ghost)
-        object.__setattr__(self, "right_ghost", right_ghost)
-        object.__setattr__(self, "linears", linears)
-        object.__setattr__(self, "quadratics", quadratics)
+        super().__init__(lead, power, left_ghost, right_ghost, linears,
+                         quadratics)
 
     def factor_intervals(self) -> list[tuple]:
         """Root interval of each non-scalar factor, with multiplicity."""

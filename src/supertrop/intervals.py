@@ -63,9 +63,7 @@ class IntervalSet(Record):
     __slots__ = ("intervals",)
 
     intervals: tuple[tuple[Endpoint, Endpoint], ...]
-
-    def __init__(self, intervals: tuple[tuple[Endpoint, Endpoint], ...] = ()):
-        object.__setattr__(self, "intervals", intervals)
+    _defaults = {"intervals": ()}
 
     @staticmethod
     def of(pairs: Iterable[tuple[Endpoint, Endpoint]]) -> "IntervalSet":
@@ -175,10 +173,7 @@ class RootSet(Record):
 
     intervals: IntervalSet
     at_bottom: bool
-
-    def __init__(self, intervals: IntervalSet = _EMPTY, at_bottom: bool = False):
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "at_bottom", at_bottom)
+    _defaults = {"intervals": _EMPTY, "at_bottom": False}
 
     @property
     def is_empty(self) -> bool:

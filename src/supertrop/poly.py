@@ -17,9 +17,9 @@ the closed dominance regions of ghost coefficients.  The bottom element -inf
 is a root exactly when evaluation at it lands in the ghost ideal, i.e. the
 variable divides the polynomial or the constant term is a ghost.
 
-A Poly wraps a map of the sparse core (`sparse`) keyed by degree, so its
-sums, products and powers are the core's: products and powers run on
-magnitudes scaled to Python ints, and a power squares.
+A Poly is a `sparse.SparsePoly` keyed by degree, so its sums, products
+and powers are the core's: products and powers run on magnitudes scaled
+to Python ints, and a power squares.
 
 The canonical kernels avoid Fraction arithmetic too: the hull is taken on
 magnitudes scaled once to Python ints by the lcm of their denominators,
@@ -42,10 +42,10 @@ from math import lcm
 from .element import Element, ONE, ZERO, Rational, as_fraction, ghost, tangible
 from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
 from .record import Record
-from .sparse import terms_add, terms_mul, terms_pow
+from .sparse import SparsePoly, terms_mul
 
 
-class Poly:
+class Poly(SparsePoly):
     """Sparse supertropical polynomial in one variable.
 
     Zero coefficients are never stored; the zero polynomial has an empty
@@ -53,7 +53,7 @@ class Poly:
     max-plus convolution; there is no subtraction.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, Element] | None = None):
         clean: dict[int, Element] = {}
@@ -64,13 +64,6 @@ class Poly:
                 if not c.is_zero:
                     clean[deg] = c
         self._coeffs = clean
-
-    @classmethod
-    def _of(cls, coeffs: dict[int, Element]) -> "Poly":
-        # Trusted: `coeffs` is a core map (`sparse`), shared, never mutated.
-        out = object.__new__(cls)
-        out._coeffs = coeffs
-        return out
 
     # -- constructors --------------------------------------------------
 
@@ -96,10 +89,6 @@ class Poly:
         return Poly({1: ONE, 0: tangible(root)})
 
     # -- basic queries --------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def degree(self) -> int:
@@ -147,17 +136,6 @@ class Poly:
         return all(a <= b for a, b in zip(corners, corners[1:]))
 
     # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly._of(terms_add(self._coeffs, other._coeffs))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return Poly._of(terms_mul(self._coeffs, other._coeffs))
-
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
-        return Poly._of(terms_pow(self._coeffs, n, 0))
 
     @staticmethod
     def product(factors: Iterable["Poly"]) -> "Poly":
@@ -221,16 +199,6 @@ class FullPoly(Record):
     coeffs: tuple[Element, ...]
     vertex: tuple[bool, ...]
 
-    def __init__(self, shift: int, coeffs: tuple[Element, ...],
-                 vertex: tuple[bool, ...]):
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "vertex", vertex)
-
-    @property
-    def lo(self) -> int:
-        return 0
-
     @property
     def hi(self) -> int:
         return len(self.coeffs) - 1
@@ -254,9 +222,13 @@ class FullPoly(Record):
         return str(self.to_poly())
 
 
-def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Strict vertices of the upper concave hull; collinear points dropped."""
-    stack: list[tuple[int, int]] = []
+def _upper_hull(points: list[tuple]) -> list[tuple]:
+    """Strict vertices of the upper concave hull; collinear points dropped.
+
+    Points are (x, y, ...) tuples sorted by increasing x; only the first
+    two entries are read, the rest ride along.
+    """
+    stack: list[tuple] = []
     for p in points:
         while len(stack) >= 2:
             o, a = stack[-2], stack[-1]
@@ -393,16 +365,6 @@ class PiecewiseLinear(Record):
     piece_ghost: tuple[bool, ...]
     breakpoint_ghost: tuple[bool, ...]
 
-    def __init__(self, breakpoints: tuple[Fraction, ...],
-                 slopes: tuple[int, ...], intercepts: tuple[Fraction, ...],
-                 piece_ghost: tuple[bool, ...],
-                 breakpoint_ghost: tuple[bool, ...]):
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "intercepts", intercepts)
-        object.__setattr__(self, "piece_ghost", piece_ghost)
-        object.__setattr__(self, "breakpoint_ghost", breakpoint_ghost)
-
     def value_at(self, x: Fraction) -> Fraction:
         # At a breakpoint the two adjacent pieces agree, so the piece with
         # as many breakpoints strictly below x works in every case.
@@ -413,23 +375,14 @@ class PiecewiseLinear(Record):
 def ggraph(f: Poly) -> PiecewiseLinear:
     """Graph data of f as a function on tangible arguments."""
     full = canonical_full(f)
-    corners = full.corner_roots()
-    h = full.hi
-    breaks = tuple(sorted(set(corners)))
-    slopes: list[int] = []
-    intercepts: list[Fraction] = []
-    piece_ghost: list[bool] = []
-    for i in range(h + 1):
-        lo = corners[i - 1] if i >= 1 else None
-        hi = corners[i] if i < h else None
-        if lo is not None and hi is not None and lo == hi:
-            continue  # this monomial dominates nowhere
-        slopes.append(full.shift + i)
-        intercepts.append(full.coeffs[i].mag)
-        piece_ghost.append(full.coeffs[i].is_ghost)
+    breaks = tuple(sorted(set(full.corner_roots())))
+    # A slot dominates a nonempty span exactly when it is a hull vertex.
+    pieces = [i for i, v in enumerate(full.vertex) if v]
     # Each breakpoint ties two monomials, so f is ghost there.
-    return PiecewiseLinear(breaks, tuple(slopes), tuple(intercepts),
-                           tuple(piece_ghost), (True,) * len(breaks))
+    return PiecewiseLinear(breaks, tuple(full.shift + i for i in pieces),
+                           tuple(full.coeffs[i].mag for i in pieces),
+                           tuple(full.coeffs[i].is_ghost for i in pieces),
+                           (True,) * len(breaks))
 
 
 # -- half-tangible classification and ghost sums ------------------------------
@@ -472,9 +425,6 @@ class CommonRoot(Record):
 
     witness: Fraction
 
-    def __init__(self, witness: Fraction):
-        object.__setattr__(self, "witness", witness)
-
 
 class HalfTangible(Record):
     """A ghost sum of two half-tangible polynomials, thresholds alpha < beta."""
@@ -483,10 +433,6 @@ class HalfTangible(Record):
 
     alpha: Fraction
     beta: Fraction
-
-    def __init__(self, alpha: Fraction, beta: Fraction):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
 
 class NotGhostSum(Record):

@@ -1,10 +1,12 @@
 """Immutable value records: the base of the package's small answer types.
 
-A record lists its fields in `__slots__` and sets them in its own
-`__init__` with `object.__setattr__`, the idiom of `Element` and `Poly`.
-The base adds what a frozen value needs: equality between records of the
-same class with equal fields, a hash of the field tuple, a repr of the
-form `Name(field=value, ...)`, and no assignment after construction.
+A record lists its fields in `__slots__`, and the one `__init__` here sets
+them: positional values in slot order, then keywords, then the class's
+`_defaults` for the fields left out.  A missing, extra, repeated or
+unknown field is a TypeError.  The base adds what a frozen value needs:
+equality between records of the same class with equal fields, a hash of
+the field tuple, a repr of the form `Name(field=value, ...)`, and no
+assignment after construction.
 """
 
 from operator import attrgetter
@@ -12,6 +14,8 @@ from operator import attrgetter
 
 class Record:
     __slots__ = ()
+    # Field -> value, for the fields a caller may leave out.
+    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
         fields = cls.__slots__
@@ -19,6 +23,24 @@ class Record:
         key = (attrgetter(*fields) if len(fields) > 1
                else lambda r: tuple(getattr(r, f) for f in fields))
         cls._key = staticmethod(key)
+        # The slots' own setters, in field order: __setattr__ refuses.
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__slots__
+        n = len(args)
+        if n > len(fields) or kwargs and not kwargs.keys() <= set(fields[n:]):
+            raise TypeError(f"{type(self).__name__} has the fields {fields}; "
+                            f"got {n} positional and {sorted(kwargs)}")
+        if n < len(fields):
+            given = {**self._defaults, **kwargs}
+            try:
+                args += tuple(given[name] for name in fields[n:])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__} is missing the field "
+                                f"{exc.args[0]!r}") from None
+        for set_, value in zip(self._setters, args):
+            set_(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -384,13 +384,6 @@ class RelPrimeReport(Record):
     common: RootSet
     witness: Endpoint | None
 
-    def __init__(self, resultant: Element, relatively_prime: bool,
-                 common: RootSet, witness: Endpoint | None):
-        object.__setattr__(self, "resultant", resultant)
-        object.__setattr__(self, "relatively_prime", relatively_prime)
-        object.__setattr__(self, "common", common)
-        object.__setattr__(self, "witness", witness)
-
 
 def decide(f: Poly, g: Poly) -> RelPrimeReport:
     """Decide relative primeness and report a common tangible root if any.

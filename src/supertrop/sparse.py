@@ -26,6 +26,10 @@ denominators pay for all of them.
 Output keys come in the order in which the nested convolution loop first
 meets them, as a product of Elements would list them; a power lists the
 keys of its square-and-multiply chain.
+
+`SparsePoly` is the one wrapper over a map: `Poly` and `BiPoly` subclass
+it, and its sums, products and powers are the functions here.  A class
+attribute names the exponent of the constant term, 0 or (0, 0).
 """
 
 from __future__ import annotations
@@ -88,8 +92,6 @@ def terms_pow(p: Terms, n: int, unit) -> Terms:
     multiplication distributes over it, so this equals n - 1 repeated
     products.
     """
-    if n < 0:
-        raise ValueError("negative power")
     if n == 0:
         return {unit: ONE}
     if len(p) == 1:
@@ -107,6 +109,35 @@ def terms_pow(p: Terms, n: int, unit) -> Terms:
         if not n:
             return _unscaled(out, den, w)
         q = _convolve(q, q)
+
+
+class SparsePoly:
+    """A polynomial as one core map, `_coeffs`, never mutated once built."""
+
+    __slots__ = ("_coeffs",)
+    _unit = 0  # the exponent of the constant term
+
+    @classmethod
+    def _of(cls, terms: Terms):
+        # Trusted: `terms` is a core map, shared, never mutated.
+        out = object.__new__(cls)
+        object.__setattr__(out, "_coeffs", terms)
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __add__(self, other):
+        return self._of(terms_add(self._coeffs, other._coeffs))
+
+    def __mul__(self, other):
+        return self._of(terms_mul(self._coeffs, other._coeffs))
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
+        return self._of(terms_pow(self._coeffs, n, self._unit))
 
 
 def _shifted(key, by):

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from supertrop import checks
+from supertrop import checks, cli
 
 CORPUS = checks.load_corpus()
 
@@ -76,3 +76,28 @@ def test_unknown_kind_is_an_error(monkeypatch):
     monkeypatch.setattr(checks, "load_corpus", lambda: [{"kind": "cube"}])
     with pytest.raises(ValueError, match="unknown corpus entry kind 'cube'"):
         checks.run_corpus()
+
+
+def test_a_crashing_entry_fails_exactly_its_entry(monkeypatch, capsys):
+    corpus = copy.deepcopy(CORPUS)
+    target = next(e for e in corpus if e["kind"] == "element")
+    target["expect"] = "2 +"  # no longer parses
+    monkeypatch.setattr(checks, "load_corpus", lambda: corpus)
+    failed = [(name, detail) for name, ok, detail in checks.run_corpus()
+              if not ok]
+    assert [name for name, _ in failed] == [target["name"]]
+    assert failed[0][1].startswith("ValueError: ")
+    assert cli.main(["selfcheck", "--only", "corpus"]) == 3
+    assert f"FAIL {target['name']}" in capsys.readouterr().out
+
+
+def test_a_crashing_check_fails_exactly_that_check(monkeypatch, capsys):
+    def crashes():
+        raise ArithmeticError("out of range")
+
+    monkeypatch.setattr(checks, "CHECKS",
+                        [("crashes", crashes), ("passes", lambda: 4)])
+    assert cli.main(["selfcheck", "--only", "properties"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["FAIL crashes  [ArithmeticError: out of range]",
+                   "ok   passes  [4 cases]", "1/2 passed"]

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from supertrop import (BiPoly, Element, ONE, ZERO, ParseError, Poly,
                        bipoly_from_json, bipoly_to_json, parse_bipoly,
@@ -476,13 +476,16 @@ _bipolys = st.dictionaries(_exps, _tied, max_size=4).map(BiPoly)
 
 @settings(max_examples=300, deadline=None)
 @given(_bipolys, st.integers(0, 8))
+@example(parse_bipoly("x*y"), 2)
+@example(parse_bipoly("x + y"), 2)
 def test_power_by_squaring_equals_repeated_product(f, n):
     repeated = BiPoly.constant(ONE)
     for _ in range(n):
         repeated = repeated * f
     assert f ** n == repeated == _oracle_pow(f, n)
-    with pytest.raises(ValueError):
-        f ** -1
+    for bad in (-1, float(n)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            f ** bad
 
 
 @settings(max_examples=200, deadline=None)

@@ -245,9 +245,6 @@ def test_records_of_different_classes_never_compare_equal():
     class LookAlike(Record):
         __slots__ = ("witness",)
 
-        def __init__(self, witness):
-            object.__setattr__(self, "witness", witness)
-
     class Empty(Record):
         __slots__ = ()
 
@@ -289,6 +286,8 @@ def test_keywords_and_defaults():
         supertrop.HalfTangible(Fraction(1), Fraction(2), Fraction(3))
     with pytest.raises(TypeError):
         supertrop.RootSet(bottom=True)
+    with pytest.raises(TypeError):
+        supertrop.HalfTangible(Fraction(1), alpha=Fraction(2))
 
 
 _any_pairs = st.lists(st.tuples(_fractions, st.integers(-1, 2)), max_size=3).map(tuple)
