@@ -61,14 +61,6 @@ class BiPoly(SparsePoly):
         raise AttributeError("BiPoly is immutable")
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def constant(c: Element) -> "BiPoly":
-        return BiPoly({(0, 0): c})
-
-    @staticmethod
     def monomial(i: int, j: int, coeff: Element = ONE) -> "BiPoly":
         return BiPoly({(i, j): coeff})
 

@@ -584,9 +584,10 @@ def run_corpus() -> list[tuple[str, bool, str]]:
     # An unknown kind is a fault of the corpus, not of an entry: it raises.
     results = []
     for entry in load_corpus():
-        row = _ENTRIES.get(entry["kind"])
+        kind = entry.get("kind")
+        row = _ENTRIES.get(kind)
         if row is None:
-            raise ValueError(f"unknown corpus entry kind {entry['kind']!r}")
-        results.append(outcome(entry.get("name", entry["kind"]),
+            raise ValueError(f"unknown corpus entry kind {kind!r}")
+        results.append(outcome(entry.get("name", kind),
                                lambda: _run_entry(row, entry)))
     return results

@@ -2,7 +2,8 @@
 
 One subcommand per library operation, text or JSON output, polynomials
 given inline or as `-` for stdin.  Exit codes: 0 success, 1 parse error,
-2 domain error (an operation rejected its input), 3 self-check failure.
+2 domain error (an operation rejected its input), 3 self-check failure
+or a failed runtime cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .bipoly import DEFAULT_STEP, DEFAULT_WINDOW, bezout_report
 from .divide import divides_linear, verify_division
 from .factor import factor_min_ghosts
-from .intervals import RootSet
+from .intervals import RootSet, _fmt_endpoint
 from .parse import ParseError, parse_bipoly, parse_poly, poly_to_json
 from .poly import canonical_full, tangible_roots
 from .resultant import DEFAULT_METHOD, METHODS, decide
@@ -33,12 +34,8 @@ def _rational(text: str) -> Fraction:
         raise ParseError(f"malformed rational {text!r}", 0)
 
 
-def _endpoint_json(x) -> str:
-    return str(x) if isinstance(x, Fraction) else ("-inf" if x < 0 else "inf")
-
-
 def _root_set_json(roots: RootSet) -> dict:
-    return {"intervals": [[_endpoint_json(lo), _endpoint_json(hi)]
+    return {"intervals": [[_fmt_endpoint(lo), _fmt_endpoint(hi)]
                           for lo, hi in roots.intervals],
             "at_bottom": roots.at_bottom}
 
@@ -251,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    except (AssertionError, ArithmeticError) as exc:
+        # A runtime cross-check of the library failed: a bug, not bad input.
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        code = 3
     try:
         sys.stdout.flush()
     except BrokenPipeError:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .element import Rational, as_fraction, tangible
-from .factor import Factorization, expand, factor_min_ghosts, linear_factor
+from .factor import factor_min_ghosts, linear_factor
+from .intervals import NEG_INF, POS_INF
 from .poly import Poly, e_equiv, is_ghost_poly, tangible_roots
 from .record import Record
 
@@ -38,30 +39,12 @@ def verify_division(f: Poly, g: Poly, q: Poly) -> bool:
     return is_ghost_poly(s) and e_equiv(s.nu(), f.nu())
 
 
-def _without(fact: Factorization, kind: str, index: int = 0) -> Factorization:
-    # One copy of the chosen factor removed; the lead stays put.
-    left, right = fact.left_ghost, fact.right_ghost
-    linears, quads = list(fact.linears), list(fact.quadratics)
-    if kind == "left":
-        left = None
-    elif kind == "right":
-        right = None
-    elif kind == "linear":
-        a, m = linears[index]
-        linears[index:index + 1] = [(a, m - 1)] if m > 1 else []
-    elif kind == "quad":
-        b, c, m = quads[index]
-        quads[index:index + 1] = [(b, c, m - 1)] if m > 1 else []
-    return Factorization(lead=fact.lead, power=fact.power, left_ghost=left,
-                         right_ghost=right, linears=tuple(linears),
-                         quadratics=tuple(quads))
-
-
 def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
     """Witness that x + a divides f, or None when a is not a root.
 
-    The quotient replaces the factor of f whose root interval contains a:
-    a matching linear or a ghost boundary factor contributes a scalar, a
+    The quotient replaces the first factor of f (in `Factorization.parts`
+    order) whose root interval contains a: a matching linear or right
+    ghost contributes One, a left ghost x^nu + b the scalar b - a, and a
     quadratic with c - b <= a <= b contributes x + (c - a).  Everything
     else joins the quotient with its layers forgotten.
     """
@@ -97,19 +80,20 @@ def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
         lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
         return witness(Poly.product([lead, *map(linear_factor, corners)]))
 
-    for i, (r, _) in enumerate(fact.linears):
-        if r == a:
-            return witness(expand(_without(fact, "linear", i)).hat())
-    for i, (b, c, _) in enumerate(fact.quadratics):
-        if c - b <= a <= b:
-            rest = expand(_without(fact, "quad", i)).hat()
-            return witness(rest * linear_factor(c - a))
-    if fact.right_ghost is not None and a <= fact.right_ghost:
-        return witness(expand(_without(fact, "right")).hat())
-    if fact.left_ghost is not None and a >= fact.left_ghost:
-        rest = expand(_without(fact, "left")).hat()
-        return witness(rest.scale(tangible(fact.left_ghost - a)))
-    raise AssertionError(f"root {a} not covered by any factor of {f}")
+    parts = fact.parts()
+    for k, (lo, hi, _, _) in enumerate(parts):
+        if lo <= a <= hi:
+            break
+    else:
+        raise AssertionError(f"root {a} not covered by any factor of {f}")
+    # One copy of the factor found is replaced; the lead stays put.
+    factors = [Poly.monomial(fact.power, fact.lead),
+               *(p ** (m - (j == k)) for j, (_, _, m, p) in enumerate(parts))]
+    if NEG_INF < lo < hi < POS_INF:
+        factors.append(linear_factor(lo + hi - a))  # quadratic: c - a
+    elif hi == POS_INF:
+        factors.append(Poly.constant(tangible(lo - a)))  # left ghost
+    return witness(Poly.product(factors))
 
 
 def radical_member_check(a: Poly, k: int, b: Poly, q: Poly) -> bool:

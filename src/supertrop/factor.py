@@ -29,8 +29,7 @@ from .poly import Poly, canonical_full, e_equiv, full_from_corners, tangible_roo
 from .record import Record
 
 
-def linear_factor(a: Fraction) -> Poly:
-    return Poly({1: ONE, 0: tangible(a)})
+linear_factor = Poly.linear
 
 
 def quadratic_factor(b: Fraction, c: Fraction) -> Poly:
@@ -83,18 +82,26 @@ class Factorization(Record):
         super().__init__(lead, power, left_ghost, right_ghost, linears,
                          quadratics)
 
+    def parts(self) -> list[tuple]:
+        """Each non-scalar factor as (lo, hi, multiplicity, polynomial).
+
+        [lo, hi] is the factor's root interval.  Linears come first, then
+        quadratics, the right ghost and the left ghost: the order in which
+        `divides_linear` looks for the factor that holds a root.
+        """
+        out = [(a, a, m, linear_factor(a)) for a, m in self.linears]
+        out += [(c - b, b, m, quadratic_factor(b, c))
+                for b, c, m in self.quadratics]
+        right, left = self.right_ghost, self.left_ghost
+        if right is not None:
+            out.append((NEG_INF, right, 1, right_ghost_factor(right)))
+        if left is not None:
+            out.append((left, POS_INF, 1, left_ghost_factor(left)))
+        return out
+
     def factor_intervals(self) -> list[tuple]:
         """Root interval of each non-scalar factor, with multiplicity."""
-        out: list[tuple] = []
-        if self.left_ghost is not None:
-            out.append((self.left_ghost, POS_INF, 1))
-        if self.right_ghost is not None:
-            out.append((NEG_INF, self.right_ghost, 1))
-        for a, m in self.linears:
-            out.append((a, a, m))
-        for b, c, m in self.quadratics:
-            out.append((c - b, b, m))
-        return out
+        return [(lo, hi, m) for lo, hi, m, _ in self.parts()]
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -169,34 +176,23 @@ def factor_min_ghosts(f: Poly) -> Factorization:
 
 def expand(fact: Factorization) -> Poly:
     """Multiply the factorization back out."""
-    factors = [Poly.monomial(fact.power, fact.lead)]
-    if fact.left_ghost is not None:
-        factors.append(left_ghost_factor(fact.left_ghost))
-    if fact.right_ghost is not None:
-        factors.append(right_ghost_factor(fact.right_ghost))
-    factors.extend(linear_factor(a) ** m for a, m in fact.linears)
-    factors.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
-    return Poly.product(factors)
+    return Poly.product([Poly.monomial(fact.power, fact.lead),
+                         *(p ** m for _, _, m, p in fact.parts())])
 
 
 def split_tan_intan(f: Poly) -> tuple[Poly, Poly]:
     """Monic tangible and intangible components of f.
 
     The tangible component collects the power of x and all tangible linear
-    factors; the intangible component collects the ghost boundary factors
-    and the irreducible quadratics.  Together with the lead they multiply
-    back to f.
+    factors (the factors whose root interval is a point); the intangible
+    component collects the ghost boundary factors and the irreducible
+    quadratics.  Together with the lead they multiply back to f.
     """
     fact = factor_min_ghosts(f)
-    tan = Poly.product([Poly.monomial(fact.power),
-                        *(linear_factor(a) ** m for a, m in fact.linears)])
-    intan = [Poly.constant(ONE)]
-    if fact.left_ghost is not None:
-        intan.append(left_ghost_factor(fact.left_ghost))
-    if fact.right_ghost is not None:
-        intan.append(right_ghost_factor(fact.right_ghost))
-    intan.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
-    return tan, Poly.product(intan)
+    tan, intan = [Poly.monomial(fact.power)], [Poly.constant(ONE)]
+    for lo, hi, m, p in fact.parts():
+        (tan if lo == hi else intan).append(p ** m)
+    return Poly.product(tan), Poly.product(intan)
 
 
 def e_divides(g: Poly, f: Poly) -> bool:
@@ -224,16 +220,14 @@ def e_divides(g: Poly, f: Poly) -> bool:
     leftover = sorted((f_corners - g_corners).elements())
     f_roots = tangible_roots(f).intervals
 
-    t = len(leftover)
-    flags = [False] * (t + 1)
-    if t == 0:
-        flags[0] = ff.all_ghost
-    else:
-        flags[0] = f_roots.contains_set(IntervalSet.of([(NEG_INF, leftover[0])]))
-        flags[t] = f_roots.contains_set(IntervalSet.of([(leftover[-1], POS_INF)]))
-        for i in range(1, t):
-            flags[i] = f_roots.contains_set(
-                IntervalSet.of([(leftover[i - 1], leftover[i])]))
+    # Cofactor slot i dominates [bounds[i], bounds[i+1]] and is ghost when
+    # f's roots cover that span.  With no leftover corner the span is the
+    # whole line, covered exactly when f is all ghost: a tangible slot of a
+    # canonical form is a strict hull vertex, so it leaves an open gap in
+    # the root set.
+    bounds = [NEG_INF, *leftover, POS_INF]
+    flags = [f_roots.contains_set(IntervalSet.of([span]))
+             for span in zip(bounds, bounds[1:])]
     lead_mag = ff.coeffs[ff.hi].mag - gf.coeffs[gf.hi].mag
     h = full_from_corners(leftover, flags, lead_mag, shift=ff.shift - gf.shift)
     return e_equiv(g * h, f)

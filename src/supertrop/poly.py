@@ -68,14 +68,6 @@ class Poly(SparsePoly):
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
-    def constant(c: Element) -> "Poly":
-        return Poly({0: c})
-
-    @staticmethod
     def monomial(deg: int, coeff: Element = ONE) -> "Poly":
         return Poly({deg: coeff})
 
@@ -131,8 +123,7 @@ class Poly(SparsePoly):
         m = self.degree
         if set(self._coeffs) != set(range(m + 1)):
             return False
-        mags = [self._coeffs[i].mag for i in range(m + 1)]
-        corners = [mags[i - 1] - mags[i] for i in range(1, m + 1)]
+        corners = _corners(self.coeff_vector())
         return all(a <= b for a, b in zip(corners, corners[1:]))
 
     # -- arithmetic -------------------------------------------------------
@@ -184,6 +175,13 @@ class Poly(SparsePoly):
 # -- canonical full form ----------------------------------------------------
 
 
+def _corners(coeffs: Sequence[Element]) -> list[Fraction]:
+    """Corner roots of a full coefficient vector, constant first: the
+    magnitude differences coeffs[i-1] - coeffs[i]."""
+    mags = [c.mag for c in coeffs]
+    return [a - b for a, b in zip(mags, mags[1:])]
+
+
 class FullPoly(Record):
     """Canonical full form: shift records the extracted power of x.
 
@@ -212,8 +210,7 @@ class FullPoly(Record):
         return all(c.is_ghost for c in self.coeffs)
 
     def corner_roots(self) -> tuple[Fraction, ...]:
-        mags = [c.mag for c in self.coeffs]
-        return tuple(mags[i - 1] - mags[i] for i in range(1, len(mags)))
+        return tuple(_corners(self.coeffs))
 
     def to_poly(self) -> Poly:
         return Poly({self.shift + i: c for i, c in enumerate(self.coeffs)})

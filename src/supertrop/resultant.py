@@ -20,7 +20,7 @@ same value live here on purpose, as its oracles and cross-checks:
 * `resultant_recursive`  constant-term peeling recursion,
 * `resultant_tangible_product`  closed form for tangible inputs,
 * `resultant_quadratic`  closed form against a monic quadratic,
-* `resultant_nu`         ghost value by the product formula on hatted roots.
+* `resultant_nu`         ghost value by the same corner-root product rule.
 
 `resultant_nu_assignment` is the ghost image of `resultant`.  `METHODS`
 names the resultant routes for the CLI and the example corpus.
@@ -32,9 +32,9 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .element import Element, ONE, ZERO, tangible
+from .element import Element, ONE, ZERO
 from .intervals import Endpoint, RootSet
-from .poly import Poly, _root_set, canonical_full
+from .poly import Poly, _corners, _root_set, canonical_full
 from .record import Record
 
 Grid = list[list]
@@ -234,26 +234,21 @@ def resultant_dp(f: Poly, g: Poly, canonical: bool = True) -> Element:
     return permanent(sylvester_vectors(*_vectors(f, g, canonical)))
 
 
-def resultant_nu(f: Poly, g: Poly) -> Element:
-    """Ghost value of the resultant, via the product formula on hatted roots.
-
-    Both inputs are canonicalized; the corner roots are read off with layers
-    forgotten and fed to the tangible product formula, and the result is
-    pushed to the ghost layer.  Agrees with nu(resultant(f, g)) always.
-    """
-    fv, gv = _vectors(f, g, True)
+def _product_rule(fv, gv) -> Element:
+    """lead_f^n * lead_g^m * prod over corner-root pairs (a, b) of (a + b),
+    for full coefficient vectors of degrees m and n.  Taken on magnitudes:
+    a pair adds max(a, b), and a tie a = b makes the value ghost."""
     m, n = len(fv) - 1, len(gv) - 1
-    if n == 0:
-        return (gv[0] ** m).nu()
-    if m == 0:
-        return (fv[0] ** n).nu()
-    out = fv[m].hat() ** n * gv[n].hat() ** m
-    f_roots = [fv[i - 1].mag - fv[i].mag for i in range(1, m + 1)]
-    g_roots = [gv[j - 1].mag - gv[j].mag for j in range(1, n + 1)]
-    for a in f_roots:
-        for b in g_roots:
-            out = out * tangible(max(a, b))
-    return out.nu()
+    ca, cb = _corners(fv), _corners(gv)
+    return fv[m] ** n * gv[n] ** m * Element(
+        sum([max(a, b) for a in ca for b in cb], Fraction(0)),
+        not set(ca).isdisjoint(cb))
+
+
+def resultant_nu(f: Poly, g: Poly) -> Element:
+    """Ghost value of the resultant: the product rule on the canonical
+    vectors, pushed to the ghost layer.  Agrees with nu(resultant(f, g))."""
+    return _product_rule(*_vectors(f, g, True)).nu()
 
 
 def resultant_nu_assignment(f: Poly, g: Poly, canonical: bool = True) -> Element:
@@ -304,24 +299,12 @@ def _res_rec(fv: tuple, gv: tuple) -> Element:
 
 
 def resultant_tangible_product(f: Poly, g: Poly) -> Element:
-    """Product formula for full tangible polynomials.
-
-    res(f, g) = lead_f^n * lead_g^m * prod over all corner root pairs of
-    (a_i + b_j); a tie a_i = b_j is what makes the value ghost.
-    """
+    """The corner-root product rule, for full tangible polynomials."""
     for p in (f, g):
         if p.is_zero or not p.is_full() or p.ldeg != 0 or not p.all_tangible():
             raise ValueError("product rule needs full tangible polynomials "
                              "with nonzero constant term")
-    fv, gv = tuple(f.coeff_vector()), tuple(g.coeff_vector())
-    m, n = len(fv) - 1, len(gv) - 1
-    out = fv[m] ** n * gv[n] ** m
-    f_roots = [fv[i - 1].mag - fv[i].mag for i in range(1, m + 1)]
-    g_roots = [gv[j - 1].mag - gv[j].mag for j in range(1, n + 1)]
-    for a in f_roots:
-        for b in g_roots:
-            out = out * (tangible(a) + tangible(b))
-    return out
+    return _product_rule(f.coeff_vector(), g.coeff_vector())
 
 
 def resultant_quadratic(f: Poly, g: Poly) -> Element:

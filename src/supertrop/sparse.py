@@ -124,6 +124,15 @@ class SparsePoly:
         object.__setattr__(out, "_coeffs", terms)
         return out
 
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def constant(cls, c: Element):
+        # Through the constructor, so that a Zero constant is dropped.
+        return cls({cls._unit: c})
+
     @property
     def is_zero(self) -> bool:
         return not self._coeffs

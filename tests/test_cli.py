@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import importlib
 import io
 import json
 import os
@@ -171,6 +172,30 @@ def test_parse_error_for_deep_nesting(capsys):
     code, _, err = run(capsys, "canon", "(" * 3000 + "x" + ")" * 3000)
     assert code == 1
     assert err.startswith("parse error: nesting too deep")
+
+
+def test_corpus_entry_without_kind_is_a_domain_error(capsys, monkeypatch):
+    # A missing kind is a fault of the corpus, like an unknown kind: exit
+    # 2, not a KeyError with the parse-error code.
+    from supertrop import checks
+    monkeypatch.setattr(checks, "load_corpus", lambda: [{"name": "no kind"}])
+    code, _, err = run(capsys, "selfcheck", "--only", "corpus")
+    assert code == 2
+    assert err.startswith("error: unknown corpus entry kind None")
+
+
+def test_failed_runtime_cross_check_exits_3(capsys, monkeypatch):
+    # `decide` cross-checks the engine against the root sets; a failure is
+    # a bug in the library, reported with the self-check code.  The package
+    # attribute `supertrop.resultant` is the function, hence import_module.
+    module = importlib.import_module("supertrop.resultant")
+    real = module._permanent_assignment
+    monkeypatch.setattr(module, "_permanent_assignment",
+                        lambda rows: real(rows).nu())
+    code, out, err = run(capsys, "relprime", "x + 1", "x + 2")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal check failed: ")
+    assert "resultant and root sets disagree" in err
 
 
 def test_selfcheck_fails_under_optimize():

@@ -44,6 +44,14 @@ def test_divides_linear_examples():
     assert divides_linear(P("(x+1)*(x+2)"), Fraction(3)) is None
 
 
+def test_divides_linear_searches_linears_before_quadratics():
+    # 2 is the linear factor's root and lies inside the quadratic's root
+    # interval [1, 3]; the linear is dropped, not the quadratic replaced
+    # (which would give x^2 + 2*x + 4).
+    w = divides_linear(P("x^3 + 3v*x^2 + 5v*x + 6"), 2)
+    assert w.q == P("x^2 + 3*x + 4")
+
+
 def test_divides_linear_rejects_constants():
     with pytest.raises(ValueError):
         divides_linear(P("5"), Fraction(1))

@@ -1,15 +1,19 @@
 """Factorization with minimal ghosts, expansion, divisibility."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertrop import (Factorization, IntervalSet, ONE, Poly, e_divides,
-                       e_equiv, expand, factor_min_ghosts, left_ghost_factor,
-                       linear_factor, parse_poly, quadratic_factor,
-                       right_ghost_factor, split_tan_intan, tangible,
-                       tangible_roots)
+from supertrop import (DivisionWitness, Factorization, IntervalSet, ONE, Poly,
+                       divides_linear, e_divides, e_equiv, expand,
+                       factor_min_ghosts, left_ghost_factor, linear_factor,
+                       parse_poly, quadratic_factor, right_ghost_factor,
+                       split_tan_intan, tangible, tangible_roots)
 from supertrop.checks import Gen
+from supertrop.intervals import NEG_INF, POS_INF
+from supertrop.poly import canonical_full, full_from_corners
 
 P = parse_poly
 
@@ -130,3 +134,174 @@ def test_scaled_inputs_factor():
         fact = factor_min_ghosts(f)
         assert e_equiv(expand(fact), f)
         assert fact.lead == f.coeff(f.degree)
+
+
+# -- oracles: the readers of the factor table before `Factorization.parts` ----
+
+
+def expand_oracle(fact):
+    """`expand` listing the four factor kinds itself."""
+    factors = [Poly.monomial(fact.power, fact.lead)]
+    if fact.left_ghost is not None:
+        factors.append(left_ghost_factor(fact.left_ghost))
+    if fact.right_ghost is not None:
+        factors.append(right_ghost_factor(fact.right_ghost))
+    factors.extend(linear_factor(a) ** m for a, m in fact.linears)
+    factors.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
+    return Poly.product(factors)
+
+
+def split_tan_intan_oracle(f):
+    """`split_tan_intan` listing the four factor kinds itself."""
+    fact = factor_min_ghosts(f)
+    tan = Poly.product([Poly.monomial(fact.power),
+                        *(linear_factor(a) ** m for a, m in fact.linears)])
+    intan = [Poly.constant(ONE)]
+    if fact.left_ghost is not None:
+        intan.append(left_ghost_factor(fact.left_ghost))
+    if fact.right_ghost is not None:
+        intan.append(right_ghost_factor(fact.right_ghost))
+    intan.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
+    return tan, Poly.product(intan)
+
+
+def e_divides_oracle(g, f):
+    """`e_divides` with its cofactor flags set bound by bound."""
+    if g.is_zero:
+        return f.is_zero
+    if f.is_zero:
+        return True
+    gf = canonical_full(g)
+    ff = canonical_full(f)
+    if gf.shift > ff.shift:
+        return False
+    g_corners = Counter(gf.corner_roots())
+    f_corners = Counter(ff.corner_roots())
+    if g_corners - f_corners:
+        return False
+    leftover = sorted((f_corners - g_corners).elements())
+    f_roots = tangible_roots(f).intervals
+
+    t = len(leftover)
+    flags = [False] * (t + 1)
+    if t == 0:
+        flags[0] = ff.all_ghost
+    else:
+        flags[0] = f_roots.contains_set(IntervalSet.of([(NEG_INF, leftover[0])]))
+        flags[t] = f_roots.contains_set(IntervalSet.of([(leftover[-1], POS_INF)]))
+        for i in range(1, t):
+            flags[i] = f_roots.contains_set(
+                IntervalSet.of([(leftover[i - 1], leftover[i])]))
+    lead_mag = ff.coeffs[ff.hi].mag - gf.coeffs[gf.hi].mag
+    h = full_from_corners(leftover, flags, lead_mag, shift=ff.shift - gf.shift)
+    return e_equiv(g * h, f)
+
+
+def _without_oracle(fact, kind, index=0):
+    # One copy of the chosen factor removed, through a new Factorization.
+    left, right = fact.left_ghost, fact.right_ghost
+    linears, quads = list(fact.linears), list(fact.quadratics)
+    if kind == "left":
+        left = None
+    elif kind == "right":
+        right = None
+    elif kind == "linear":
+        a, m = linears[index]
+        linears[index:index + 1] = [(a, m - 1)] if m > 1 else []
+    elif kind == "quad":
+        b, c, m = quads[index]
+        quads[index:index + 1] = [(b, c, m - 1)] if m > 1 else []
+    return Factorization(lead=fact.lead, power=fact.power, left_ghost=left,
+                         right_ghost=right, linears=tuple(linears),
+                         quadratics=tuple(quads))
+
+
+def divides_linear_oracle(f, a):
+    """`divides_linear` searching each factor kind in turn, on `_without`."""
+    if a not in tangible_roots(f):
+        return None
+    fact = factor_min_ghosts(f)
+
+    def witness(q):
+        q = q.hat()
+        return DivisionWitness(q=q, ghost_sum=f + q * linear_factor(a))
+
+    if fact.lead.is_ghost:
+        corners = [r for r, m in fact.linears for _ in range(m)]
+        if not corners:
+            return None
+        above = [r for r in corners if r >= a]
+        scale = Fraction(0)
+        if above:
+            corners.remove(min(above))
+        else:
+            scale = corners[-1] - a
+            corners.pop()
+        lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
+        return witness(Poly.product([lead, *map(linear_factor, corners)]))
+
+    for i, (r, _) in enumerate(fact.linears):
+        if r == a:
+            return witness(expand(_without_oracle(fact, "linear", i)).hat())
+    for i, (b, c, _) in enumerate(fact.quadratics):
+        if c - b <= a <= b:
+            rest = expand(_without_oracle(fact, "quad", i)).hat()
+            return witness(rest * linear_factor(c - a))
+    if fact.right_ghost is not None and a <= fact.right_ghost:
+        return witness(expand(_without_oracle(fact, "right")).hat())
+    if fact.left_ghost is not None and a >= fact.left_ghost:
+        rest = expand(_without_oracle(fact, "left")).hat()
+        return witness(rest.scale(tangible(fact.left_ghost - a)))
+    raise AssertionError(f"root {a} not covered by any factor of {f}")
+
+
+# Halves, so that corner roots repeat and probes land on them.
+CORNERS = [Fraction(k, 2) for k in range(-6, 7)]
+
+
+@st.composite
+def factor_inputs(draw, max_corners=6):
+    """Nonconstant polynomials read off a corner sequence.
+
+    Corners repeat (ties), slots are ghost at random, all ghost or all
+    tangible, leads are scaled and a power of x may divide.  Half the draws
+    drop interior slots, which the canonical form fills in again.
+    """
+    h = draw(st.integers(1, max_corners))
+    corners = sorted(draw(st.lists(st.sampled_from(CORNERS),
+                                   min_size=h, max_size=h)))
+    layer = draw(st.sampled_from([st.booleans(), st.just(True),
+                                  st.just(False)]))
+    flags = [draw(layer) for _ in range(h + 1)]
+    lead = draw(st.sampled_from([0, 0, Fraction(7, 3), -5]))
+    f = full_from_corners(corners, flags, lead, draw(st.integers(0, 2)))
+    if h > 1 and draw(st.booleans()):
+        drop = draw(st.sets(st.integers(f.ldeg + 1, f.degree - 1)))
+        f = Poly({d: c for d, c in f.items() if d not in drop})
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_inputs())
+def test_expand_and_split_match_the_four_branch_oracles(f):
+    fact = factor_min_ghosts(f)
+    assert expand(fact) == expand_oracle(fact)
+    assert split_tan_intan(f) == split_tan_intan_oracle(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_inputs(4), factor_inputs(4), st.booleans())
+def test_e_divides_matches_the_flag_block_oracle(g, h, product):
+    f = g * h if product else h
+    assert e_divides(g, f) == e_divides_oracle(g, f)
+    assert e_divides(f, g) == e_divides_oracle(f, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_inputs(), st.lists(st.sampled_from(CORNERS + [Fraction(1, 4)]),
+                                 min_size=1, max_size=6))
+def test_divides_linear_matches_the_without_oracle(f, probes):
+    probes = probes + [a for lo, hi in tangible_roots(f).intervals
+                        for a in (lo, hi) if isinstance(a, Fraction)]
+    for a in probes:
+        assert divides_linear(f, a) == divides_linear_oracle(f, a), (f, a)

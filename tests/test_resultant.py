@@ -217,6 +217,63 @@ def test_nu_routes_agree():
         assert resultant_nu(f, g).in_ghost_ideal
 
 
+# -- oracles: the corner-root loops before the one product rule --------------
+
+
+def resultant_nu_oracle(f, g):
+    """`resultant_nu` multiplying one Element per corner-root pair."""
+    fv, gv = canonical_full(f).coeffs, canonical_full(g).coeffs
+    m, n = len(fv) - 1, len(gv) - 1
+    if n == 0:
+        return (gv[0] ** m).nu()
+    if m == 0:
+        return (fv[0] ** n).nu()
+    out = fv[m].hat() ** n * gv[n].hat() ** m
+    f_roots = [fv[i - 1].mag - fv[i].mag for i in range(1, m + 1)]
+    g_roots = [gv[j - 1].mag - gv[j].mag for j in range(1, n + 1)]
+    for a in f_roots:
+        for b in g_roots:
+            out = out * tangible(max(a, b))
+    return out.nu()
+
+
+def tangible_product_oracle(f, g):
+    """`resultant_tangible_product` as a product of sums a_i + b_j."""
+    fv, gv = f.coeff_vector(), g.coeff_vector()
+    m, n = len(fv) - 1, len(gv) - 1
+    out = fv[m] ** n * gv[n] ** m
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            out = out * (tangible(fv[i - 1].mag - fv[i].mag)
+                         + tangible(gv[j - 1].mag - gv[j].mag))
+    return out
+
+
+@st.composite
+def tangible_full(draw):
+    """Full tangible polynomials with repeated corners and a scaled lead."""
+    h = draw(st.integers(0, 6))
+    corners = sorted(draw(st.lists(st.sampled_from(MAGS), min_size=h,
+                                   max_size=h)))
+    lead = draw(st.sampled_from([0, Fraction(5, 3), -2]))
+    return full_from_corners(corners, [False] * (h + 1), lead)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), polys())
+def test_resultant_nu_matches_the_pair_loop(f, g):
+    if f.is_zero or g.is_zero:
+        return
+    assert resultant_nu(f, g) == resultant_nu_oracle(f, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tangible_full(), tangible_full())
+def test_tangible_product_matches_the_pair_loop(f, g):
+    assert resultant_tangible_product(f, g) == tangible_product_oracle(f, g)
+    assert resultant_nu(f, g) == resultant_nu_oracle(f, g)
+
+
 def test_recursive_matches_permanent():
     gen = Gen(305)
     for _ in range(150):
