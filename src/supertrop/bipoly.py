@@ -57,9 +57,6 @@ class BiPoly(SparsePoly):
                 data[(i, j)] = c
         object.__setattr__(self, "_coeffs", data)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
     @staticmethod
     def monomial(i: int, j: int, coeff: Element = ONE) -> "BiPoly":
         return BiPoly({(i, j): coeff})

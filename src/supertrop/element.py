@@ -52,6 +52,9 @@ class Element:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Element is immutable")
 
+    def __reduce__(self):
+        return Element, (self.mag, self.is_ghost)
+
     # -- kind predicates ---------------------------------------------------
 
     @property

@@ -53,7 +53,7 @@ class Poly(SparsePoly):
     max-plus convolution; there is no subtraction.
     """
 
-    __slots__ = ()
+    __slots__ = ("_full",)  # the canonical form, once taken
 
     def __init__(self, coeffs: Mapping[int, Element] | None = None):
         clean: dict[int, Element] = {}
@@ -63,7 +63,7 @@ class Poly(SparsePoly):
                     raise ValueError(f"bad monomial degree: {deg!r}")
                 if not c.is_zero:
                     clean[deg] = c
-        self._coeffs = clean
+        object.__setattr__(self, "_coeffs", clean)
 
     # -- constructors --------------------------------------------------
 
@@ -245,13 +245,17 @@ def canonical_full(f: Poly) -> FullPoly:
     under the upper concave hull of (degree, magnitude), hull vertices keep
     their original coefficient, and all other slots become ghosts of the hull
     magnitude.  Idempotent, and equal canonical forms characterize equality
-    of polynomial functions.
+    of polynomial functions.  A Poly never changes, so it keeps its form:
+    the hull is taken at most once per object.
 
     The hull is taken on integers: magnitudes are scaled once by the lcm
     `den` of their denominators.  The slots strictly inside a hull segment
     from (x0, y0) to (x0 + dx, y0 + dy) get the ghosts of
     (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one Fraction each.
     """
+    full = getattr(f, "_full", None)
+    if full is not None:
+        return full
     if f.is_zero:
         raise ValueError("the zero polynomial has no canonical full form")
     shift = f.ldeg
@@ -271,7 +275,9 @@ def canonical_full(f: Poly) -> FullPoly:
         coeffs.append(f.coeff(shift + x1))
         flags.append(True)
         x0, y0 = x1, y1
-    return FullPoly(shift, tuple(coeffs), tuple(flags))
+    full = FullPoly(shift, tuple(coeffs), tuple(flags))
+    object.__setattr__(f, "_full", full)
+    return full
 
 
 def essential_part(f: Poly) -> Poly:
@@ -308,19 +314,14 @@ def tangible_roots(f: Poly) -> RootSet:
     its whole closed dominance region [a_i, a_{i+1}] roots; the extreme
     regions are unbounded.  The flag records a root at -inf (positive shift
     or ghost constant term).
+
+    One left-to-right pass: slot i dominates [a_i, a_{i+1}] (a_0 = -inf,
+    a_{h+1} = +inf) and the corner a_{i+1} is a root in any case, so slot i
+    adds the piece [a_i, a_{i+1}] when it is ghost and the point a_{i+1}
+    otherwise.  The pieces come with nondecreasing ends, so each one either
+    extends the last interval or starts a new one to its right.
     """
-    return _root_set(canonical_full(f))
-
-
-def _root_set(full: FullPoly) -> RootSet:
-    """`tangible_roots` of a canonical full form, in one left-to-right pass.
-
-    Slot i dominates [a_i, a_{i+1}] (a_0 = -inf, a_{h+1} = +inf) and the
-    corner a_{i+1} is a root in any case, so slot i adds the piece
-    [a_i, a_{i+1}] when it is ghost and the point a_{i+1} otherwise.  The
-    pieces come with nondecreasing ends, so each one either extends the
-    last interval or starts a new one to its right.
-    """
+    full = canonical_full(f)
     merged: list[tuple[Endpoint, Endpoint]] = []
     lo: Endpoint = NEG_INF
     for c, hi in zip(full.coeffs, (*full.corner_roots(), POS_INF)):
@@ -400,14 +401,10 @@ def classify_half_tangible(f: Poly) -> tuple[Side, Fraction] | None:
     (-inf, a]).  The bottom element is not an argument here.  Returns None
     when neither pattern matches.
     """
-    return _half_tangible(tangible_roots(f))
-
-
-def _half_tangible(roots: RootSet) -> tuple[Side, Fraction] | None:
-    """`classify_half_tangible` read off a tangible root set."""
-    if len(roots.intervals.intervals) != 1:
+    intervals = tangible_roots(f).intervals.intervals
+    if len(intervals) != 1:
         return None
-    lo, hi = roots.intervals.intervals[0]
+    lo, hi = intervals[0]
     if isinstance(lo, Fraction) and hi == POS_INF:
         return (Side.LEFT, lo)
     if lo == NEG_INF and isinstance(hi, Fraction):
@@ -454,9 +451,7 @@ def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
         raise ValueError("ghost-sum analysis needs two non-monomial polynomials")
     if not is_ghost_poly(f + g):
         return NotGhostSum()
-    # One canonical form per input serves both tests below.
-    roots_f, roots_g = tangible_roots(f), tangible_roots(g)
-    common = roots_f.intervals.intersect(roots_g.intervals)
+    common = tangible_roots(f).intervals.intersect(tangible_roots(g).intervals)
     if not common.is_empty:
         witness = common.leftmost_finite()
         # Invariants raise rather than assert, so that -O keeps them.
@@ -464,8 +459,8 @@ def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
             raise AssertionError(("nonempty common root set without a "
                                   "finite point", f, g, common))
         return CommonRoot(witness)
-    cf = _half_tangible(roots_f)
-    cg = _half_tangible(roots_g)
+    cf = classify_half_tangible(f)
+    cg = classify_half_tangible(g)
     if cf is None or cg is None or cf[0] == cg[0]:
         raise ArithmeticError("ghost sum without common root or opposite "
                               "half-tangible shapes; input outside the theory")

@@ -34,7 +34,7 @@ from math import lcm
 
 from .element import Element, ONE, ZERO
 from .intervals import Endpoint, RootSet
-from .poly import Poly, _corners, _root_set, canonical_full
+from .poly import Poly, _corners, canonical_full, tangible_roots
 from .record import Record
 
 Grid = list[list]
@@ -271,31 +271,40 @@ def resultant_recursive(f: Poly, g: Poly) -> Element:
         res(f, g) = alpha_0 * res(f, g^(1)) + beta_0 * res(f^(1), g)
 
     with closed forms against linear and constant arguments as base cases.
+    Every pair reached is (f^(i), g^(j)), so the recursion is memoized on
+    the offsets i and j: (m+1)(n+1) states rather than about C(m+n, m)
+    calls.
     """
     for p in (f, g):
         if p.is_zero or not p.is_full() or p.ldeg != 0:
             raise ValueError("recursive resultant needs full polynomials "
                              "with nonzero constant term")
-    return _res_rec(tuple(f.coeff_vector()), tuple(g.coeff_vector()))
+    fv, gv = tuple(f.coeff_vector()), tuple(g.coeff_vector())
+    memo: dict[tuple[int, int], Element] = {}
 
+    def res(i: int, j: int) -> Element:
+        m, n = len(fv) - 1 - i, len(gv) - 1 - j
+        if n == 0:
+            return gv[j] ** m
+        if m == 0:
+            return fv[i] ** n
+        if n == 1:
+            total = ZERO
+            for k, a in enumerate(fv[i:]):
+                total = total + a * gv[j] ** k * gv[j + 1] ** (m - k)
+            return total
+        if m == 1:
+            total = ZERO
+            for k, b in enumerate(gv[j:]):
+                total = total + b * fv[i] ** k * fv[i + 1] ** (n - k)
+            return total
+        # A plain dict rather than functools.cache, whose wrapper would
+        # double the stack depth per level.
+        if (i, j) not in memo:
+            memo[i, j] = fv[i] * res(i, j + 1) + gv[j] * res(i + 1, j)
+        return memo[i, j]
 
-def _res_rec(fv: tuple, gv: tuple) -> Element:
-    m, n = len(fv) - 1, len(gv) - 1
-    if n == 0:
-        return gv[0] ** m
-    if m == 0:
-        return fv[0] ** n
-    if n == 1:
-        total = ZERO
-        for i, a in enumerate(fv):
-            total = total + a * gv[0] ** i * gv[1] ** (m - i)
-        return total
-    if m == 1:
-        total = ZERO
-        for j, b in enumerate(gv):
-            total = total + b * fv[0] ** j * fv[1] ** (n - j)
-        return total
-    return fv[0] * _res_rec(fv, gv[1:]) + gv[0] * _res_rec(fv[1:], gv)
+    return res(0, 0)
 
 
 def resultant_tangible_product(f: Poly, g: Poly) -> Element:
@@ -381,14 +390,13 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
     for p in (f, g):
         if p.is_zero or p.degree == 0:
             raise ValueError("relative primeness needs nonconstant polynomials")
-    ff, gf = canonical_full(f), canonical_full(g)
-    r = _permanent_assignment(sylvester_vectors(ff.coeffs, gf.coeffs))
-    common = _root_set(ff).intersect(_root_set(gf))
+    r = resultant(f, g)
+    common = tangible_roots(f).intersect(tangible_roots(g))
     # Root sharing and non-tangible resultant must agree; a failure here
     # is a bug in one of the two routes (the engine's uniqueness test and
-    # the root-set intersection read the shared canonical forms
-    # independently).  Raised rather than asserted, so that -O keeps the
-    # check and selfcheck reports it as a failure.
+    # the root-set intersection read the canonical forms independently).
+    # Raised rather than asserted, so that -O keeps the check and
+    # selfcheck reports it as a failure.
     if r.in_ghost_ideal != (not common.intervals.is_empty):
         raise AssertionError(("resultant and root sets disagree",
                               f, g, r, common))

@@ -4,7 +4,10 @@ A polynomial is a dict from exponents to Elements that never holds Zero.
 The exponent is an int in one variable (`Poly`) and a pair (i, j) in two
 (`BiPoly` and the parser).  Sums and products of nonzero elements are
 nonzero, so results keep that invariant with no filtering.  Nothing
-mutates a map once it is built, so the wrappers share them freely.
+mutates a map once it is built, so the wrappers share them freely.  The
+wrapper's guard enforces this: assigning or deleting an attribute raises,
+so a wrapper holds one map for life, and what it derives from the map (a
+`Poly` keeps its canonical form) stays valid.
 
 Sums stay on the Elements: `terms_add` only compares magnitudes and keeps
 one of the summands, or makes a ghost copy on a tie, so it creates no new
@@ -123,6 +126,16 @@ class SparsePoly:
         out = object.__new__(cls)
         object.__setattr__(out, "_coeffs", terms)
         return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor.
+        return type(self), (self._coeffs,)
 
     @classmethod
     def zero(cls):

@@ -14,11 +14,12 @@ import supertrop.poly as M
 from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        IntervalSet, NotGhostSum, Poly, RootSet, Side,
                        add_shift, analyze_ghost_sum, canonical_full,
-                       classify_half_tangible, e_equiv, essential_part,
-                       frobenius, function_samples, ggraph, ghost,
-                       is_ghost_poly, mul_shift, parse_poly, tangible,
-                       tangible_domain, tangible_roots, NEG_INF, POS_INF,
-                       ZERO)
+                       classify_half_tangible, decide, divides_linear,
+                       e_divides, e_equiv, essential_part, frobenius,
+                       function_samples, ggraph, ghost, is_ghost_poly,
+                       mul_shift, parse_poly, resultant, resultant_nu,
+                       resultant_nu_assignment, tangible, tangible_domain,
+                       tangible_roots, NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
 
 P = parse_poly
@@ -306,22 +307,36 @@ def test_analyze_ghost_sum_examples():
 
 
 def test_analyze_ghost_sum_takes_one_canonical_form_per_polynomial(monkeypatch):
-    # f + g, f and g: three canonical forms on either path, shared between
-    # the common-root test and the half-tangible test.
-    calls = []
-    real = M.canonical_full
+    # Hull computations per call: a Poly keeps its canonical form, so each
+    # distinct polynomial costs one hull however many readers it has.
+    hulls = []
+    real = M._upper_hull
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    def counted(points):
+        hulls.append(points)
+        return real(points)
 
-    monkeypatch.setattr(M, "canonical_full", counted)
-    pairs = [(P("0v*x^2 + 1*x"), P("1*x + 0v")),
-             (P("(x+2)*(x+5v)*(x+8v)*(x+9)"), P("(x+3)*(x+4)*(0v*x+7)*(x+10)"))]
-    for f, g in pairs:
-        calls.clear()
-        analyze_ghost_sum(f, g)
-        assert calls == [f + g, f, g]
+    monkeypatch.setattr(M, "_upper_hull", counted)
+
+    def hulls_in(call):
+        hulls.clear()
+        call()
+        return len(hulls)
+
+    big = "(x+1)*(x+2)*(x^2+6v*x+7)"
+    # g, f and the product g*h with the cofactor.
+    assert hulls_in(lambda: e_divides(P("x+1"), P(big))) == 3
+    assert hulls_in(lambda: divides_linear(P(big), 1)) == 1
+    assert hulls_in(lambda: decide(P("(x+1)*(x+2)"), P("x+1"))) == 2
+    # f + g, f and g, on the half-tangible and the common-root path.
+    assert hulls_in(lambda: analyze_ghost_sum(P("0v*x^2 + 1*x"),
+                                              P("1*x + 0v"))) == 3
+    assert hulls_in(lambda: analyze_ghost_sum(
+        P("(x+2)*(x+5v)*(x+8v)*(x+9)"), P("(x+3)*(x+4)*(0v*x+7)*(x+10)"))) == 3
+    # The four calls of one resultant_sweep request share one pair.
+    f, g = P("(x+1)*(x+3v)*(x+4)"), P("x^2 + 2v*x + 1")
+    assert hulls_in(lambda: [fn(f, g) for fn in (
+        resultant, decide, resultant_nu, resultant_nu_assignment)]) == 2
 
 
 def test_analyze_ghost_sum_invariants_survive_optimize():
@@ -342,10 +357,10 @@ class Hollow:
         return None
 
 flip = {M.Side.LEFT: M.Side.RIGHT, M.Side.RIGHT: M.Side.LEFT}
-real = M._half_tangible
+real = M.classify_half_tangible
 patches = [
     ("tangible_roots", lambda p: types.SimpleNamespace(intervals=Hollow())),
-    ("_half_tangible", lambda r: (flip[real(r)[0]], real(r)[1])),
+    ("classify_half_tangible", lambda p: (flip[real(p)[0]], real(p)[1])),
 ]
 for name, fake in patches:
     saved = getattr(M, name)
@@ -364,7 +379,7 @@ for name, fake in patches:
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == [
         "tangible_roots nonempty common root set without a finite point",
-        "_half_tangible half-tangible thresholds out of order"]
+        "classify_half_tangible half-tangible thresholds out of order"]
 
 
 def test_layer_perturbation_keeps_ghost_sums_ghost():

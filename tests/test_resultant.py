@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import supertrop
 from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
@@ -272,6 +272,48 @@ def test_resultant_nu_matches_the_pair_loop(f, g):
 def test_tangible_product_matches_the_pair_loop(f, g):
     assert resultant_tangible_product(f, g) == tangible_product_oracle(f, g)
     assert resultant_nu(f, g) == resultant_nu_oracle(f, g)
+
+
+def recursive_oracle(fv, gv):
+    """`resultant_recursive` before its memo: about C(m+n, m) calls."""
+    m, n = len(fv) - 1, len(gv) - 1
+    if n == 0:
+        return gv[0] ** m
+    if m == 0:
+        return fv[0] ** n
+    if n == 1:
+        total = ZERO
+        for i, a in enumerate(fv):
+            total = total + a * gv[0] ** i * gv[1] ** (m - i)
+        return total
+    if m == 1:
+        total = ZERO
+        for j, b in enumerate(gv):
+            total = total + b * fv[0] ** j * fv[1] ** (n - j)
+        return total
+    return (fv[0] * recursive_oracle(fv, gv[1:])
+            + gv[0] * recursive_oracle(fv[1:], gv))
+
+
+@st.composite
+def layered_full(draw):
+    """Full polynomials up to degree 8 with any layers; corners from MAGS,
+    so they tie within and across the two inputs."""
+    h = draw(st.integers(0, 8))
+    corners = sorted(draw(st.lists(st.sampled_from(MAGS), min_size=h,
+                                   max_size=h)))
+    flags = draw(st.lists(st.booleans(), min_size=h + 1, max_size=h + 1))
+    lead = draw(st.sampled_from([0, Fraction(5, 3), -2]))
+    return full_from_corners(corners, flags, lead)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_full(), layered_full())
+@example(full_from_corners([-1, -1, 0, 0, 0, 1, 1, 1], [True, False] * 4 + [False]),
+         full_from_corners([-1, 0, 0, 1, 1, 1, 1, 1], [False, True] * 4 + [True]))
+def test_recursive_matches_the_unmemoized_recursion(f, g):
+    want = recursive_oracle(tuple(f.coeff_vector()), tuple(g.coeff_vector()))
+    assert resultant_recursive(f, g) == want
 
 
 def test_recursive_matches_permanent():

@@ -1,11 +1,15 @@
 """The integer sparse core against the Element-by-Element loops it replaced."""
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertrop import BiPoly, Element, ONE, Poly, ghost
+from supertrop import (BiPoly, Element, ONE, Poly, ZERO, canonical_full, ghost,
+                       parse_bipoly, parse_poly)
 from supertrop.sparse import terms_add, terms_mul, terms_pow
 
 
@@ -165,3 +169,44 @@ def test_bipoly_semiring_laws(f, g, h):
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+# -- immutability, copies and pickles --------------------------------------------
+
+
+def test_wrappers_cannot_be_assigned_or_deleted():
+    f, b = parse_poly("x^2 + 3v*x + 1"), parse_bipoly("x*y + 2v")
+    full = canonical_full(f)
+    for value in (f, b):
+        for name in ("_coeffs", "_full", "is_zero", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    assert f == parse_poly("x^2 + 3v*x + 1") and canonical_full(f) is full
+    assert b == parse_bipoly("x*y + 2v")
+
+
+def round_trips(value):
+    return [copy.copy(value), copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value))]
+
+
+def test_elements_and_zero_polynomials_round_trip():
+    for e in (ZERO, ONE, ghost(3), Element(Fraction(-5, 2)), ghost("1/3")):
+        assert all(type(got) is Element and got == e for got in round_trips(e))
+    for zero in (Poly.zero(), BiPoly.zero()):
+        assert all(got == zero and got.is_zero for got in round_trips(zero))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.booleans(), pair_maps.map(BiPoly))
+def test_polynomials_round_trip(f, fill, b):
+    # A filled canonical-form slot does not change what a copy holds.
+    full = canonical_full(f) if fill and not f.is_zero else None
+    for got in round_trips(f):
+        assert type(got) is Poly and same(got._coeffs, f._coeffs)
+        if full is not None:
+            assert canonical_full(got) == full
+    for got in round_trips(b):
+        assert type(got) is BiPoly and same(got._coeffs, b._coeffs)
