@@ -16,26 +16,26 @@ grid row by row: on a row y = b every term is a line in x, and the value
 is ghost exactly at the breakpoints of the upper envelope of those lines
 and along its pieces that come from ghost terms; the envelope is the
 upper hull of the points (slope, intercept), taken by the hull routine of
-`canonical_full`.  Each row therefore
-yields its ghost set as a few integer intervals, and the grid points in
-the intersection of both inputs' intervals are listed directly.  With the
-terms sorted by x exponent once, a scan costs O(rows * terms + hits)
-rather than a probe of every grid point.  `bezout_report` clusters the
-hits in O(hits) and compares the count of isolated ones against the
-product of the total degrees.  The
-clustering is heuristic by nature; the degree bound on isolated hits is
-the part that is checked.
+`canonical_full`.  Each row therefore yields its ghost set as a few
+integer intervals, and the grid points where both inputs' intervals meet
+form runs of columns.  The half-step refinement widens each run by half a
+step and intersects it with the intervals of its row and the half rows
+beside it.  A scan costs O(rows * terms + hits), with no probe of single
+points.  `bezout_report` clusters the hits by runs, with a union-find over
+O(runs) nodes, and compares the count of isolated ones against the
+product of the total degrees.  The clustering is heuristic by nature; the
+degree bound on isolated hits is the part that is checked.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction
-from .intervals import intersect_sorted
+from .intervals import IntervalSet, intersect_sorted
 from .poly import Poly, _upper_hull
 from .record import Record
 from .resultant import permanent, sylvester_vectors
@@ -248,8 +248,11 @@ DEFAULT_WINDOW: Window = (-10, 10, -10, 10)
 DEFAULT_STEP = Fraction(1, 4)
 
 
-def _scan(f: BiPoly, g: BiPoly, window: Window, step: Fraction) -> tuple[set, int]:
-    # Scaled so that grid coordinates, including half steps, are integers.
+def _scan(f: BiPoly, g: BiPoly, window: Window,
+          step: Fraction) -> tuple[dict[int, list[int]], int, int]:
+    """Common ghost points of the grid and of its half-step refinement, as
+    nonempty rows {y: sorted x columns} in increasing y, with the scale
+    that makes all their coordinates integers and the scaled half step."""
     xlo, xhi, ylo, yhi = (as_fraction(w) for w in window)
     if step <= 0 or xhi < xlo or yhi < ylo:
         raise ValueError("bad window or step")
@@ -261,42 +264,119 @@ def _scan(f: BiPoly, g: BiPoly, window: Window, step: Fraction) -> tuple[set, in
     step_s = int(step * scale)
     half = step_s // 2
     x0, x1 = int(xlo * scale), int(xhi * scale)
-    rows: dict[int, tuple[list[int], list[int]]] = {}
+    y0, y1 = int(ylo * scale), int(yhi * scale)
 
-    def row(b: int) -> tuple[list[int], list[int]]:
-        # Common ghost intervals of a row, as start and end lists, over the
-        # window widened by the half step that the refinement ring reaches.
-        if b not in rows:
-            both = intersect_sorted(_row_ghost(fg, b, x0 - half, x1 + half),
-                                    _row_ghost(gg, b, x0 - half, x1 + half))
-            rows[b] = ([lo for lo, _ in both], [hi for _, hi in both])
-        return rows[b]
+    def row(b: int) -> list[tuple[int, int]]:
+        # Common ghost intervals of a row, over the window widened by the
+        # half step that the refinement reaches.
+        ours = _row_ghost(fg, b, x0 - half, x1 + half)
+        return ours and intersect_sorted(
+            ours, _row_ghost(gg, b, x0 - half, x1 + half))
 
-    hits = []
-    for b in range(int(ylo * scale), int(yhi * scale) + 1, step_s):
-        starts, ends = row(b)
-        if not starts:
-            del rows[b]  # no hits here, so the refinement never asks again
-        for lo, hi in zip(starts, ends):
+    rows: dict[int, list[int]] = {}
+
+    def keep(r: int, reach: list, both: list) -> None:
+        # The half-step columns of `reach` where the row's values are ghost.
+        reach = IntervalSet.of(reach).intervals
+        cols = [a for lo, hi in intersect_sorted(reach, both)
+                for a in range(lo + (x0 - lo) % half, hi + 1, half)]
+        if cols:
+            rows[r] = cols
+
+    # Each common interval of a base row holds a run [first, last] of step
+    # columns; the refinement reaches [first - half, last + half] on the
+    # rows b - half, b and b + half.  The loop runs one row past the grid
+    # to fill the half row above its last row.
+    below: list[tuple[int, int]] = []  # the reach of the base row below
+    for b in range(y0, y1 + step_s + 1, step_s):
+        both = row(b) if b <= y1 else []
+        runs = []
+        for lo, hi in both:
             first = x0 - (x0 - max(lo, x0)) // step_s * step_s  # column >= lo
-            hits.extend((a, b) for a in range(first, min(hi, x1) + 1, step_s))
-    # One refinement level: probe the half-step ring around every hit so
-    # that hits lying on a shared curve piece link up into one component.
-    refined = set(hits)
-    for a, b in hits:
-        for db in (-half, 0, half):
-            starts, ends = row(b + db)
-            for da in (-half, 0, half):
-                p = (a + da, b + db)
-                if p not in refined:
-                    k = bisect_right(starts, p[0]) - 1
-                    if k >= 0 and p[0] <= ends[k]:
-                        refined.add(p)
-    return refined, scale
+            last = min(hi, x1)
+            if first <= last:
+                runs.append((first - half, last - (last - x0) % step_s + half))
+        if below or runs:
+            keep(b - half, below + runs, row(b - half))
+        if runs:
+            keep(b, runs, both)
+        below = runs
+    return rows, scale, half
 
 
-def _fractions(points, scale: int) -> list[tuple[Fraction, Fraction]]:
-    # One Fraction per distinct coordinate: hits share rows and columns.
+def _cluster(rows: Mapping[int, list[int]], half: int) -> tuple[int, int]:
+    """Components and ordinary points of points on a half-step lattice.
+
+    `rows` maps y to its sorted x columns.  Points at most three half steps
+    apart in each coordinate are neighbors, and a point is ordinary when no
+    other point lies within twelve.  A run, a maximal stretch of one row
+    with gaps of at most three half steps, is connected; two runs on rows
+    at most three half steps apart are neighbors exactly when their
+    extents, widened by three half steps, overlap.
+    """
+    near, far = 3 * half, 12 * half
+    runs: list[list[int]] = []  # [y, first x, last x]
+    row_runs: dict[int, list[int]] = {}  # indices into runs, left to right
+    for b, cols in rows.items():
+        ids = row_runs[b] = []
+        for a in cols:
+            if ids and a - runs[-1][2] <= near:
+                runs[-1][2] = a
+            else:
+                ids.append(len(runs))
+                runs.append([b, a, a])
+
+    parent = list(range(len(runs)))
+    linked = [False] * len(runs)
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for b, ours in row_runs.items():
+        for d in (half, 2 * half, 3 * half):
+            theirs = row_runs.get(b + d, ())
+            # Widened to [first, last + near], the runs of one row stay
+            # sorted and disjoint, so a two-pointer merge finds every overlap.
+            i = j = 0
+            while i < len(ours) and j < len(theirs):
+                u, v = ours[i], theirs[j]
+                _, ulo, uhi = runs[u]
+                _, vlo, vhi = runs[v]
+                if ulo <= vhi + near and vlo <= uhi + near:
+                    linked[u] = linked[v] = True
+                    parent[find(v)] = find(u)
+                if uhi < vhi:
+                    i += 1
+                else:
+                    j += 1
+
+    components = sum(parent[u] == u for u in range(len(runs)))
+    # A lone point is ordinary only when no other point lies within twelve
+    # half steps: hits strung along a shared curve piece of slope p/q, with
+    # |p| and |q| bounded by the degree, land at most that far apart, and
+    # such pieces are not isolated crossings.  A linked run has a point
+    # within three half steps, so only unlinked one-point runs are tested.
+    ordinary = 0
+    for u, (b, a, last) in enumerate(runs):
+        if a == last and not linked[u]:
+            crowd = 0
+            for d in range(-far, far + 1, half):
+                cols = rows.get(b + d)
+                if cols:
+                    crowd += (bisect_right(cols, a + far)
+                              - bisect_left(cols, a - far))
+            ordinary += crowd == 1
+    return components, ordinary
+
+
+def _fractions(rows: Mapping[int, list[int]],
+               scale: int) -> list[tuple[Fraction, Fraction]]:
+    # The points in (x, y) order, with one Fraction per distinct
+    # coordinate: points share rows and columns.
+    points = sorted((a, b) for b, cols in rows.items() for a in cols)
     memo = {v: Fraction(v, scale) for v in {v for p in points for v in p}}
     return [(memo[a], memo[b]) for a, b in points]
 
@@ -311,8 +391,8 @@ def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
-    refined, scale = _scan(f, g, window, as_fraction(step))
-    return _fractions(sorted(refined), scale)
+    rows, scale, _ = _scan(f, g, window, as_fraction(step))
+    return _fractions(rows, scale)
 
 
 class BezoutReport(Record):
@@ -346,61 +426,18 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     away (curve pieces of bounded slope then stay connected through the
     refinement points).  A singleton cluster is a transversal crossing;
     their number is checked against the product of the total degrees.
+    The clustering works on the runs of each row: O(runs) union-find
+    steps, plus one bisection per row near each lone point.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     step = as_fraction(step)
-    refined, scale = _scan(f, g, window, step)
-    points = sorted(refined)
-    # Hits lie on the half-step lattice.  Number them u * width + v there,
-    # with the width padded past the reach below, so that each neighbor is
-    # one integer addition away.
-    half = int(step * scale) // 2
-    bmin = min((b for _, b in points), default=0)
-    width = (max((b for _, b in points), default=0) - bmin) // half + 25
-    index = {(a // half) * width + (b - bmin) // half: k
-             for k, (a, b) in enumerate(points)}
-    parent = list(range(len(points)))
-    size = [1] * len(points)
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    # Link hits up to three half steps apart.  The reach is symmetric, so
-    # each pair is found from its first point through a forward offset.
-    forward = [du * width + dv for du in range(4) for dv in range(-3, 4)
-               if (du, dv) > (0, 0)]
-    for key, k in index.items():
-        ra = find(k)
-        for off in forward:
-            other = index.get(key + off)
-            # In dense patches most neighbors already hang under the root.
-            if other is None or parent[other] == ra:
-                continue
-            rb = find(other)
-            if ra != rb:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                size[ra] += size[rb]
-
-    # A singleton component only counts as ordinary when no other hit lies
-    # within three steps: hits strung along a shared curve piece of slope
-    # p/q with |p|, |q| bounded by the degree land at most that far apart,
-    # and such pieces are not isolated crossings.
-    far = [du * width + dv for du in range(-12, 13) for dv in range(-12, 13)
-           if du or dv]
-    ordinary = sum(1 for key, k in index.items() if size[find(k)] == 1
-                   and not any(key + off in index for off in far))
-
+    rows, scale, half = _scan(f, g, window, step)
+    components, ordinary = _cluster(rows, half)
     m, n = f.total_degree, g.total_degree
     bound = m * n
     return BezoutReport(
-        m=m, n=n, bound=bound, hits=tuple(_fractions(points, scale)),
-        component_count=sum(parent[k] == k for k in range(len(points))),
-        ordinary_count=ordinary,
+        m=m, n=n, bound=bound, hits=tuple(_fractions(rows, scale)),
+        component_count=components, ordinary_count=ordinary,
         bound_holds=ordinary <= bound,
         window=tuple(as_fraction(w) for w in window), step=step)

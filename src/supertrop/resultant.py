@@ -270,41 +270,25 @@ def resultant_recursive(f: Poly, g: Poly) -> Element:
 
         res(f, g) = alpha_0 * res(f, g^(1)) + beta_0 * res(f^(1), g)
 
-    with closed forms against linear and constant arguments as base cases.
-    Every pair reached is (f^(i), g^(j)), so the recursion is memoized on
-    the offsets i and j: (m+1)(n+1) states rather than about C(m+n, m)
-    calls.
+    with res(f, b) = b^deg(f) and res(a, g) = a^deg(g) against constants.
+    Every pair reached is (f^(i), g^(j)), so the table is filled bottom up
+    over the offsets, keeping one row: O(mn) products in O(n) memory, and
+    no recursion, so any degree works.
     """
     for p in (f, g):
         if p.is_zero or not p.is_full() or p.ldeg != 0:
             raise ValueError("recursive resultant needs full polynomials "
                              "with nonzero constant term")
-    fv, gv = tuple(f.coeff_vector()), tuple(g.coeff_vector())
-    memo: dict[tuple[int, int], Element] = {}
-
-    def res(i: int, j: int) -> Element:
-        m, n = len(fv) - 1 - i, len(gv) - 1 - j
-        if n == 0:
-            return gv[j] ** m
-        if m == 0:
-            return fv[i] ** n
-        if n == 1:
-            total = ZERO
-            for k, a in enumerate(fv[i:]):
-                total = total + a * gv[j] ** k * gv[j + 1] ** (m - k)
-            return total
-        if m == 1:
-            total = ZERO
-            for k, b in enumerate(gv[j:]):
-                total = total + b * fv[i] ** k * fv[i + 1] ** (n - k)
-            return total
-        # A plain dict rather than functools.cache, whose wrapper would
-        # double the stack depth per level.
-        if (i, j) not in memo:
-            memo[i, j] = fv[i] * res(i, j + 1) + gv[j] * res(i + 1, j)
-        return memo[i, j]
-
-    return res(0, 0)
+    fv, gv = f.coeff_vector(), g.coeff_vector()
+    m, n = len(fv) - 1, len(gv) - 1
+    # row[j] = res(f^(i), g^(j)), from i = m down; f^(m) and g^(n) are
+    # constants.
+    row = [fv[m] ** (n - j) for j in range(n + 1)]
+    for i in range(m - 1, -1, -1):
+        row[n] = gv[n] ** (m - i)
+        for j in range(n - 1, -1, -1):
+            row[j] = fv[i] * row[j + 1] + gv[j] * row[j]
+    return row[0]
 
 
 def resultant_tangible_product(f: Poly, g: Poly) -> Element:

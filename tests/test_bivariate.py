@@ -11,7 +11,7 @@ from supertrop import (BiPoly, Element, ONE, bezout_report,
                        partial_frobenius, resultant, resultant_in_second,
                        tangible)
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
-                              _scan)
+                              _cluster, _scan)
 from supertrop.checks import Gen
 
 B = parse_bipoly
@@ -275,11 +275,30 @@ def scan_cases(draw):
     return poly(), poly(), window, step
 
 
+def scan_points(f, g, window, step):
+    """`_scan` as the oracle's point set, after checking the row layout:
+    increasing nonempty rows of strictly increasing columns."""
+    rows, scale, half = _scan(f, g, window, step)
+    assert list(rows) == sorted(rows)
+    assert all(cols and all(a < c for a, c in zip(cols, cols[1:]))
+               for cols in rows.values())
+    assert half == int(step * scale) // 2
+    return {(a, b) for b, cols in rows.items() for a in cols}, scale
+
+
 @settings(max_examples=200, deadline=None)
 @given(scan_cases())
 def test_row_sweep_matches_point_oracle(case):
     f, g, window, step = case
-    assert _scan(f, g, window, step) == oracle_scan(f, g, window, step)
+    assert scan_points(f, g, window, step) == oracle_scan(f, g, window, step)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases())
+def test_bezout_report_matches_oracle_on_odd_windows(case):
+    f, g, window, step = case
+    assert bezout_report(f, g, window, step) == \
+        oracle_report(f, g, window, step)
 
 
 def test_row_sweep_forced_ties():
@@ -289,8 +308,8 @@ def test_row_sweep_forced_ties():
     g = B("x + y + 1v")
     window = (Fraction(-5, 3), Fraction(7, 2), Fraction(-2), Fraction(13, 4))
     for step in (Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)):
-        refined, _ = _scan(f, g, window, step)
-        assert refined and (refined, _) == oracle_scan(f, g, window, step)
+        refined, scale = scan_points(f, g, window, step)
+        assert refined and (refined, scale) == oracle_scan(f, g, window, step)
 
 
 def test_bezout_report_matches_oracle_on_check_pairs():
@@ -306,3 +325,90 @@ def test_bezout_report_fine_step():
                         step=Fraction(1, 1000))
     assert rep.hits == ((Fraction(2), Fraction(2)),)
     assert (rep.component_count, rep.ordinary_count) == (1, 1)
+
+
+# -- run clustering against a point-by-point flood fill ----------------------
+
+
+def flood_fill(points, half):
+    """(components, ordinary points) of a set of lattice points, reached
+    point by point over the 7x7 and 25x25 half-step neighborhoods."""
+    near = [(i * half, j * half) for i in range(-3, 4) for j in range(-3, 4)]
+    far = [(i * half, j * half) for i in range(-12, 13)
+           for j in range(-12, 13) if i or j]
+    left, components, ordinary = set(points), 0, 0
+    while left:
+        start = left.pop()
+        components += 1
+        todo, size = [start], 1
+        while todo:
+            a, b = todo.pop()
+            for da, db in near:
+                q = (a + da, b + db)
+                if q in left:
+                    left.remove(q)
+                    todo.append(q)
+                    size += 1
+        a, b = start
+        if size == 1 and not any((a + da, b + db) in points for da, db in far):
+            ordinary += 1
+    return components, ordinary
+
+
+def cluster_points(points, half):
+    rows = {}
+    for a, b in sorted(points, key=lambda p: (p[1], p[0])):
+        rows.setdefault(b, []).append(a)
+    return _cluster(rows, half)
+
+
+U_SHAPE = ({(0, v) for v in range(0, 7, 3)} | {(10, v) for v in range(0, 7, 3)}
+           | {(u, 6) for u in range(0, 11, 2)})
+
+
+@pytest.mark.parametrize("cells, components, ordinary", [
+    # Two runs of the row v = 0 that join only through the row v = 6.
+    (U_SHAPE, 1, 0),
+    # The bottom bar with gaps of three half steps still joins them; cut
+    # by a gap of four, it does not.
+    ((U_SHAPE - {(6, 6), (8, 6)}) | {(7, 6)}, 1, 0),
+    (U_SHAPE - {(6, 6)}, 2, 0),
+    # Gaps of exactly three half steps link, gaps of four do not: along
+    # a row, across rows, and diagonally.
+    ({(0, 0), (3, 0), (7, 0)}, 2, 0),
+    ({(0, 0), (0, 3), (0, 7)}, 2, 0),
+    ({(0, 0), (3, 3), (7, 7)}, 2, 0),
+    ({(0, 0), (3, 3), (7, 6)}, 2, 0),
+    # A lone point with another hit exactly 12 or 13 half steps away.
+    ({(0, 0), (12, 0)}, 2, 0),
+    ({(0, 0), (13, 0)}, 2, 2),
+    ({(0, 0), (12, -12)}, 2, 0),
+    ({(0, 0), (13, 12)}, 2, 2),
+    ({(0, 0), (-5, 13)}, 2, 2),
+    ({(0, 0), (0, 12), (1, 12)}, 2, 0),
+    ({(0, 0), (0, 13), (1, 13)}, 2, 1),
+    (set(), 0, 0),
+])
+def test_run_clustering_cases(cells, components, ordinary):
+    for half, ox, oy in ((1, 0, 0), (3, -7, 5)):
+        points = {(ox + u * half, oy + v * half) for u, v in cells}
+        assert cluster_points(points, half) == flood_fill(points, half) \
+            == (components, ordinary)
+
+
+@st.composite
+def lattice_sets(draw):
+    """Points of a half-step lattice with an offset, sparse or crowded."""
+    half = draw(st.integers(1, 3))
+    ox, oy = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    side = draw(st.integers(0, 40))
+    cells = draw(st.sets(st.tuples(st.integers(0, side), st.integers(0, side)),
+                         max_size=80))
+    return {(ox + u * half, oy + v * half) for u, v in cells}, half
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_sets())
+def test_run_clustering_matches_flood_fill(case):
+    points, half = case
+    assert cluster_points(points, half) == flood_fill(points, half)

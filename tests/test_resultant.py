@@ -325,6 +325,23 @@ def test_recursive_matches_permanent():
         resultant_recursive(P("x^2 + 1"), P("x + 1"))
 
 
+def test_recursive_needs_no_stack():
+    # With the recursion limit just above the current depth, a degree far
+    # past that margin still works: the table is filled by a loop.
+    gen = Gen(308)
+    f, g = gen.full_poly(3, 3), gen.full_poly(300, 300)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        value = resultant_recursive(f, g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == resultant(f, g)
+
+
 def test_product_rule():
     gen = Gen(306)
     for _ in range(100):
