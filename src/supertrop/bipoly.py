@@ -67,12 +67,6 @@ class BiPoly(SparsePoly):
         return BiPoly({(i, 0): c for i, c in f.items()})
 
     @property
-    def deg_x(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(i for i, _ in self._coeffs)
-
-    @property
     def deg_y(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")

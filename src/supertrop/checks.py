@@ -26,8 +26,7 @@ from random import Random
 from .bipoly import BiPoly, bezout_report, resultant_in_second
 from .divide import divides_linear, radical_member_check, verify_division
 from .element import Element, ONE, ZERO, ghost, tangible
-from .factor import (e_divides, expand, factor_min_ghosts, linear_factor,
-                     split_tan_intan)
+from .factor import e_divides, expand, factor_min_ghosts, split_tan_intan
 from .intervals import IntervalSet
 from .parse import parse_bipoly, parse_element, parse_poly
 from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, add_shift,
@@ -97,7 +96,7 @@ class Gen:
         roots = self.corners(deg, distinct=True)
         f = Poly.constant(ONE)
         for a in roots:
-            f = f * linear_factor(a)
+            f = f * Poly.linear(a)
         return f, roots
 
     def bipoly(self, max_total: int = 3, min_total: int = 1,
@@ -156,8 +155,8 @@ def check_eq43(seed: int = 43001, cases: int = 100) -> int:
             c = Fraction(a + b, 2)  # forces the 2c = a+b tie
         else:
             c = gen.fraction()
-        f = linear_factor(a) * linear_factor(b)
-        g = linear_factor(c)
+        f = Poly.linear(a) * Poly.linear(b)
+        g = Poly.linear(c)
         values = [2 * c, b + c, a + b]
         top = max(values)
         expected = Element(top, values.count(top) >= 2)
@@ -372,9 +371,9 @@ def check_division_examples() -> int:
         if (w is not None) != want:
             raise AssertionError((a, w))
         if w is not None:
-            if not verify_division(f, linear_factor(Fraction(a)), w.q):
+            if not verify_division(f, Poly.linear(Fraction(a)), w.q):
                 raise AssertionError
-            if w.ghost_sum != f + w.q * linear_factor(Fraction(a)):
+            if w.ghost_sum != f + w.q * Poly.linear(Fraction(a)):
                 raise AssertionError
     return 2 + len(expected)
 

@@ -18,7 +18,8 @@ from .bipoly import DEFAULT_STEP, DEFAULT_WINDOW, bezout_report
 from .divide import divides_linear, verify_division
 from .factor import factor_min_ghosts
 from .intervals import RootSet, _fmt_endpoint
-from .parse import ParseError, parse_bipoly, parse_poly, poly_to_json
+from .parse import (ParseError, _read_rational, parse_bipoly, parse_poly,
+                    poly_to_json)
 from .poly import canonical_full, tangible_roots
 from .resultant import DEFAULT_METHOD, METHODS, decide
 
@@ -28,10 +29,15 @@ def _text(arg: str) -> str:
 
 
 def _rational(text: str) -> Fraction:
+    # The grammar's rational: no decimals or exponents, which could ask
+    # Fraction for a power of ten with millions of digits.
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        value = _read_rational(text.strip())
+    except ValueError:
+        raise ParseError("number too long", 0) from None
+    if value is None:
         raise ParseError(f"malformed rational {text!r}", 0)
+    return value
 
 
 def _root_set_json(roots: RootSet) -> dict:
@@ -228,7 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "polynomials in x and y")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--window", help="xlo,xhi,ylo,yhi (default -10,10,-10,10)")
+    p.add_argument("--window", help="xlo,xhi,ylo,yhi, written with '=' as in "
+                   "--window=-10,10,-10,10 (the default) when it begins "
+                   "with '-'")
     p.add_argument("--step", help="grid step, a positive rational")
     p.add_argument("--csv", help="write sampled common roots to this file")
     p = cmd("selfcheck", _cmd_selfcheck,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .element import Rational, as_fraction, tangible
-from .factor import factor_min_ghosts, linear_factor
+from .factor import factor_min_ghosts
 from .intervals import NEG_INF, POS_INF
 from .poly import Poly, e_equiv, is_ghost_poly, tangible_roots
 from .record import Record
@@ -60,7 +60,7 @@ def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
         # the quotient must be tangible, and its layers are immaterial to
         # the witness property, so flatten them.
         q = q.hat()
-        return DivisionWitness(q=q, ghost_sum=f + q * linear_factor(a))
+        return DivisionWitness(q=q, ghost_sum=f + q * Poly.linear(a))
 
     if fact.lead.is_ghost:
         # Every tangible point is a root here.  Quotient: drop the nearest
@@ -78,7 +78,7 @@ def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
             scale = corners[-1] - a
             corners.pop()
         lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
-        return witness(Poly.product([lead, *map(linear_factor, corners)]))
+        return witness(Poly.product([lead, *map(Poly.linear, corners)]))
 
     parts = fact.parts()
     for k, (lo, hi, _, _) in enumerate(parts):
@@ -90,7 +90,7 @@ def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
     factors = [Poly.monomial(fact.power, fact.lead),
                *(p ** (m - (j == k)) for j, (_, _, m, p) in enumerate(parts))]
     if NEG_INF < lo < hi < POS_INF:
-        factors.append(linear_factor(lo + hi - a))  # quadratic: c - a
+        factors.append(Poly.linear(lo + hi - a))  # quadratic: c - a
     elif hi == POS_INF:
         factors.append(Poly.constant(tangible(lo - a)))  # left ghost
     return witness(Poly.product(factors))

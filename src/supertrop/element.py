@@ -52,6 +52,9 @@ class Element:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Element is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Element is immutable")
+
     def __reduce__(self):
         return Element, (self.mag, self.is_ghost)
 
@@ -131,14 +134,6 @@ class Element:
         if self.mag is None:
             return ZERO
         return Element(self.mag, False)
-
-    def nu_le(self, other: "Element") -> bool:
-        """Magnitude comparison with Zero below everything."""
-        if self.mag is None:
-            return True
-        if other.mag is None:
-            return False
-        return self.mag <= other.mag
 
     # -- value protocol ----------------------------------------------------
 

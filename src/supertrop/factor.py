@@ -29,9 +29,6 @@ from .poly import Poly, canonical_full, e_equiv, full_from_corners, tangible_roo
 from .record import Record
 
 
-linear_factor = Poly.linear
-
-
 def quadratic_factor(b: Fraction, c: Fraction) -> Poly:
     return Poly({2: ONE, 1: ghost(b), 0: tangible(c)})
 
@@ -89,7 +86,7 @@ class Factorization(Record):
         quadratics, the right ghost and the left ghost: the order in which
         `divides_linear` looks for the factor that holds a root.
         """
-        out = [(a, a, m, linear_factor(a)) for a, m in self.linears]
+        out = [(a, a, m, Poly.linear(a)) for a, m in self.linears]
         out += [(c - b, b, m, quadratic_factor(b, c))
                 for b, c, m in self.quadratics]
         right, left = self.right_ghost, self.left_ghost

@@ -90,10 +90,6 @@ class IntervalSet(Record):
         return IntervalSet(tuple(merged))
 
     @staticmethod
-    def point(x: Fraction) -> "IntervalSet":
-        return IntervalSet(((x, x),))
-
-    @staticmethod
     def empty() -> "IntervalSet":
         return _EMPTY
 
@@ -116,23 +112,6 @@ class IntervalSet(Record):
 
     def contains_set(self, other: "IntervalSet") -> bool:
         return other.intersect(self) == other
-
-    def complement_pieces(self) -> tuple[tuple[Endpoint, Endpoint], ...]:
-        """Maximal open intervals making up the complement, left to right.
-
-        Pieces are open (their endpoints belong to the set, not to the
-        complement); the full line comes back as the single pair
-        (-inf, inf).
-        """
-        out: list[tuple[Endpoint, Endpoint]] = []
-        edge: Endpoint = NEG_INF
-        for lo, hi in self.intervals:
-            if lo > edge:
-                out.append((edge, lo))
-            edge = hi
-        if edge < POS_INF:
-            out.append((edge, POS_INF))
-        return tuple(out)
 
     def leftmost_finite(self) -> Fraction | None:
         """Deterministic finite representative: the leftmost finite endpoint.

@@ -209,15 +209,23 @@ def bipoly_to_json(f: BiPoly) -> dict:
 _RATIONAL_RE = re.compile(_RATIONAL)
 
 
+def _read_rational(text: object) -> Fraction | None:
+    """A whole string read as the grammar's rational, such as '-5/2'.
+
+    None when it is not one or divides by zero; past the digit limit,
+    `_rational` raises ValueError.  Shared by the JSON reader and the CLI."""
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    return _rational(*m.group("num", "den")) if m else None
+
+
 def _term_element(term: dict, k: int) -> Element:
     value, layer = term["value"], term["layer"]
     if layer not in ("tangible", "ghost"):
         raise ValueError(f"term {k}: layer must be 'tangible' or 'ghost'")
     if value == "-inf":
         return ZERO
-    m = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
     try:
-        mag = _rational(m.group("num"), m.group("den")) if m else None
+        mag = _read_rational(value)
     except ValueError:
         raise ValueError(f"term {k}: number too long") from None
     if mag is None:

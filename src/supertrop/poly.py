@@ -34,12 +34,11 @@ verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 
-from .element import Element, ONE, ZERO, Rational, as_fraction, ghost, tangible
+from .element import Element, ONE, ZERO, Rational, as_fraction, tangible
 from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
 from .record import Record
 from .sparse import SparsePoly, terms_mul
@@ -72,10 +71,6 @@ class Poly(SparsePoly):
         return Poly({deg: coeff})
 
     @staticmethod
-    def variable() -> "Poly":
-        return Poly({1: ONE})
-
-    @staticmethod
     def linear(root: Rational) -> "Poly":
         """The monic tangible linear x + root."""
         return Poly({1: ONE, 0: tangible(root)})
@@ -98,10 +93,6 @@ class Poly(SparsePoly):
     @property
     def is_monomial(self) -> bool:
         return len(self._coeffs) == 1
-
-    @property
-    def is_constant(self) -> bool:
-        return self.is_zero or self.degree == 0
 
     def coeff(self, deg: int) -> Element:
         return self._coeffs.get(deg, ZERO)
@@ -337,12 +328,6 @@ def tangible_roots(f: Poly) -> RootSet:
     return RootSet(IntervalSet(tuple(merged)), at_bottom)
 
 
-def tangible_domain(f: Poly) -> tuple[tuple[Endpoint, Endpoint], ...]:
-    """Maximal open intervals of tangible arguments where f takes tangible
-    values: the complement of the tangible root intervals."""
-    return tangible_roots(f).intervals.complement_pieces()
-
-
 # -- graph of the polynomial function ----------------------------------------
 
 
@@ -362,12 +347,6 @@ class PiecewiseLinear(Record):
     intercepts: tuple[Fraction, ...]
     piece_ghost: tuple[bool, ...]
     breakpoint_ghost: tuple[bool, ...]
-
-    def value_at(self, x: Fraction) -> Fraction:
-        # At a breakpoint the two adjacent pieces agree, so the piece with
-        # as many breakpoints strictly below x works in every case.
-        k = sum(1 for b in self.breakpoints if b < x)
-        return self.intercepts[k] + self.slopes[k] * x
 
 
 def ggraph(f: Poly) -> PiecewiseLinear:
@@ -435,10 +414,8 @@ class NotGhostSum(Record):
     __slots__ = ()
 
 
-GhostSumAnalysis = CommonRoot | HalfTangible | NotGhostSum
-
-
-def analyze_ghost_sum(f: Poly, g: Poly) -> GhostSumAnalysis:
+def analyze_ghost_sum(f: Poly,
+                      g: Poly) -> CommonRoot | HalfTangible | NotGhostSum:
     """Explain why f + g is ghost, if it is.
 
     For non-monomial f and g with a ghost sum, either the tangible root sets
@@ -531,31 +508,3 @@ def full_from_corners(corners: Sequence[Rational],
     return Poly({shift + i: Element(mags[i], bool(ghost_flags[i]))
                  for i in range(h + 1)})
 
-
-def function_samples(polys: Sequence[Poly]) -> list[Element]:
-    """Probe arguments separating the functions in the given family.
-
-    All corner roots of all canonical forms, midpoints between consecutive
-    ones, one point beyond each extreme, plus ghost copies of everything and
-    the bottom element.  Two e-inequivalent polynomials differ on at least
-    one of these.
-    """
-    breaks: set[Fraction] = set()
-    for f in polys:
-        if not f.is_zero:
-            breaks.update(canonical_full(f).corner_roots())
-    if not breaks:
-        points = [Fraction(0)]
-    else:
-        grid = sorted(breaks)
-        points = [grid[0] - 1]
-        for a, b in itertools.pairwise(grid):
-            points.append(a)
-            if a != b:
-                points.append((a + b) / 2)
-        points.extend([grid[-1], grid[-1] + 1])
-    samples: list[Element] = [ZERO]
-    for x in points:
-        samples.append(tangible(x))
-        samples.append(ghost(x))
-    return samples

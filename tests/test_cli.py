@@ -148,6 +148,28 @@ def test_bezout_window_and_step(capsys):
     code, _, err = run(capsys, "bezout", "--step", "0",
                        "x + y + 0", "x + y + 1")
     assert code == 2 and err.startswith("error:")
+    # A window that begins with '-' is written with '=', as the help says.
+    code, out, _ = run(capsys, "bezout", "--window=-1,1,-1,1",
+                       "x + y + 0", "x + y + 0v")
+    assert code == 0 and "hits: 28" in out
+    code, out, _ = run(capsys, "bezout", "--window=1,3,1,3", "--step",
+                       "1/1000", "x + y + 0", "1*x + y + 3")
+    assert code == 0 and "hits: 1" in out
+
+
+def test_rational_arguments_follow_the_grammar(capsys):
+    # Decimals and exponents are not rationals of the grammar; Fraction
+    # read "1e10000000" by building a ten-million-digit power of ten.
+    for bad in ("1e10000000", "0.5", "1e-3"):
+        code, out, err = run(capsys, "divides", "x + 1", bad)
+        assert (code, out) == (1, "") and err.startswith("parse error:"), bad
+    for bad in ("0.5", "1e-3"):
+        for option in (["--step", bad], [f"--window=0,{bad},0,1"]):
+            code, out, err = run(capsys, "bezout", *option,
+                                 "x + y + 0", "x + y + 1")
+            assert (code, out) == (1, "") and err.startswith("parse error:")
+    code, out, _ = run(capsys, "divides", "--", "(x + -5/2)*(x + 1)", "-5/2")
+    assert (code, out) == (0, "x + 1")
 
 
 def test_stdin_dash(capsys, monkeypatch):

@@ -78,9 +78,3 @@ def test_semiring_axioms(a, b, c):
     assert a + a == a.nu()
     assert (a + b).nu() == a.nu() + b.nu()
     assert (a * b).nu() == a.nu() * b.nu()
-
-
-def test_nu_total_order():
-    assert tangible(1).nu_le(ghost(1)) and ghost(1).nu_le(tangible(1))
-    assert ZERO.nu_le(tangible(-100))
-    assert not tangible(2).nu_le(tangible(1))

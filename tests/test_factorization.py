@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from supertrop import (DivisionWitness, Factorization, IntervalSet, ONE, Poly,
                        divides_linear, e_divides, e_equiv, expand,
-                       factor_min_ghosts, left_ghost_factor, linear_factor,
-                       parse_poly, quadratic_factor, right_ghost_factor,
+                       factor_min_ghosts, left_ghost_factor, parse_poly,
+                       quadratic_factor, right_ghost_factor,
                        split_tan_intan, tangible, tangible_roots)
 from supertrop.checks import Gen
 from supertrop.intervals import NEG_INF, POS_INF
@@ -19,7 +19,7 @@ P = parse_poly
 
 
 def test_factor_shapes():
-    assert linear_factor(Fraction(3)) == P("x + 3")
+    assert Poly.linear(Fraction(3)) == P("x + 3")
     assert quadratic_factor(Fraction(6), Fraction(7)) == P("x^2 + 6v*x + 7")
     assert left_ghost_factor(Fraction(0)) == P("0v*x + 0")
     assert right_ghost_factor(Fraction(3)) == P("x + 3v")
@@ -119,7 +119,7 @@ def test_e_divides_examples():
 def test_e_divides_products():
     # Corner magnitudes stay within [-9, 9], so 42 is never a root.
     gen = Gen(205)
-    alien = linear_factor(Fraction(42))
+    alien = Poly.linear(Fraction(42))
     for _ in range(100):
         g = gen.monic_full(4)
         h = gen.monic_full(4)
@@ -146,7 +146,7 @@ def expand_oracle(fact):
         factors.append(left_ghost_factor(fact.left_ghost))
     if fact.right_ghost is not None:
         factors.append(right_ghost_factor(fact.right_ghost))
-    factors.extend(linear_factor(a) ** m for a, m in fact.linears)
+    factors.extend(Poly.linear(a) ** m for a, m in fact.linears)
     factors.extend(quadratic_factor(b, c) ** m for b, c, m in fact.quadratics)
     return Poly.product(factors)
 
@@ -155,7 +155,7 @@ def split_tan_intan_oracle(f):
     """`split_tan_intan` listing the four factor kinds itself."""
     fact = factor_min_ghosts(f)
     tan = Poly.product([Poly.monomial(fact.power),
-                        *(linear_factor(a) ** m for a, m in fact.linears)])
+                        *(Poly.linear(a) ** m for a, m in fact.linears)])
     intan = [Poly.constant(ONE)]
     if fact.left_ghost is not None:
         intan.append(left_ghost_factor(fact.left_ghost))
@@ -224,7 +224,7 @@ def divides_linear_oracle(f, a):
 
     def witness(q):
         q = q.hat()
-        return DivisionWitness(q=q, ghost_sum=f + q * linear_factor(a))
+        return DivisionWitness(q=q, ghost_sum=f + q * Poly.linear(a))
 
     if fact.lead.is_ghost:
         corners = [r for r, m in fact.linears for _ in range(m)]
@@ -238,7 +238,7 @@ def divides_linear_oracle(f, a):
             scale = corners[-1] - a
             corners.pop()
         lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
-        return witness(Poly.product([lead, *map(linear_factor, corners)]))
+        return witness(Poly.product([lead, *map(Poly.linear, corners)]))
 
     for i, (r, _) in enumerate(fact.linears):
         if r == a:
@@ -246,7 +246,7 @@ def divides_linear_oracle(f, a):
     for i, (b, c, _) in enumerate(fact.quadratics):
         if c - b <= a <= b:
             rest = expand(_without_oracle(fact, "quad", i)).hat()
-            return witness(rest * linear_factor(c - a))
+            return witness(rest * Poly.linear(c - a))
     if fact.right_ghost is not None and a <= fact.right_ghost:
         return witness(expand(_without_oracle(fact, "right")).hat())
     if fact.left_ghost is not None and a >= fact.left_ghost:

@@ -55,5 +55,5 @@ def test_intersect_examples():
     line = IntervalSet.of([(NEG_INF, POS_INF)])
     assert gaps.intersect(line) == gaps == line.intersect(gaps)
     assert IntervalSet.of([(NEG_INF, one)]).intersect(
-        IntervalSet.of([(one, POS_INF)])) == IntervalSet.point(one)
+        IntervalSet.of([(one, POS_INF)])) == IntervalSet(((one, one),))
     assert gaps.intersect(IntervalSet.empty()).is_empty

@@ -1,5 +1,6 @@
 """One-variable polynomials: canonical forms, roots, ghost sums."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -15,14 +16,42 @@ from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        IntervalSet, NotGhostSum, Poly, RootSet, Side,
                        add_shift, analyze_ghost_sum, canonical_full,
                        classify_half_tangible, decide, divides_linear,
-                       e_divides, e_equiv, essential_part, frobenius,
-                       function_samples, ggraph, ghost, is_ghost_poly,
-                       mul_shift, parse_poly, resultant, resultant_nu,
-                       resultant_nu_assignment, tangible, tangible_domain,
+                       e_divides, e_equiv, essential_part, frobenius, ggraph,
+                       ghost, is_ghost_poly, mul_shift, parse_poly, resultant,
+                       resultant_nu, resultant_nu_assignment, tangible,
                        tangible_roots, NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
 
 P = parse_poly
+
+
+def function_samples(polys: list[Poly]) -> list[Element]:
+    """Probe arguments separating the functions in the given family.
+
+    All corner roots of all canonical forms, midpoints between consecutive
+    ones, one point beyond each extreme, plus ghost copies of everything and
+    the bottom element.  Two e-inequivalent polynomials differ on at least
+    one of these.
+    """
+    breaks: set[Fraction] = set()
+    for f in polys:
+        if not f.is_zero:
+            breaks.update(canonical_full(f).corner_roots())
+    if not breaks:
+        points = [Fraction(0)]
+    else:
+        grid = sorted(breaks)
+        points = [grid[0] - 1]
+        for a, b in itertools.pairwise(grid):
+            points.append(a)
+            if a != b:
+                points.append((a + b) / 2)
+        points.extend([grid[-1], grid[-1] + 1])
+    samples: list[Element] = [ZERO]
+    for x in points:
+        samples.append(tangible(x))
+        samples.append(ghost(x))
+    return samples
 
 
 def sample_points(f: Poly) -> list:
@@ -198,22 +227,6 @@ def test_roots_against_evaluation():
             elif a.is_tangible:
                 member = a.mag in roots
                 assert member == f.evaluate(a).in_ghost_ideal, (f, a)
-
-
-def test_tangible_domain_complements_roots():
-    f = P("x^2 + 6v*x + 7")
-    assert tangible_domain(f) == ((NEG_INF, Fraction(1)),
-                                  (Fraction(6), POS_INF))
-    gen = Gen(106)
-    for _ in range(50):
-        g = gen.poly(4)
-        pieces = tangible_domain(g)
-        for lo, hi in pieces:
-            mid = (Fraction(0) if lo == NEG_INF else lo + 1) \
-                if hi == POS_INF else \
-                (hi - 1 if lo == NEG_INF else (lo + hi) / 2)
-            if lo < mid < hi:
-                assert g.evaluate(tangible(mid)).is_tangible
 
 
 def test_roots_of_products_union():

@@ -177,14 +177,21 @@ def test_bipoly_semiring_laws(f, g, h):
 def test_wrappers_cannot_be_assigned_or_deleted():
     f, b = parse_poly("x^2 + 3v*x + 1"), parse_bipoly("x*y + 2v")
     full = canonical_full(f)
-    for value in (f, b):
-        for name in ("_coeffs", "_full", "is_zero", "extra"):
+    e = ghost(3)
+    polys = ("_coeffs", "_full", "is_zero", "extra")
+    elements = ("mag", "is_ghost", "is_zero", "extra")
+    for value, names in ((f, polys), (b, polys), (e, elements),
+                         (ZERO, elements), (ONE, elements)):
+        for name in names:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
                 delattr(value, name)
     assert f == parse_poly("x^2 + 3v*x + 1") and canonical_full(f) is full
     assert b == parse_bipoly("x*y + 2v")
+    # ZERO and ONE are shared by the whole process.
+    assert [(v.mag, v.is_ghost) for v in (e, ZERO, ONE)] == [
+        (3, True), (None, False), (0, False)]
 
 
 def round_trips(value):
