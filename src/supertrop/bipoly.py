@@ -1,8 +1,8 @@
 """Polynomials in two variables and a desk-scale common-root probe.
 
 A BiPoly is a `sparse.SparsePoly` keyed by exponent pairs (i, j): its
-sums, products and powers are the core's, shared with `Poly` and the
-parser.
+construction, equality, hash, printed form, sums, products and powers
+are the core's, shared with `Poly` and the parser.
 
 The resultant that eliminates the second variable is computed exactly as
 in the one-variable case: a permanent of the Sylvester matrix, except the
@@ -47,15 +47,8 @@ class BiPoly(SparsePoly):
 
     __slots__ = ()
     _unit = (0, 0)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], Element] | None = None):
-        data: dict[tuple[int, int], Element] = {}
-        for (i, j), c in (coeffs or {}).items():
-            if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
-                raise ValueError(f"bad exponent pair ({i}, {j})")
-            if not c.is_zero:
-                data[(i, j)] = c
-        object.__setattr__(self, "_coeffs", data)
+    _is_key = staticmethod(lambda key: type(key) is tuple and len(key) == 2
+                           and all(type(e) is int and e >= 0 for e in key))
 
     @staticmethod
     def monomial(i: int, j: int, coeff: Element = ONE) -> "BiPoly":
@@ -83,12 +76,6 @@ class BiPoly(SparsePoly):
 
     def items(self):
         return sorted(self._coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
 
     def evaluate(self, x: Element, y: Element) -> Element:
         total = ZERO
@@ -120,29 +107,6 @@ class BiPoly(SparsePoly):
         for (i, j), c in self._coeffs.items():
             out[j][i] = c
         return [Poly(d) for d in out]
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self._coeffs!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "-inf"
-        parts = []
-        for (i, j), c in sorted(self._coeffs.items(),
-                                key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
-            factors = []
-            if c != ONE or (i == 0 and j == 0):
-                factors.append(str(c))
-            if i == 1:
-                factors.append("x")
-            elif i > 1:
-                factors.append(f"x^{i}")
-            if j == 1:
-                factors.append("y")
-            elif j > 1:
-                factors.append(f"y^{j}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
 
 
 def partial_frobenius(f: BiPoly, m: int, var: str = "x") -> BiPoly:

@@ -1,9 +1,10 @@
 """Command line front end.
 
 One subcommand per library operation, text or JSON output, polynomials
-given inline or as `-` for stdin.  Exit codes: 0 success, 1 parse error,
-2 domain error (an operation rejected its input), 3 self-check failure
-or a failed runtime cross-check.
+given inline or as `-` for stdin.  Exit codes: 0 success, 1 parse error
+(a command line that does not parse included), 2 domain error (an
+operation rejected its input, or a file it was given cannot be written),
+3 self-check failure or a failed runtime cross-check.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .bipoly import DEFAULT_STEP, DEFAULT_WINDOW, bezout_report
 from .divide import divides_linear, verify_division
 from .factor import factor_min_ghosts
 from .intervals import RootSet, _fmt_endpoint
-from .parse import (ParseError, _read_rational, parse_bipoly, parse_poly,
-                    poly_to_json)
+from .element import _read_rational
+from .parse import ParseError, parse_bipoly, parse_poly, poly_to_json
 from .poly import canonical_full, tangible_roots
 from .resultant import DEFAULT_METHOD, METHODS, decide
 
@@ -247,13 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
+    except SystemExit as exc:
+        # Only argparse exits: 0 after --help, 2 after a usage error it
+        # has reported.  A command line that does not parse is a parse error.
+        code = 1 if exc.code else 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --csv
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except (AssertionError, ArithmeticError) as exc:

@@ -12,25 +12,59 @@ ghosts it.  Multiplication adds magnitudes and ghostness is absorbing.  The
 multiplicative identity is the tangible 0, written ``0`` (so numeric values
 behave like logarithms).  Ghosts together with Zero form the ghost ideal,
 which plays the role of zero in all root and singularity tests.
+
+Rational text has one reader, the grammar's (`parse`), shared by the
+tokenizer, `Element.parse`, `as_fraction`, the JSON reader and the CLI.
+It reads no decimals or exponents, which `Fraction` would expand.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+from .record import Frozen
 
 Rational = int | str | Fraction
 
+_RATIONAL = r"(?P<num>-?\d+)(?:/(?P<den>\d+))?"
+_RATIONAL_RE = re.compile(_RATIONAL)
+
+
+def _rational(num: str, den: str | None) -> Fraction | None:
+    """The regex groups of a rational as a Fraction; None for a zero
+    denominator.  Past `sys.get_int_max_str_digits`, raises ValueError."""
+    n = int(num)
+    if den is None:
+        return Fraction(n)
+    d = int(den)
+    return Fraction(n, d) if d else None
+
+
+def _read_rational(text: object) -> Fraction | None:
+    """A whole string read as the grammar's rational, such as '-5/2'.
+
+    None when it is not one or divides by zero; past the digit limit,
+    `_rational` raises ValueError."""
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    return _rational(*m.group("num", "den")) if m else None
+
 
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to an exact Fraction."""
+    """Coerce ints, Fractions and rational text ('-3/4', else ValueError)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        out = _read_rational(value)
+        if out is None:
+            raise ValueError(f"not a rational like '-5/2': {value!r}")
+        return out
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class Element:
+class Element(Frozen):
     """One supertropical scalar: Zero, tangible, or ghost.
 
     ``mag`` is None exactly for Zero; ``is_ghost`` is the layer flag and is
@@ -48,15 +82,6 @@ class Element:
             raise ValueError("Zero carries no layer flag")
         object.__setattr__(self, "mag", mag)
         object.__setattr__(self, "is_ghost", is_ghost)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Element is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Element is immutable")
-
-    def __reduce__(self):
-        return Element, (self.mag, self.is_ghost)
 
     # -- kind predicates ---------------------------------------------------
 
@@ -156,13 +181,14 @@ class Element:
 
     @staticmethod
     def parse(text: str) -> "Element":
-        """Inverse of str(): '-inf', '3', '-5/2', '7v', '1/3v'."""
+        """Inverse of str(): '-inf', '3', '-5/2', '7v', '1/3v'.
+
+        Other text raises ValueError."""
         text = text.strip()
         if text == "-inf":
             return ZERO
-        if text.endswith("v"):
-            return Element(Fraction(text[:-1]), True)
-        return Element(Fraction(text), False)
+        is_ghost = text.endswith("v")
+        return Element(as_fraction(text[:-1] if is_ghost else text), is_ghost)
 
 
 ZERO = Element(None)

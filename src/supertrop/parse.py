@@ -19,16 +19,16 @@ descent over the tokens, computing on the maps of the sparse core
 n-ary `terms_mul` on a common integer scale, and a power `terms_pow`.  No
 polynomial object is built per node, and the result is wrapped once, as
 a BiPoly, a Poly or an Element.  The JSON readers are strict and name
-the offending term.
+the offending term.  Rationals are read by `element`'s one reader.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .bipoly import BiPoly
-from .element import Element, ONE, ZERO
+from .element import (Element, ONE, ZERO, _RATIONAL, _rational,
+                      _read_rational)
 from .poly import Poly
 from .sparse import Terms, terms_add, terms_mul, terms_pow
 
@@ -38,8 +38,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {pos}")
         self.pos = pos
 
-
-_RATIONAL = r"(?P<num>-?\d+)(?:/(?P<den>\d+))?"
 
 _TOKEN_RE = re.compile(
     rf"""(?P<ws>\s+)
@@ -51,19 +49,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-
-
-def _rational(num: str, den: str | None) -> Fraction | None:
-    """The regex groups of a rational as a Fraction; None for a zero denominator.
-
-    Raises ValueError for a number past the interpreter's limit on digits
-    (`sys.get_int_max_str_digits`).
-    """
-    n = int(num)
-    if den is None:
-        return Fraction(n)
-    d = int(den)
-    return Fraction(n, d) if d else None
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -204,18 +189,6 @@ def bipoly_to_json(f: BiPoly) -> dict:
     return {"vars": 2,
             "terms": [{"i": i, "j": j, **_term_json(c)}
                       for (i, j), c in f.items()]}
-
-
-_RATIONAL_RE = re.compile(_RATIONAL)
-
-
-def _read_rational(text: object) -> Fraction | None:
-    """A whole string read as the grammar's rational, such as '-5/2'.
-
-    None when it is not one or divides by zero; past the digit limit,
-    `_rational` raises ValueError.  Shared by the JSON reader and the CLI."""
-    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    return _rational(*m.group("num", "den")) if m else None
 
 
 def _term_element(term: dict, k: int) -> Element:

@@ -17,9 +17,9 @@ the closed dominance regions of ghost coefficients.  The bottom element -inf
 is a root exactly when evaluation at it lands in the ghost ideal, i.e. the
 variable divides the polynomial or the constant term is a ghost.
 
-A Poly is a `sparse.SparsePoly` keyed by degree, so its sums, products
-and powers are the core's: products and powers run on magnitudes scaled
-to Python ints, and a power squares.
+A Poly is a `sparse.SparsePoly` keyed by degree: its value protocol,
+sums, products and powers are the core's; products and powers run on
+magnitudes scaled to Python ints, and a power squares.
 
 The canonical kernels avoid Fraction arithmetic too: the hull is taken on
 magnitudes scaled once to Python ints by the lcm of their denominators,
@@ -34,7 +34,7 @@ verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -45,24 +45,13 @@ from .sparse import SparsePoly, terms_mul
 
 
 class Poly(SparsePoly):
-    """Sparse supertropical polynomial in one variable.
+    """Sparse supertropical polynomial in one variable, keyed by degree.
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    coefficient map.  Addition is coefficientwise, multiplication is the
-    max-plus convolution; there is no subtraction.
+    Addition is coefficientwise, multiplication is the max-plus
+    convolution; there is no subtraction.
     """
 
     __slots__ = ("_full",)  # the canonical form, once taken
-
-    def __init__(self, coeffs: Mapping[int, Element] | None = None):
-        clean: dict[int, Element] = {}
-        if coeffs:
-            for deg, c in coeffs.items():
-                if not isinstance(deg, int) or deg < 0:
-                    raise ValueError(f"bad monomial degree: {deg!r}")
-                if not c.is_zero:
-                    clean[deg] = c
-        object.__setattr__(self, "_coeffs", clean)
 
     # -- constructors --------------------------------------------------
 
@@ -138,29 +127,6 @@ class Poly(SparsePoly):
 
     def hat(self) -> "Poly":
         return Poly({deg: c.hat() for deg, c in self._coeffs.items()})
-
-    # -- value protocol ----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "-inf"
-        parts = []
-        for deg in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[deg]
-            if deg == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if deg == 1 else f"x^{deg}"
-                parts.append(var if c == ONE else f"{c}*{var}")
-        return " + ".join(parts)
 
 
 # -- canonical full form ----------------------------------------------------

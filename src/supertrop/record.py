@@ -1,18 +1,37 @@
-"""Immutable value records: the base of the package's small answer types.
+"""Immutable values: the one guard, and the base of the small answer types.
+
+`Frozen` is the guard that `Element`, `sparse.SparsePoly` and `Record`
+inherit: assigning or deleting an attribute raises AttributeError, so
+their constructors set slots with `object.__setattr__` or a slot's setter,
+and copies and pickles rebuild through the constructor.
 
 A record lists its fields in `__slots__`, and the one `__init__` here sets
 them: positional values in slot order, then keywords, then the class's
 `_defaults` for the fields left out.  A missing, extra, repeated or
 unknown field is a TypeError.  The base adds what a frozen value needs:
 equality between records of the same class with equal fields, a hash of
-the field tuple, a repr of the form `Name(field=value, ...)`, and no
-assignment after construction.
+the field tuple and a repr of the form `Name(field=value, ...)`.
 """
 
 from operator import attrgetter
 
 
-class Record:
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # The default restore sets slots one by one and meets the guard;
+        # the slots in order are the constructor's arguments.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Record(Frozen):
     __slots__ = ()
     # Field -> value, for the fields a caller may leave out.
     _defaults: dict = {}
@@ -53,13 +72,3 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # Fields in slot order are the positional arguments of __init__.
-        return type(self), self._key(self)

@@ -1,13 +1,14 @@
-"""The sparse core: coefficient maps and their semiring arithmetic.
+"""The sparse core: coefficient maps, their semiring arithmetic, and the
+one value protocol of the polynomials built on them.
 
 A polynomial is a dict from exponents to Elements that never holds Zero.
 The exponent is an int in one variable (`Poly`) and a pair (i, j) in two
 (`BiPoly` and the parser).  Sums and products of nonzero elements are
 nonzero, so results keep that invariant with no filtering.  Nothing
 mutates a map once it is built, so the wrappers share them freely.  The
-wrapper's guard enforces this: assigning or deleting an attribute raises,
-so a wrapper holds one map for life, and what it derives from the map (a
-`Poly` keeps its canonical form) stays valid.
+guard `record.Frozen` enforces this: assigning or deleting an attribute
+raises, so a wrapper holds one map for life, and what it derives from the
+map (a `Poly` keeps its canonical form) stays valid.
 
 Sums stay on the Elements: `terms_add` only compares magnitudes and keeps
 one of the summands, or makes a ghost copy on a tie, so it creates no new
@@ -30,9 +31,11 @@ Output keys come in the order in which the nested convolution loop first
 meets them, as a product of Elements would list them; a power lists the
 keys of its square-and-multiply chain.
 
-`SparsePoly` is the one wrapper over a map: `Poly` and `BiPoly` subclass
-it, and its sums, products and powers are the functions here.  A class
-attribute names the exponent of the constant term, 0 or (0, 0).
+`SparsePoly` is the one wrapper over a map, subclassed by `Poly` and
+`BiPoly`.  It holds their construction (checking exponents, dropping
+Zero), equality (same class, same map), hashing and printing as well as
+their arithmetic.  A subclass names its exponent test `_is_key` and
+`_unit`, the exponent of the constant term.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from functools import reduce
 from math import lcm
 
 from .element import Element, ONE
+from .record import Frozen
 
 # Exponent (int or (i, j) pair) -> nonzero coefficient.
 Terms = dict
@@ -114,11 +118,24 @@ def terms_pow(p: Terms, n: int, unit) -> Terms:
         q = _convolve(q, q)
 
 
-class SparsePoly:
+class SparsePoly(Frozen):
     """A polynomial as one core map, `_coeffs`, never mutated once built."""
 
     __slots__ = ("_coeffs",)
     _unit = 0  # the exponent of the constant term
+    # The test of one exponent: a degree here, a pair in `BiPoly`.
+    _is_key = staticmethod(lambda key: type(key) is int and key >= 0)
+
+    def __init__(self, coeffs: Terms | None = None):
+        clean: Terms = {}
+        is_key = self._is_key
+        for key, c in (coeffs or {}).items():
+            if not is_key(key):
+                raise ValueError(
+                    f"bad exponent for {type(self).__name__}: {key!r}")
+            if not c.is_zero:
+                clean[key] = c
+        object.__setattr__(self, "_coeffs", clean)
 
     @classmethod
     def _of(cls, terms: Terms):
@@ -126,12 +143,6 @@ class SparsePoly:
         out = object.__new__(cls)
         object.__setattr__(out, "_coeffs", terms)
         return out
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # Copies and pickles rebuild through the constructor.
@@ -160,6 +171,36 @@ class SparsePoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
         return self._of(terms_pow(self._coeffs, n, self._unit))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self) -> str:
+        parts = []
+        for key in sorted(self._coeffs, key=_print_order, reverse=True):
+            c = self._coeffs[key]
+            i, j = key if type(key) is tuple else (key, 0)
+            x = "" if not i else "x" if i == 1 else f"x^{i}"
+            y = "" if not j else "y" if j == 1 else f"y^{j}"
+            mono = f"{x}*{y}" if x and y else x or y
+            if not mono:
+                parts.append(str(c))
+            else:
+                parts.append(mono if c == ONE else f"{c}*{mono}")
+        return " + ".join(parts) or "-inf"
+
+
+def _print_order(key):
+    # Terms print by falling total degree, then by falling degree in x.
+    return (key[0] + key[1], key[0]) if type(key) is tuple else key
 
 
 def _shifted(key, by):

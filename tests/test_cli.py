@@ -172,6 +172,29 @@ def test_rational_arguments_follow_the_grammar(capsys):
     assert (code, out) == (0, "x + 1")
 
 
+def test_usage_errors_exit_1(capsys):
+    # argparse exits 2, the domain-error code, on a command line it cannot
+    # read; main returns the parse-error code instead of raising SystemExit.
+    for argv in (["canon"], ["divides", "x + 1", "-5/2"],
+                 ["bezout", "x + y + 0", "1*x + y + 3",
+                  "--window", "-10,10,-10,10"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("usage:"), argv
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["bezout", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: supertrop")
+
+
+def test_unwritable_csv_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "bezout", "x + y + 0", "1*x + y + 3",
+                         "--csv", str(tmp_path / "missing" / "h.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "h.csv" in err
+
+
 def test_stdin_dash(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x^2 + 6v*x + 7"))
     code, out, _ = run(capsys, "roots", "-")

@@ -1,11 +1,13 @@
 """Scalar semiring arithmetic."""
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supertrop import Element, ONE, ZERO, ghost, tangible
+from supertrop.element import as_fraction
 
 
 # Few magnitudes, so sums tie often; Zero and ghosts come up too.
@@ -57,6 +59,20 @@ def test_division():
 def test_parse_round_trip():
     for text in ["-inf", "3", "-5/2", "7v", "1/3v", "0", "0v"]:
         assert str(Element.parse(text)) == text
+
+
+def test_text_outside_the_grammar_is_refused_at_once():
+    # Fraction reads decimals and exponents, and "1e10000000" made it build
+    # a ten-million-digit power of ten; the grammar's reader refuses them.
+    start = perf_counter()
+    for text in ["0.5", "1e-3v", "1e300000", "1/0", "+3", "v", "-infv"]:
+        with pytest.raises(ValueError):
+            Element.parse(text)
+    for text in ["1e10000000", "0.5", " 3"]:
+        with pytest.raises(ValueError):
+            as_fraction(text)
+    assert perf_counter() - start < 1
+    assert as_fraction("-5/2") == Fraction(-5, 2) and as_fraction(3) == 3
 
 
 def test_layer_predicates():

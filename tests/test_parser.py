@@ -218,7 +218,7 @@ def test_over_long_number_is_a_parse_error():
 # -- BiPoly-per-node oracle for the one-pass parser ---------------------------
 # The parser before the sparse core: every node a validated BiPoly, sums and
 # products written out here, powers by repeated multiplication, numbers read
-# with Element.parse.
+# with Fraction, independently of the package's rational reader.
 
 _ORACLE_TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -240,8 +240,10 @@ def _oracle_tokenize(text):
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup if m.lastgroup != "ghost" else "number"
         if kind == "number":
+            number = m.group("number")
+            ghost = number.endswith("v")
             try:
-                value = Element.parse(m.group("number"))
+                value = Element(Fraction(number.rstrip("v")), ghost)
             except ZeroDivisionError:
                 raise ParseError("malformed rational", pos)
             tokens.append(("scalar", value, pos))

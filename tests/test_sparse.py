@@ -171,6 +171,36 @@ def test_bipoly_semiring_laws(f, g, h):
     assert f * (g + h) == f * g + f * h
 
 
+# -- the shared value protocol -------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, pair_maps.map(BiPoly), pair_maps.map(BiPoly))
+def test_equal_values_hash_equal_and_print_back(f, g, b, c):
+    for p, q, parse in ((f, g, parse_poly), (b, c, parse_bipoly)):
+        # The same map listed in the other order is the same value.
+        twin = type(p)(dict(reversed(list(p.items()))))
+        assert twin == p and hash(twin) == hash(p)
+        if p == q:
+            assert hash(p) == hash(q)
+        assert parse(str(p)) == p
+        assert repr(p) == f"{type(p).__name__}({p})"
+    # A Poly never equals a BiPoly, not even the same polynomial in x.
+    for poly, bipoly in ((f, b), (f, BiPoly.from_poly(f))):
+        assert poly != bipoly and bipoly != poly
+        assert not poly == bipoly and not bipoly == poly
+
+
+def test_constructors_refuse_bad_exponents():
+    for make, key in ((BiPoly, 5), (BiPoly, (1, 2, 3)), (BiPoly, (1, -1)),
+                      (BiPoly, (True, 0)), (Poly, True), (Poly, -1),
+                      (Poly, (1, 0)), (Poly, 1.0)):
+        with pytest.raises(ValueError, match="bad exponent"):
+            make({key: ONE})
+    assert Poly({2: ghost(1), 0: ZERO}) == Poly.monomial(2, ghost(1))
+    assert BiPoly({(1, 2): ONE, (0, 0): ZERO}) == BiPoly.monomial(1, 2)
+
+
 # -- immutability, copies and pickles --------------------------------------------
 
 
