@@ -20,11 +20,23 @@ upper hull of the points (slope, intercept), taken by the hull routine of
 integer intervals, and the grid points where both inputs' intervals meet
 form runs of columns.  The half-step refinement widens each run by half a
 step and intersects it with the intervals of its row and the half rows
-beside it.  A scan costs O(rows * terms + hits), with no probe of single
-points.  `bezout_report` clusters the hits by runs, with a union-find over
-O(runs) nodes, and compares the count of isolated ones against the
-product of the total degrees.  The clustering is heuristic by nature; the
-degree bound on isolated hits is the part that is checked.
+beside it.
+
+The sweep visits only the rows where the two ghost loci can meet.  Each
+locus is a union of tie edges, where two terms attain the maximum, and of
+the cells where a ghost term attains it (Richter-Gebert, Sturmfels and
+Theobald, "First steps in tropical geometry").  Their row ranges inside
+the window come out exactly in integers.  Two edges that cross can share
+only their crossing row, any other two pieces only the rows both reach.
+For T terms a scan costs O(T^3) for the pieces, one test per pair of
+pieces, O(candidate rows * T) for the sweep and O(hits) for the output,
+with no probe of single points.  A finer step or a wider window adds candidate
+rows only where a ghost cell or an edge shared by both inputs covers them.
+
+`bezout_report` clusters the hits by runs, with a union-find over O(runs)
+nodes, and compares the count of isolated ones against the product of the
+total degrees.  The clustering is heuristic by nature; the degree bound on
+isolated hits is the part that is checked.
 """
 
 from __future__ import annotations
@@ -174,17 +186,10 @@ def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
         tops.append((i, c, ghost))
     hull = _upper_hull(tops)
 
+    # Each envelope piece adds itself when its line is ghost, then its right
+    # breakpoint when that is an integer; breakpoints increase, so a piece
+    # either extends the last interval or starts a new one.
     out: list[tuple[int, int]] = []
-
-    def add(l: int, h: int) -> None:
-        l, h = max(l, lo), min(h, hi)
-        if l > h:
-            return
-        if out and l <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], h)  # breakpoints increase, so h does
-        else:
-            out.append((l, h))
-
     start = lo  # ceiling of the previous breakpoint
     for t, (i, c, ghost) in enumerate(hull):
         if t + 1 < len(hull):
@@ -192,12 +197,106 @@ def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
             end, rem = divmod(c - c2, i2 - i)  # floor of the next breakpoint
         else:
             end, rem = hi, 1
-        if ghost:
-            add(start, end)
-        if rem == 0:
-            add(end, end)
+        if ghost or rem == 0:
+            l, h = max(start if ghost else end, lo), min(end, hi)
+            if l <= h:
+                if out and l <= out[-1][1] + 1:
+                    out[-1] = (out[-1][0], h)
+                else:
+                    out.append((l, h))
         start = end if rem == 0 else end + 1
     return out
+
+
+def _clip(bounds, lo: int, hi: int) -> tuple[int, int]:
+    """The integers t of [lo, hi] with k*t >= r for every (k, r) of
+    `bounds`, as a range that is empty when lo > hi."""
+    for k, r in bounds:
+        if k > 0:
+            lo = max(lo, -(-r // k))
+        elif k < 0:
+            hi = min(hi, r // k)
+        elif r > 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def _pieces(groups, x0: int, x1: int, y0: int, y1: int) -> tuple[list, list]:
+    """The pieces of a polynomial's ghost locus in the box [x0, x1] x [y0, y1].
+
+    With V_p = m_p + i_p X + j_p Y for the scaled terms, the locus is the
+    union of the tie edges {V_p = V_q >= every V_r} and of the cells
+    {V_p >= every V_r} of the ghost terms p; on a row it is the set that
+    `_row_ghost` returns.  Returns the edges as (a, b, c, lo, hi): the
+    edge lies on the line a X + b Y = c, and lo..hi are the integer rows
+    where it meets the box.  The cells come as such row ranges (lo, hi).
+    Each edge costs O(terms), each cell O(terms^2) by eliminating X;
+    pieces that meet no integer row of the box are left out.
+    """
+    terms = [(i, j, m, ghost) for i, group in groups for m, j, ghost in group]
+    edges, cells = [], []
+    for p, (ip, jp, mp, ghost) in enumerate(terms):
+        # V_p >= V_r as a X + b Y >= c.
+        others = [(ip - i, jp - j, m - mp)
+                  for i, j, m, _ in terms[:p] + terms[p + 1:]]
+        for a, b, c in others[p:]:  # the terms q after p
+            if a < 0:
+                a, b, c = -a, -b, -c
+            if a:
+                # X = (c - b Y) / a on the line; each other half-plane and
+                # each side of the box then bounds Y.
+                lo, hi = _clip([(b2 * a - a2 * b, c2 * a - a2 * c)
+                                for a2, b2, c2 in others] +
+                               [(-b, x0 * a - c), (b, c - x1 * a)], y0, y1)
+                if lo <= hi:
+                    edges.append((a, b, c, lo, hi))
+            elif c % b == 0 and y0 <= c // b <= y1:
+                # A tie of parallel lines on the one row Y = c / b.
+                y = c // b
+                lo, hi = _clip([(a2, c2 - b2 * y) for a2, b2, c2 in others],
+                               x0, x1)
+                if lo <= hi:
+                    edges.append((a, b, c, y, y))
+        if ghost:
+            # Fourier-Motzkin: eliminate X between each lower and each upper
+            # bound on it, the box's two sides included.
+            bounds = others + [(1, 0, x0), (-1, 0, -x1)]
+            lows = [h for h in bounds if h[0] > 0]
+            ups = [h for h in bounds if h[0] < 0]
+            lo, hi = _clip([(b, c) for a, b, c in bounds if a == 0] +
+                           [(a1 * b2 - a2 * b1, a1 * c2 - a2 * c1)
+                            for a1, b1, c1 in lows for a2, b2, c2 in ups],
+                           y0, y1)
+            if lo <= hi:
+                cells.append((lo, hi))
+    return edges, cells
+
+
+def _candidate_rows(fg, gg, x0: int, x1: int, y0: int, y1: int,
+                    step: int) -> set[int]:
+    """The base rows y0 + k*step of [y0, y1] that can hold a common ghost
+    point of the two inputs with x in [x0, x1].
+
+    Two edges that cross meet on one row; two edges on one line meet on
+    the rows both reach; a cell meets a piece of the other input at most on
+    the rows both reach.  Every base row with a common point is listed.
+    """
+    fe, fc = _pieces(fg, x0, x1, y0, y1)
+    ge, gc = _pieces(gg, x0, x1, y0, y1)
+    spans = [(max(l1, l2), min(h1, h2))
+             for ours, theirs in ((fc, ge + gc), (gc, fe))
+             for l1, h1 in ours for *_, l2, h2 in theirs]
+    for a1, b1, c1, l1, h1 in fe:
+        for a2, b2, c2, l2, h2 in ge:
+            det = a1 * b2 - a2 * b1
+            if det:
+                y, rem = divmod(a1 * c2 - a2 * c1, det)
+                if not rem:
+                    spans.append((max(y, l1, l2), min(y, h1, h2)))
+            elif a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1:
+                spans.append((max(l1, l2), min(h1, h2)))
+    return {b for lo, hi in IntervalSet.of(s for s in spans if s[0] <= s[1])
+            for b in range(lo + (y0 - lo) % step, hi + 1, step)}
 
 
 Window = tuple[Rational, Rational, Rational, Rational]
@@ -243,11 +342,15 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
 
     # Each common interval of a base row holds a run [first, last] of step
     # columns; the refinement reaches [first - half, last + half] on the
-    # rows b - half, b and b + half.  The loop runs one row past the grid
-    # to fill the half row above its last row.
+    # rows b - half, b and b + half.  Only a candidate row can hold a run,
+    # so the loop visits those and the base row after each, which fills the
+    # half row in between.  The row before a skipped one is such a row after
+    # a candidate, not a candidate itself, so it leaves `below` empty, as
+    # the skipped rows would.
+    cand = _candidate_rows(fg, gg, x0 - half, x1 + half, y0, y1, step_s)
     below: list[tuple[int, int]] = []  # the reach of the base row below
-    for b in range(y0, y1 + step_s + 1, step_s):
-        both = row(b) if b <= y1 else []
+    for b in sorted(cand | {c + step_s for c in cand}):
+        both = row(b) if b in cand else []
         runs = []
         for lo, hi in both:
             first = x0 - (x0 - max(lo, x0)) // step_s * step_s  # column >= lo

@@ -2,17 +2,20 @@
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supertrop import (BiPoly, Element, ONE, bezout_report,
                        common_roots_sample, ghost, parse_bipoly, parse_poly,
                        partial_frobenius, resultant, resultant_in_second,
                        tangible)
+from supertrop import bipoly
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
-                              _cluster, _scan)
+                              _cluster, _row_ghost, _scan)
 from supertrop.checks import Gen
+from supertrop.intervals import intersect_sorted
 
 B = parse_bipoly
 P = parse_poly
@@ -301,12 +304,14 @@ def test_bezout_report_matches_oracle_on_odd_windows(case):
         oracle_report(f, g, window, step)
 
 
+# All four terms of f equal 2 at (1, 1), and on the row y = 1 both of its
+# pairs of parallel lines tie; the three terms of g meet there too.
+FORCED_TIES = (B("1*x + 1*y + 2 + x*y"), B("x + y + 1v"),
+               (Fraction(-5, 3), Fraction(7, 2), Fraction(-2), Fraction(13, 4)))
+
+
 def test_row_sweep_forced_ties():
-    # All four terms of f equal 2 at (1, 1), and on the row y = 1 both of
-    # its pairs of parallel lines tie; the three terms of g meet there too.
-    f = B("1*x + 1*y + 2 + x*y")
-    g = B("x + y + 1v")
-    window = (Fraction(-5, 3), Fraction(7, 2), Fraction(-2), Fraction(13, 4))
+    f, g, window = FORCED_TIES
     for step in (Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)):
         refined, scale = scan_points(f, g, window, step)
         assert refined and (refined, scale) == oracle_scan(f, g, window, step)
@@ -320,11 +325,85 @@ def test_bezout_report_matches_oracle_on_check_pairs():
 
 
 def test_bezout_report_fine_step():
-    # A 20001 x 20001 grid: the sweep visits 20001 rows, not 4e8 points.
+    # A 20001 x 20001 grid: the sweep visits the few rows where the two
+    # inputs' ghost loci can meet, not 20001 rows or 4e8 points.
     rep = bezout_report(B("x + y + 0"), B("1*x + y + 3"),
                         step=Fraction(1, 1000))
     assert rep.hits == ((Fraction(2), Fraction(2)),)
     assert (rep.component_count, rep.ordinary_count) == (1, 1)
+
+
+# -- candidate rows: the sweep skips only rows with no common point ----------
+
+
+def candidate_rows(f, g, window, step):
+    """The arguments `_scan` gives `_candidate_rows`, and its answer."""
+    seen = []
+    real = bipoly._candidate_rows
+    with mock.patch.object(bipoly, "_candidate_rows",
+                           lambda *args: seen.append(args) or real(*args)):
+        _scan(f, g, window, step)
+    (args,) = seen
+    return args, real(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+# A ghost cell bounded by a horizontal tie at y = 1/3 (8/3 in the scan's
+# integer units) and the window's sides: its row range must come from the
+# cell's own half-planes.
+@example((B("-1*y + 0v"), B("0v*y^3 + y^2 + y + 1"), (0, 0, 0, 1),
+          Fraction(1, 4)))
+# Two edges on one line: their common rows are the overlap of their ranges.
+@example((B("x + y + 0"), B("x + y + 0v"), DEFAULT_WINDOW, DEFAULT_STEP))
+# Pairs of parallel lines tied on a whole row.
+@example(FORCED_TIES + (Fraction(1, 3),))
+def test_candidate_rows_hold_every_common_row(case):
+    f, g, window, step = case
+    (fg, gg, xlo, xhi, ylo, yhi, step_s), rows = candidate_rows(*case)
+    base = range(ylo, yhi + 1, step_s)
+    assert rows <= set(base)
+    for b in base:
+        if intersect_sorted(_row_ghost(fg, b, xlo, xhi),
+                            _row_ghost(gg, b, xlo, xhi)):
+            assert b in rows, (f, g, window, step, b)
+
+
+def count_row_ghost(monkeypatch) -> list:
+    calls = []
+    real = bipoly._row_ghost
+    monkeypatch.setattr(bipoly, "_row_ghost",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_scan_rows_do_not_grow_with_step_or_window(monkeypatch):
+    # Sweeping every base row would take 166, 40,006 and 800,006 envelopes
+    # at the three steps.  The pieces of the two lines give the same three
+    # candidate rows (y = 0, 2 and 3) at every step and in both windows.
+    calls = count_row_ghost(monkeypatch)
+    f, g = B("x + y + 0"), B("1*x + y + 3")
+    wide = (-100000, 100000, -100000, 100000)
+    counts = []
+    for window, step in ((DEFAULT_WINDOW, Fraction(1, 4)),
+                         (DEFAULT_WINDOW, Fraction(1, 1000)),
+                         (DEFAULT_WINDOW, Fraction(1, 20000)),
+                         (wide, DEFAULT_STEP)):
+        calls.clear()
+        assert bezout_report(f, g, window, step).hits == \
+            ((Fraction(2), Fraction(2)),)
+        counts.append(len(calls))
+    assert counts == [10] * 4
+
+
+def test_scan_clips_pieces_to_the_window(monkeypatch):
+    # The lines' pieces cross at (2, 2), right of the window.  Clipped to
+    # the window, no piece of f shares a row with a piece of g, so no row
+    # is swept.
+    calls = count_row_ghost(monkeypatch)
+    assert common_roots_sample(B("x + y + 0"), B("1*x + y + 3"),
+                               (-10, 0, -10, 10)) == []
+    assert calls == []
 
 
 # -- run clustering against a point-by-point flood fill ----------------------
