@@ -11,7 +11,8 @@ a point is a semiring map, specialising the first variable commutes with
 taking that permanent, which is the main exactness test for this module.
 
 `common_roots_sample` finds the points of a rational grid where both
-inputs take ghost values, entirely in integer arithmetic.  It sweeps the
+inputs take ghost values, entirely in integer arithmetic: the `scaled`
+magnitudes of the two inputs, rescaled once to the grid.  It sweeps the
 grid row by row: on a row y = b every term is a line in x, and the value
 is ghost exactly at the breakpoints of the upper envelope of those lines
 and along its pieces that come from ghost terms; the envelope is the
@@ -51,7 +52,7 @@ from .intervals import IntervalSet, intersect_sorted
 from .poly import Poly, _upper_hull
 from .record import Record
 from .resultant import permanent, sylvester_vectors
-from .sparse import SparsePoly
+from .sparse import SparsePoly, scaled
 
 
 class BiPoly(SparsePoly):
@@ -127,8 +128,8 @@ def partial_frobenius(f: BiPoly, m: int, var: str = "x") -> BiPoly:
     Sends a common root (a, b) of a pair to (a/m, b) (or (a, b/m)) in
     logarithmic notation.
     """
-    if m < 1:
-        raise ValueError("power must be >= 1")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"power must be a positive integer: {m!r}")
     if var == "x":
         return BiPoly({(m * i, j): c for (i, j), c in f.items()})
     if var == "y":
@@ -154,12 +155,12 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
     return permanent(grid, zero=Poly.zero(), one=Poly.constant(ONE))
 
 
-def _slope_groups(f: BiPoly, scale: int) -> list[tuple[int, list]]:
-    # Scaled terms grouped by x exponent, in increasing order: on a grid
-    # row y = b each group is a family of parallel lines in x.
+def _slope_groups(view: dict, k: int) -> list[tuple[int, list]]:
+    # A `scaled` view's terms times k, grouped by x exponent in increasing
+    # order: on a grid row y = b each group is a family of parallel lines.
     groups: dict[int, list[tuple[int, int, bool]]] = {}
-    for (i, j), c in f.items():
-        groups.setdefault(i, []).append((int(c.mag * scale), j, c.is_ghost))
+    for (i, j), (m, ghost) in view.items():
+        groups.setdefault(i, []).append((m * k, j, ghost))
     return sorted(groups.items())
 
 
@@ -313,11 +314,10 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     xlo, xhi, ylo, yhi = (as_fraction(w) for w in window)
     if step <= 0 or xhi < xlo or yhi < ylo:
         raise ValueError("bad window or step")
-    mags = [c.mag for p in (f, g) for _, c in p.items()]
-    scale = 2 * lcm(xlo.denominator, xhi.denominator, ylo.denominator,
-                    yhi.denominator, step.denominator,
-                    *(m.denominator for m in mags))
-    fg, gg = _slope_groups(f, scale), _slope_groups(g, scale)
+    den, (fv, gv) = scaled([f._coeffs, g._coeffs])
+    scale = 2 * lcm(den, xlo.denominator, xhi.denominator, ylo.denominator,
+                    yhi.denominator, step.denominator)
+    fg, gg = _slope_groups(fv, scale // den), _slope_groups(gv, scale // den)
     step_s = int(step * scale)
     half = step_s // 2
     x0, x1 = int(xlo * scale), int(xhi * scale)

@@ -54,7 +54,7 @@ def as_fraction(value: Rational) -> Fraction:
     """Coerce ints, Fractions and rational text ('-3/4', else ValueError)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         out = _read_rational(value)
@@ -77,9 +77,18 @@ class Element(Frozen):
     mag: Fraction | None
     is_ghost: bool
 
-    def __init__(self, mag: Fraction | None, is_ghost: bool = False):
-        if mag is None and is_ghost:
-            raise ValueError("Zero carries no layer flag")
+    def __init__(self, mag: int | Fraction | None, is_ghost: bool = False):
+        # Exact magnitudes only: an int is stored as a Fraction; a float, a
+        # str or a bool would fail far from here, or not at all.
+        if type(mag) is not Fraction:
+            if mag is None:
+                if is_ghost:
+                    raise ValueError("Zero carries no layer flag")
+            elif isinstance(mag, (int, Fraction)) and not isinstance(mag, bool):
+                mag = Fraction(mag)
+            else:
+                raise TypeError(f"magnitude must be an int or a Fraction: "
+                                f"{mag!r}")
         object.__setattr__(self, "mag", mag)
         object.__setattr__(self, "is_ghost", is_ghost)
 

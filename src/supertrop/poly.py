@@ -22,9 +22,9 @@ sums, products and powers are the core's; products and powers run on
 magnitudes scaled to Python ints, and a power squares.
 
 The canonical kernels avoid Fraction arithmetic too: the hull is taken on
-magnitudes scaled once to Python ints by the lcm of their denominators,
-vertex slots keep their Element, each ghost slot costs one Fraction, and the
-root locus is merged in one left-to-right pass over the corners.
+the magnitudes as `sparse.scaled` ints, vertex slots keep their Element,
+each ghost slot costs one Fraction, and the root locus is merged in one
+left-to-right pass over the corners.
 
 The answers built here (FullPoly, PiecewiseLinear and the ghost-sum
 verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
@@ -36,12 +36,11 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction, tangible
 from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
 from .record import Record
-from .sparse import SparsePoly, terms_mul
+from .sparse import SparsePoly, scaled, terms_mul
 
 
 class Poly(SparsePoly):
@@ -205,10 +204,10 @@ def canonical_full(f: Poly) -> FullPoly:
     of polynomial functions.  A Poly never changes, so it keeps its form:
     the hull is taken at most once per object.
 
-    The hull is taken on integers: magnitudes are scaled once by the lcm
-    `den` of their denominators.  The slots strictly inside a hull segment
-    from (x0, y0) to (x0 + dx, y0 + dy) get the ghosts of
-    (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one Fraction each.
+    The hull is taken on the `scaled` ints, magnitude * den.  The slots
+    strictly inside a hull segment from (x0, y0) to (x0 + dx, y0 + dy) get
+    the ghosts of (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one
+    Fraction each.
     """
     full = getattr(f, "_full", None)
     if full is not None:
@@ -216,10 +215,8 @@ def canonical_full(f: Poly) -> FullPoly:
     if f.is_zero:
         raise ValueError("the zero polynomial has no canonical full form")
     shift = f.ldeg
-    items = sorted(f.items())
-    den = lcm(*(c.mag.denominator for _, c in items))
-    hull = _upper_hull([(deg - shift, c.mag.numerator * (den // c.mag.denominator))
-                        for deg, c in items])
+    den, (view,) = scaled([f._coeffs])
+    hull = _upper_hull([(deg - shift, m) for deg, (m, _) in sorted(view.items())])
     coeffs: list[Element] = [f.coeff(shift)]
     flags: list[bool] = [True]
     x0, y0 = hull[0]

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .element import Element, ONE, ZERO
 from .intervals import Endpoint, RootSet
 from .poly import Poly, _corners, canonical_full, tangible_roots
 from .record import Record
+from .sparse import scaled
 
 Grid = list[list]
 
@@ -127,10 +127,9 @@ def _permanent_assignment(rows: Grid) -> Element:
     The magnitude of the permanent is the largest total magnitude of a
     permutation that avoids Zero entries: a maximum-weight assignment,
     found by the Hungarian method (Kuhn 1955) as shortest augmenting paths
-    with row and column potentials.  Magnitudes are scaled to Python ints
-    by the lcm of their denominators, so nothing can overflow, and Zero
-    entries are missing edges.  The value is ZERO when no permutation
-    avoids them.
+    with row and column potentials, on the `scaled` magnitudes: Python
+    ints, so nothing can overflow.  Zero entries are missing edges, and
+    the value is ZERO when no permutation avoids them.
 
     The value is ghost when two permutations reach the maximum, or when
     the only one that does uses a ghost entry.  Every maximal permutation
@@ -141,13 +140,11 @@ def _permanent_assignment(rows: Grid) -> Element:
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("permanent requires a square matrix")
-    scale = lcm(*(e.mag.denominator for row in rows for e in row
-                  if e.mag is not None))
     # Minimise cost = -scaled magnitude.  Columns are 1..size; column 0 is
     # the root of each search and holds the row being added.
-    cost = [{j: -(e.mag.numerator * (scale // e.mag.denominator))
-             for j, e in enumerate(row, 1) if e.mag is not None}
-            for row in rows]
+    scale, views = scaled([{j: e for j, e in enumerate(row, 1)
+                            if e.mag is not None} for row in rows])
+    cost = [{j: -m for j, (m, _) in view.items()} for view in views]
     u = [0] * size
     v = [0] * (size + 1)
     owner = [-1] * (size + 1)
@@ -199,8 +196,7 @@ def _permanent_assignment(rows: Grid) -> Element:
             indegree[r] -= 1
             if indegree[r] == 0:
                 free.append(r)
-    is_ghost = peeled < size or any(rows[i][col[i] - 1].is_ghost
-                                    for i in range(size))
+    is_ghost = peeled < size or any(views[i][col[i]][1] for i in range(size))
     total = -sum(cost[i][col[i]] for i in range(size))
     return Element(Fraction(total, scale), is_ghost)
 

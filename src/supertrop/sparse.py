@@ -14,28 +14,30 @@ Sums stay on the Elements: `terms_add` only compares magnitudes and keeps
 one of the summands, or makes a ghost copy on a tie, so it creates no new
 Fraction.
 
-A one-term operand of a product (as in "3*x^2") only shifts exponents
-and multiplies each coefficient by its own.  The other operands are
-multiplied on Python ints: `terms_mul` scales their magnitudes once, by
-the lcm of their denominators, and convolves (int, ghost) pairs.
+`scaled` is the one place that clears denominators: it puts the
+magnitudes of some maps on one integer scale, the lcm of their
+denominators, for the hull of `poly`, the products and powers here, the
+resultant engine and the Bezout scan.  A one-term operand of a product
+(as in "3*x^2") only shifts exponents and multiplies each coefficient by
+its own; the others are convolved on their `scaled` (int, ghost) pairs.
 Magnitudes add, ghost absorbs, and two products that land on one
 exponent keep the larger, turning ghost on a tie.  Pair exponents are
 packed into one int, i * w + j with w past the product's degree in y (a
 Kronecker substitution), so one loop serves both kinds.  Each output
-coefficient then costs one Fraction.  The scale is taken per
-product, never per sum: a sum never needs it, and one scale across a
-whole text would make every product of a long sum with many distinct
-denominators pay for all of them.
+coefficient then costs one Fraction.  The scale is taken per product,
+never per sum: a sum never needs it, and one scale across a whole text
+would make every product of a long sum with many distinct denominators
+pay for all of them.
 
 Output keys come in the order in which the nested convolution loop first
 meets them, as a product of Elements would list them; a power lists the
 keys of its square-and-multiply chain.
 
 `SparsePoly` is the one wrapper over a map, subclassed by `Poly` and
-`BiPoly`.  It holds their construction (checking exponents, dropping
-Zero), equality (same class, same map), hashing and printing as well as
-their arithmetic.  A subclass names its exponent test `_is_key` and
-`_unit`, the exponent of the constant term.
+`BiPoly`.  It holds their construction (checking exponents and
+coefficients, dropping Zero), equality (same class, same map), hashing
+and printing as well as their arithmetic.  A subclass names its exponent
+test `_is_key` and `_unit`, the exponent of the constant term.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def terms_mul(p: Terms, *rest: Terms) -> Terms:
         return {shift: ONE if scalar is None else scalar}
     out = ops[0]
     if len(ops) > 1:
-        den, w, scaled = _scaled(ops, 1)
-        out = _unscaled(reduce(_convolve, scaled), den, w)
+        den, views = scaled(ops)
+        w, views = _packed(views, 1)
+        out = _unscaled(reduce(_convolve, views), den, w)
     if shift is None:
         return out
     if scalar is None:
@@ -107,7 +110,8 @@ def terms_pow(p: Terms, n: int, unit) -> Terms:
         return {key: c if c is ONE else c ** n}
     if n == 1 or not p:
         return p
-    den, w, (q,) = _scaled([p], n)
+    den, views = scaled([p])
+    w, (q,) = _packed(views, n)
     out = None
     while True:
         if n & 1:
@@ -133,6 +137,9 @@ class SparsePoly(Frozen):
             if not is_key(key):
                 raise ValueError(
                     f"bad exponent for {type(self).__name__}: {key!r}")
+            if not isinstance(c, Element):
+                raise TypeError(f"coefficient of {key!r} is not an "
+                                f"Element: {c!r}")
             if not c.is_zero:
                 clean[key] = c
         object.__setattr__(self, "_coeffs", clean)
@@ -209,20 +216,23 @@ def _shifted(key, by):
     return key + by
 
 
-def _scaled(ops: list[Terms], n: int) -> tuple[int, int | None, list[dict]]:
-    """The common scale `den`, the packing width `w` and the scaled maps.
+def scaled(maps: list[Terms]) -> tuple[int, list[dict]]:
+    """The maps on one integer scale: `den`, the lcm of the denominators
+    of all their magnitudes, and each map as key -> (magnitude * den as an
+    int, ghost), in the map's order.  The maps hold no Zero."""
+    den = lcm(*[c.mag.denominator for p in maps for c in p.values()])
+    # One call reads both parts of each ratio: this runs per term.
+    return den, [{key: (n * (den // d), c.is_ghost) for key, c in p.items()
+                  for n, d in (c.mag.as_integer_ratio(),)} for p in maps]
 
-    Each map becomes packed exponent -> (magnitude * den, ghost).  Pairs
-    (i, j) pack to i * w + j, with w past the degree in y of the product
-    of `ops` raised to the n-th power; ints stay as they are (w is None).
-    """
-    den = lcm(*[c.mag.denominator for p in ops for c in p.values()])
-    w = None
-    if type(next(iter(ops[0]))) is tuple:
-        w = 1 + n * sum(max(j for _, j in p) for p in ops)
-    return den, w, [{(key if w is None else key[0] * w + key[1]):
-                     (c.mag.numerator * (den // c.mag.denominator), c.is_ghost)
-                     for key, c in p.items()} for p in ops]
+
+def _packed(views: list[dict], n: int) -> tuple[int | None, list[dict]]:
+    # Pair keys (i, j) packed to i * w + j, w past the degree in y of the
+    # n-th power of the product; int keys stay as they are (w is None).
+    if type(next(iter(views[0]))) is not tuple:
+        return None, views
+    w = 1 + n * sum(max(j for _, j in v) for v in views)
+    return w, [{i * w + j: mg for (i, j), mg in v.items()} for v in views]
 
 
 def _unscaled(out: dict, den: int, w: int | None) -> Terms:

@@ -75,6 +75,29 @@ def test_text_outside_the_grammar_is_refused_at_once():
     assert as_fraction("-5/2") == Fraction(-5, 2) and as_fraction(3) == 3
 
 
+def test_magnitudes_are_exact_at_the_door():
+    # Printing and sums would work on a float or a str, and the integer
+    # kernels fail on it far from the caller; so it is refused here.
+    for bad in (1.5, "3", True, False, 2j, [1]):
+        with pytest.raises(TypeError, match="magnitude must be"):
+            Element(bad)
+        with pytest.raises(TypeError):
+            Element(bad, True)
+    # An int is stored as a Fraction, so every reader sees one type.
+    for value in (3, -7, 10 ** 40):
+        e = Element(value, True)
+        assert type(e.mag) is Fraction and e == ghost(value)
+        assert hash(e) == hash(ghost(value)) and str(e) == f"{value}v"
+    assert type(Element(Fraction(5, 2)).mag) is Fraction
+    # The rational reader behind `tangible` and `ghost` agrees on bools.
+    for make in (as_fraction, tangible, ghost):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            make(True)
+    assert Element(None) == ZERO
+    with pytest.raises(ValueError, match="Zero carries no layer flag"):
+        Element(None, True)
+
+
 def test_layer_predicates():
     assert ZERO.is_zero and ZERO.in_ghost_ideal and not ZERO.is_tangible
     assert tangible(1).is_tangible and not tangible(1).in_ghost_ideal

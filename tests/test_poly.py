@@ -14,12 +14,13 @@ import supertrop
 import supertrop.poly as M
 from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        IntervalSet, NotGhostSum, Poly, RootSet, Side,
-                       add_shift, analyze_ghost_sum, canonical_full,
-                       classify_half_tangible, decide, divides_linear,
-                       e_divides, e_equiv, essential_part, frobenius, ggraph,
-                       ghost, is_ghost_poly, mul_shift, parse_poly, resultant,
-                       resultant_nu, resultant_nu_assignment, tangible,
-                       tangible_roots, NEG_INF, POS_INF, ZERO)
+                       add_shift, analyze_ghost_sum, bezout_report,
+                       canonical_full, classify_half_tangible, decide,
+                       divides_linear, e_divides, e_equiv, essential_part,
+                       frobenius, ggraph, ghost, is_ghost_poly, mul_shift,
+                       parse_bipoly, parse_poly, resultant, resultant_nu,
+                       resultant_nu_assignment, tangible, tangible_roots,
+                       NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
 
 P = parse_poly
@@ -350,6 +351,43 @@ def test_analyze_ghost_sum_takes_one_canonical_form_per_polynomial(monkeypatch):
     f, g = P("(x+1)*(x+3v)*(x+4)"), P("x^2 + 2v*x + 1")
     assert hulls_in(lambda: [fn(f, g) for fn in (
         resultant, decide, resultant_nu, resultant_nu_assignment)]) == 2
+
+
+def test_each_kernel_scales_its_inputs_once(monkeypatch):
+    # `sparse.scaled` is the one place that clears denominators; count its
+    # calls through every module that imports it.
+    import supertrop.sparse as S
+    real, calls = S.scaled, []
+
+    def counted(maps):
+        calls.append(maps)
+        return real(maps)
+
+    users = {name for name, module in sys.modules.items()
+             if name.startswith("supertrop")
+             and getattr(module, "scaled", None) is real}
+    assert users >= {"supertrop.sparse", "supertrop.poly",
+                     "supertrop.resultant", "supertrop.bipoly"}
+    for name in users:
+        monkeypatch.setattr(sys.modules[name], "scaled", counted)
+
+    def scalings_in(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    f = Poly({0: tangible("1/3"), 2: ghost("2/5"), 3: tangible(1)})
+    g = Poly({0: tangible(2), 1: ghost(0)})
+    h = Poly({1: tangible("-1/7"), 2: tangible(0)})
+    assert scalings_in(lambda: canonical_full(f)) == 1
+    assert scalings_in(lambda: canonical_full(f)) == 0
+    # The two canonical forms and the assignment engine.
+    assert scalings_in(lambda: resultant(g, h)) == 3
+    # One product; a sum is never scaled.
+    assert scalings_in(lambda: P("(x+1)*(x+2)")) == 1
+    assert scalings_in(lambda: P("x^2 + 1/3*x + 2/5v")) == 0
+    a, b = parse_bipoly("x + y + 0"), parse_bipoly("1*x + y + 3")
+    assert scalings_in(lambda: bezout_report(a, b)) == 1
 
 
 def test_analyze_ghost_sum_invariants_survive_optimize():

@@ -2,15 +2,18 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertrop import (BiPoly, Element, ONE, Poly, ZERO, canonical_full, ghost,
-                       parse_bipoly, parse_poly)
-from supertrop.sparse import terms_add, terms_mul, terms_pow
+from supertrop import (BiPoly, Element, ONE, Poly, Side, ZERO, canonical_full,
+                       classify_half_tangible, ghost, parse_bipoly, parse_poly,
+                       partial_frobenius)
+from supertrop.sparse import scaled, terms_add, terms_mul, terms_pow
 
 
 # -- oracles: the products before the integer core ----------------------------
@@ -149,6 +152,37 @@ def test_edge_cases():
     assert same(terms_mul(p, p, p), reduce(oracle_terms_mul, [p, p, p]))
 
 
+# -- the one integer view ------------------------------------------------------
+
+int_maps = st.dictionaries(st.integers(0, 6), coeffs, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(int_maps, max_size=4), st.lists(pair_maps, max_size=4)))
+def test_scaled_view_is_exact(maps):
+    den, views = scaled(maps)
+    assert len(views) == len(maps)
+    dens = [c.mag.denominator for p in maps for c in p.values()]
+    # den is a common multiple, and the least one: the cofactors den // d
+    # share no factor exactly when no smaller multiple exists.
+    assert all(den % d == 0 for d in dens)
+    assert gcd(*[den // d for d in dens]) == 1 if dens else den == 1
+    for p, view in zip(maps, views):
+        assert list(view) == list(p)
+        for key, (m, g) in view.items():
+            assert type(m) is int and Fraction(m, den) == p[key].mag
+            assert g is p[key].is_ghost
+
+
+def test_scaled_edge_cases():
+    assert scaled([]) == (1, [])
+    assert scaled([{}, {}]) == (1, [{}, {}])
+    p = {2: Element(Fraction(-1, 3), True), 0: ONE}
+    q = {(1, 0): Element(Fraction(2, 5))}
+    assert scaled([p, q]) == (15, [{2: (-5, True), 0: (0, False)},
+                                   {(1, 0): (6, False)}])
+
+
 # -- the polynomial semiring laws -----------------------------------------------
 
 small_polys = st.dictionaries(st.integers(0, 4), tied, max_size=4).map(Poly)
@@ -198,7 +232,27 @@ def test_constructors_refuse_bad_exponents():
         with pytest.raises(ValueError, match="bad exponent"):
             make({key: ONE})
     assert Poly({2: ghost(1), 0: ZERO}) == Poly.monomial(2, ghost(1))
+    # Powers of one variable are positive ints, as in `frobenius`.
+    for power in (0, 0.0, 2.0, Fraction(2), "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            partial_frobenius(BiPoly.monomial(1, 1), power)
     assert BiPoly({(1, 2): ONE, (0, 0): ZERO}) == BiPoly.monomial(1, 2)
+
+
+def test_constructors_refuse_coefficients_that_are_not_elements():
+    # The error names the term, at construction.
+    for make, terms, key in ((Poly, {0: 3}, 0), (Poly, {1: ONE, 4: "1v"}, 4),
+                             (Poly, {1: None}, 1),
+                             (BiPoly, {(1, 2): Fraction(1, 2)}, (1, 2)),
+                             (BiPoly, {(0, 0): ONE, (1, 0): 0.5}, (1, 0))):
+        with pytest.raises(TypeError, match=re.escape(
+                f"coefficient of {key!r} is not an Element")):
+            make(terms)
+    # Int magnitudes are stored as Fractions, so a reader that tests for a
+    # Fraction (a finite root-set end) sees one: x + 1v is right-tangible.
+    f = Poly({1: Element(0), 0: Element(1, True)})
+    assert classify_half_tangible(f) == (Side.RIGHT, Fraction(1))
+    assert f * f == parse_poly("x^2 + 1v*x + 2v")
 
 
 # -- immutability, copies and pickles --------------------------------------------
