@@ -4,7 +4,9 @@ One subcommand per library operation, text or JSON output, polynomials
 given inline or as `-` for stdin.  Exit codes: 0 success, 1 parse error
 (a command line that does not parse included), 2 domain error (an
 operation rejected its input, or a file it was given cannot be written),
-3 self-check failure or a failed runtime cross-check.
+3 self-check failure or a failed runtime cross-check.  Under `--json` a
+failure is an object on stdout, `{"error": {"kind", "message",
+"position"}}`, with the same exit code.
 """
 
 from __future__ import annotations
@@ -247,7 +249,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LABELS = {"parse": "parse error", "domain": "error",
+           "check": "internal check failed"}
+
+
+def _fail(args, kind: str, exc: Exception) -> None:
+    # Under --json the error is an object on stdout; otherwise a line on
+    # stderr that starts with the kind's label.
+    if args is not None and args.json:
+        pos = exc.pos if isinstance(exc, ParseError) else None
+        _print(json.dumps({"error": {"kind": kind, "message": str(exc),
+                                     "position": pos}}, indent=2))
+    else:
+        print(f"{_LABELS[kind]}: {exc}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         code = args.func(args)
@@ -256,14 +274,14 @@ def main(argv: list[str] | None = None) -> int:
         # has reported.  A command line that does not parse is a parse error.
         code = 1 if exc.code else 0
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _fail(args, "parse", exc)
         code = 1
     except (ValueError, OSError) as exc:  # OSError: an unwritable --csv
-        print(f"error: {exc}", file=sys.stderr)
+        _fail(args, "domain", exc)
         code = 2
     except (AssertionError, ArithmeticError) as exc:
         # A runtime cross-check of the library failed: a bug, not bad input.
-        print(f"internal check failed: {exc}", file=sys.stderr)
+        _fail(args, "check", exc)
         code = 3
     try:
         sys.stdout.flush()

@@ -31,23 +31,23 @@ _RATIONAL = r"(?P<num>-?\d+)(?:/(?P<den>\d+))?"
 _RATIONAL_RE = re.compile(_RATIONAL)
 
 
-def _rational(num: str, den: str | None) -> Fraction | None:
-    """The regex groups of a rational as a Fraction; None for a zero
-    denominator.  Past `sys.get_int_max_str_digits`, raises ValueError."""
+def _ratio(num: str, den: str | None) -> tuple[int, int] | None:
+    """The regex groups of a rational as ints (numerator, denominator),
+    not reduced; None for a zero denominator.  Past
+    `sys.get_int_max_str_digits`, raises ValueError."""
     n = int(num)
-    if den is None:
-        return Fraction(n)
-    d = int(den)
-    return Fraction(n, d) if d else None
+    d = int(den) if den else 1
+    return (n, d) if d else None
 
 
 def _read_rational(text: object) -> Fraction | None:
     """A whole string read as the grammar's rational, such as '-5/2'.
 
     None when it is not one or divides by zero; past the digit limit,
-    `_rational` raises ValueError."""
+    `_ratio` raises ValueError."""
     m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    return _rational(*m.group("num", "den")) if m else None
+    ratio = _ratio(*m.group("num", "den")) if m else None
+    return None if ratio is None else Fraction(*ratio)
 
 
 def as_fraction(value: Rational) -> Fraction:

@@ -12,23 +12,29 @@ Grammar, with no implicit multiplication:
 A trailing 'v' marks a ghost scalar, so "3v" is the ghost at magnitude 3.
 The printed forms of Element, Poly and BiPoly parse back to equal values.
 
-The tokenizer is one regex scan whose last alternative catches any
-character the grammar does not know.  Parsing is one pass of recursive
-descent over the tokens, computing on the maps of the sparse core
-(`sparse`): a sum of terms is one `terms_add`, a product of factors one
-n-ary `terms_mul` on a common integer scale, and a power `terms_pow`.  No
-polynomial object is built per node, and the result is wrapped once, as
-a BiPoly, a Poly or an Element.  The JSON readers are strict and name
-the offending term.  Rationals are read by `element`'s one reader.
+The tokenizer is one `findall` of a regex that skips whitespace itself
+and whose last alternative catches any other character.  It reads every
+number into checked ints, so the whole text is checked before parsing
+starts; token positions are found again, by the same regex, only for an
+error.  Parsing is one pass of recursive descent over the tokens,
+computing on the maps of the sparse core (`sparse`): a sum of terms is
+one `terms_add`.  A term folds its scalar and variable factors, and
+their powers, into one monomial as it reads them: exponent sums, one
+magnitude as an int ratio, and one Element at the end.  Only
+parenthesised factors stay maps, raised by `terms_pow` and multiplied
+with the monomial by one `terms_mul`.  No polynomial object is built
+per node, and the result is wrapped once, as a BiPoly, a Poly or an
+Element.  The JSON readers are strict and name the offending term.
+Rationals are read by `element`'s one reader.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .bipoly import BiPoly
-from .element import (Element, ONE, ZERO, _RATIONAL, _rational,
-                      _read_rational)
+from .element import Element, ONE, ZERO, _RATIONAL, _ratio, _read_rational
 from .poly import Poly
 from .sparse import Terms, terms_add, terms_mul, terms_pow
 
@@ -39,51 +45,59 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<neginf>-inf\b)
-      | (?P<number>{_RATIONAL}(?P<ghost>v)?)
-      | (?P<var>[xy])
-      | (?P<op>[-+*^()])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# Groups: the token, then a number's numerator, denominator and ghost mark.
+_TOKEN_RE = re.compile(rf"\s*({_RATIONAL}(v)?|-inf\b|\S)")
+_SYMBOLS = frozenset("+-*^()xy")
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    # One pass: the last alternative takes any character the others miss.
-    tokens: list[tuple[str, object, int]] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        pos = m.start()
-        if kind == "number":
-            num, den, ghost = m.group("num", "den", "ghost")
+def _scan_end(text: str) -> int:
+    # Scanning stops at the last token: past it, the leading `\s*` would
+    # backtrack over the trailing whitespace once per character.
+    return len(text.rstrip())
+
+
+def _tokenize(text: str) -> list:
+    """The tokens, then "end": a number as (numerator, denominator,
+    ghost), -inf as None, any other token as its character."""
+    tokens = _TOKEN_RE.findall(text, 0, _scan_end(text))
+    for k, (tok, num, den, v) in enumerate(tokens):
+        if num:
             try:
-                mag = _rational(num, den)
+                ratio = _ratio(num, den)
             except ValueError:
-                raise ParseError("number too long", pos) from None
-            if mag is None:
-                raise ParseError("malformed rational", pos)
-            append(("scalar", Element(mag, ghost is not None), pos))
-        elif kind == "op":
-            op = m.group()
-            append((op, op, pos))
-        elif kind == "var":
-            append(("var", m.group(), pos))
-        elif kind == "neginf":
-            append(("scalar", ZERO, pos))
+                raise ParseError("number too long", _start(text, k)) from None
+            if ratio is None:
+                raise ParseError("malformed rational", _start(text, k))
+            tokens[k] = (*ratio, v == "v")
+        elif tok in _SYMBOLS:
+            tokens[k] = tok
+        elif tok == "-inf":
+            tokens[k] = None
         else:
-            raise ParseError(f"unexpected character {m.group()!r}", pos)
-    append(("end", None, len(text)))
+            raise ParseError(f"unexpected character {tok!r}", _start(text, k))
+    tokens.append("end")
     return tokens
 
 
-# Parentheses nest by recursion, four frames a level; the cap keeps deep
-# input a parse error well inside the interpreter's recursion limit.
+def _start(text: str, k: int) -> int:
+    """The position of token k, the end of the text for "end"."""
+    for m in _TOKEN_RE.finditer(text, 0, _scan_end(text)):
+        if not k:
+            return m.start(1)
+        k -= 1
+    return len(text)
+
+
+def _kind(tok) -> str:
+    # A token's name in messages.
+    if type(tok) is tuple or tok is None:
+        return "scalar"
+    return "var" if tok == "x" or tok == "y" else tok
+
+
+# Parentheses nest by recursion, two frames a level (`term` and `poly`);
+# the cap keeps deep input a parse error well inside the interpreter's
+# recursion limit.
 MAX_DEPTH = 100
 
 
@@ -91,62 +105,92 @@ class _Parser:
     """Recursive descent straight onto the maps of the sparse core."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0
 
-    def take(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+    def error(self, message: str, k: int) -> ParseError:
+        return ParseError(message, _start(self.text, k))
 
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
+    def expect(self, kind: str) -> None:
+        tok = self.tokens[self.idx]
+        if tok != kind:
+            raise self.error(f"expected {kind!r}, found {_kind(tok)!r}",
+                             self.idx)
+        self.idx += 1
 
     def poly(self) -> Terms:
         terms = [self.term()]
-        while self.tokens[self.idx][0] == "+":
+        while self.tokens[self.idx] == "+":
             self.idx += 1
             terms.append(self.term())
         return terms_add(*terms)  # one pass, so long sums stay linear
 
     def term(self) -> Terms:
-        factors = [self.factor()]
-        while self.tokens[self.idx][0] == "*":
-            self.idx += 1
-            factors.append(self.factor())
-        # One product, on one scale for all its factors.
-        return factors[0] if len(factors) == 1 else terms_mul(*factors)
-
-    def factor(self) -> Terms:
-        base = self.atom()
-        if self.tokens[self.idx][0] != "^":
-            return base
-        self.idx += 1
-        kind, value, pos = self.expect("scalar")
-        if (value.is_zero or value.is_ghost or value.mag.denominator != 1
-                or value.mag < 0):
-            raise ParseError("exponent must be a nonnegative integer", pos)
-        return terms_pow(base, int(value.mag), (0, 0))
-
-    def atom(self) -> Terms:
-        kind, value, pos = self.take()
-        if kind == "scalar":
-            return {} if value.is_zero else {(0, 0): value}
-        if kind == "var":
-            return {(1, 0): ONE} if value == "x" else {(0, 1): ONE}
-        if kind == "(":
-            self.depth += 1
-            if self.depth > MAX_DEPTH:
-                raise ParseError("nesting too deep", pos)
-            out = self.poly()
-            self.expect(")")
-            self.depth -= 1
-            return out
-        raise ParseError(f"expected a scalar, variable or '(', found {kind!r}", pos)
+        tokens = self.tokens
+        idx = self.idx
+        # The monomial so far: exponents i, j, magnitude n/d, ghost, Zero.
+        i = j = n = 0
+        d = 1
+        ghost = zero = False
+        maps = []  # parenthesised factors, raised to their powers
+        while True:
+            factor = tokens[idx]
+            if (type(factor) is tuple or factor is None or factor == "x"
+                    or factor == "y"):
+                idx += 1
+            elif factor == "(":
+                self.depth += 1
+                if self.depth > MAX_DEPTH:
+                    raise self.error("nesting too deep", idx)
+                self.idx = idx + 1
+                factor = self.poly()
+                self.expect(")")
+                self.depth -= 1
+                idx = self.idx
+            else:
+                raise self.error("expected a scalar, variable or '(', found "
+                                 f"{_kind(factor)!r}", idx)
+            k = 1
+            if tokens[idx] == "^":
+                idx += 1
+                exp = tokens[idx]
+                if type(exp) is not tuple and exp is not None:
+                    raise self.error(
+                        f"expected 'scalar', found {_kind(exp)!r}", idx)
+                if exp is None or exp[2] or exp[0] < 0 or exp[0] % exp[1]:
+                    raise self.error("exponent must be a nonnegative integer",
+                                     idx)
+                k = exp[0] // exp[1]
+                idx += 1
+            if type(factor) is tuple:
+                if k:
+                    a, b, g = factor
+                    n, d = n * b + a * k * d, d * b
+                    ghost = ghost or g
+            elif factor == "x":
+                i += k
+            elif factor == "y":
+                j += k
+            elif factor is None:
+                zero = zero or k > 0  # Zero ** 0 is One
+            else:
+                maps.append(factor if k == 1 else terms_pow(factor, k, (0, 0)))
+            if tokens[idx] != "*":
+                break
+            idx += 1
+        self.idx = idx
+        if zero:
+            return {}
+        c = (ONE if not n and not ghost
+             else Element(Fraction(n) if d == 1 else Fraction(n, d), ghost))
+        if not maps:
+            return {(i, j): c}
+        if i or j or c is not ONE:
+            maps.append({(i, j): c})
+        # One product, on one scale for all the maps that are not monomials.
+        return maps[0] if len(maps) == 1 else terms_mul(*maps)
 
 
 def _parse(text: str) -> Terms:

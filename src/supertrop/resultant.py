@@ -140,11 +140,11 @@ def _permanent_assignment(rows: Grid) -> Element:
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("permanent requires a square matrix")
-    # Minimise cost = -scaled magnitude.  Columns are 1..size; column 0 is
-    # the root of each search and holds the row being added.
+    # Minimise cost = -scaled magnitude, read off the view.  Columns are
+    # 1..size; column 0 is the root of each search and holds the row being
+    # added.
     scale, views = scaled([{j: e for j, e in enumerate(row, 1)
                             if e.mag is not None} for row in rows])
-    cost = [{j: -m for j, (m, _) in view.items()} for view in views]
     u = [0] * size
     v = [0] * (size + 1)
     owner = [-1] * (size + 1)
@@ -157,8 +157,9 @@ def _permanent_assignment(rows: Grid) -> Element:
         while owner[j0] != -1:
             used[j0] = True
             i0 = owner[j0]
-            for j, c in cost[i0].items():
-                d = c - u[i0] - v[j]
+            neg_u = -u[i0]
+            for j, (m, _) in views[i0].items():
+                d = neg_u - m - v[j]
                 if not used[j] and (dist[j] is None or d < dist[j]):
                     dist[j] = d
                     prev[j] = j0
@@ -182,8 +183,8 @@ def _permanent_assignment(rows: Grid) -> Element:
         col[owner[j]] = j
     # Row i points to row r when i could take r's column at no loss; a
     # cycle is a second maximal permutation.  Peel rows nothing points to.
-    succ = [[owner[j] for j, c in cost[i].items()
-             if j != col[i] and c == u[i] + v[j]] for i in range(size)]
+    succ = [[owner[j] for j, (m, _) in views[i].items()
+             if j != col[i] and -m == u[i] + v[j]] for i in range(size)]
     indegree = [0] * size
     for targets in succ:
         for r in targets:
@@ -197,7 +198,7 @@ def _permanent_assignment(rows: Grid) -> Element:
             if indegree[r] == 0:
                 free.append(r)
     is_ghost = peeled < size or any(views[i][col[i]][1] for i in range(size))
-    total = -sum(cost[i][col[i]] for i in range(size))
+    total = sum(views[i][col[i]][0] for i in range(size))
     return Element(Fraction(total, scale), is_ghost)
 
 

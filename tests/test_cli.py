@@ -195,6 +195,32 @@ def test_unwritable_csv_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "h.csv" in err
 
 
+def test_json_errors_are_objects_on_stdout(capsys, monkeypatch, tmp_path):
+    # Under --json a failure is one object on stdout, with the exit code of
+    # the plain run; the position is the parse error's, otherwise null.
+    missing = str(tmp_path / "missing" / "h.csv")
+    cases = [
+        (["canon", "--json", "(x"], 1, "parse", 2,
+         "expected ')', found 'end' at position 2"),
+        (["factor", "--json", "--", "-inf"], 2, "domain", None, "zero"),
+        (["bezout", "--json", "x + y + 0", "1*x + y + 3", "--csv", missing],
+         2, "domain", None, "h.csv"),
+    ]
+    for argv, want, kind, pos, words in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (want, ""), argv
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["position"]) == (kind, pos), argv
+        assert words in error["message"], argv
+    module = importlib.import_module("supertrop.resultant")
+    real = module._permanent_assignment
+    monkeypatch.setattr(module, "_permanent_assignment",
+                        lambda rows: real(rows).nu())
+    code, out, err = run(capsys, "relprime", "--json", "x + 1", "x + 2")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["kind"] == "check"
+
+
 def test_stdin_dash(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x^2 + 6v*x + 7"))
     code, out, _ = run(capsys, "roots", "-")

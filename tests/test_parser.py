@@ -39,6 +39,8 @@ def test_whitespace_and_parens():
     assert parse_poly(" x ^ 2+ 3v *x+ 2 ") == parse_poly("x^2 + 3v*x + 2")
     assert parse_poly("(x+1)*((x+2))") == parse_poly("x+1") * parse_poly("x+2")
     assert parse_poly("(x+1)^3") == parse_poly("x+1") ** 3
+    # Trailing whitespace is skipped in linear time.
+    assert parse_poly("x" + " " * 100_000) == parse_poly("x")
 
 
 def test_expression_evaluation():
@@ -471,6 +473,10 @@ def _nest(levels, inner="x + 1"):
     "2 3", "x ^", "-", "-infx", "x + 1/00", "١٢*x",
     _nest(MAX_DEPTH), _nest(MAX_DEPTH + 1), _nest(MAX_DEPTH + 1, "1/0 +"),
     "x + " + _nest(MAX_DEPTH + 1, "1") + " + ", _nest(MAX_DEPTH, "y"),
+    # Terms whose scalar and variable factors fold into one monomial.
+    "2*3v*-1/2*x", "-inf^0*x", "x*-inf", "3^2*x", "x^0*y^0", "x*x^2*y^1/1",
+    "(x+1)^0*2v", "(x + y)*3*x^2*(x + 1)",
+    "-13/2v*x^3 + 13/2*x^5 + -8*x^6 + 6v*x^4 + -1*x^2 + -4v",
 ])
 def test_parser_matches_oracle_on_edge_cases(text):
     assert_matches_oracle(text)

@@ -390,6 +390,29 @@ def test_each_kernel_scales_its_inputs_once(monkeypatch):
     assert scalings_in(lambda: bezout_report(a, b)) == 1
 
 
+def test_parsing_a_sum_of_monomials_multiplies_nothing(monkeypatch):
+    # Each term c*x^k folds into one monomial as it is read: no product,
+    # no scaling, one Element for its coefficient and none for exponents.
+    import supertrop.parse as parse_module
+    import supertrop.sparse as S
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(parse_module, "terms_mul",
+                        counted("terms_mul", S.terms_mul))
+    monkeypatch.setattr(S, "scaled", counted("scaled", S.scaled))
+    monkeypatch.setattr(Element, "__init__",
+                        counted("Element", Element.__init__))
+    f = P("-13/2v*x^3 + 13/2*x^5 + -8*x^6 + 6v*x^4 + -1*x^2 + -4v + x^7")
+    assert calls == ["Element"] * 6
+    assert f.coeff(7) == Element(0) and f.coeff(3) == ghost("-13/2")
+
+
 def test_analyze_ghost_sum_invariants_survive_optimize():
     # -O strips asserts; both invariants must still raise.  Each one is
     # forced by a patched helper on a pair whose sum is ghost.
