@@ -12,27 +12,25 @@ taking that permanent, which is the main exactness test for this module.
 
 `common_roots_sample` finds the points of a rational grid where both
 inputs take ghost values, entirely in integer arithmetic: the `scaled`
-magnitudes of the two inputs, rescaled once to the grid.  It sweeps the
-grid row by row: on a row y = b every term is a line in x, and the value
-is ghost exactly at the breakpoints of the upper envelope of those lines
-and along its pieces that come from ghost terms; the envelope is the
-upper hull of the points (slope, intercept), taken by the hull routine of
-`canonical_full`.  Each row therefore yields its ghost set as a few
-integer intervals, and the grid points where both inputs' intervals meet
-form runs of columns.  The half-step refinement widens each run by half a
-step and intersects it with the intervals of its row and the half rows
-beside it.
+magnitudes of the two inputs, rescaled once to the grid.  Each input's
+ghost locus is a union of tie edges, where two terms attain the maximum,
+and of the cells where a ghost term attains it (Richter-Gebert, Sturmfels
+and Theobald, "First steps in tropical geometry").  `_pieces` finds them
+once, exactly: an edge keeps its line, a cell the half-planes that bound x
+from below and above, and each piece the integer rows it reaches.  That
+one locus tells the sweep which rows to visit and what lies on them.  Two
+edges that cross can share only their crossing row, any other two pieces
+only the rows both reach, and only those rows are visited.  On a row each
+piece gives one integer interval of x, an edge at most one point, and the
+grid points where both inputs' intervals meet form runs of columns.  The
+half-step refinement widens each run by half a step and intersects it
+with the intervals of its row and the half rows beside it.
 
-The sweep visits only the rows where the two ghost loci can meet.  Each
-locus is a union of tie edges, where two terms attain the maximum, and of
-the cells where a ghost term attains it (Richter-Gebert, Sturmfels and
-Theobald, "First steps in tropical geometry").  Their row ranges inside
-the window come out exactly in integers.  Two edges that cross can share
-only their crossing row, any other two pieces only the rows both reach.
 For T terms a scan costs O(T^3) for the pieces, one test per pair of
-pieces, O(candidate rows * T) for the sweep and O(hits) for the output,
-with no probe of single points.  A finer step or a wider window adds candidate
-rows only where a ghost cell or an edge shared by both inputs covers them.
+pieces, O(edges + cell bounds) per visited row and O(hits) for the output,
+with no probe of single points.  A finer step or a wider window adds
+visited rows only where a ghost cell or an edge shared by both inputs
+covers them.
 
 `bezout_report` clusters the hits by runs, with a union-find over O(runs)
 nodes, and compares the count of isolated ones against the product of the
@@ -48,8 +46,8 @@ from fractions import Fraction
 from math import lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction
-from .intervals import IntervalSet, intersect_sorted
-from .poly import Poly, _upper_hull
+from .intervals import intersect_sorted
+from .poly import Poly
 from .record import Record
 from .resultant import permanent, sylvester_vectors
 from .sparse import SparsePoly, scaled
@@ -155,57 +153,15 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
     return permanent(grid, zero=Poly.zero(), one=Poly.constant(ONE))
 
 
-def _slope_groups(view: dict, k: int) -> list[tuple[int, list]]:
-    # A `scaled` view's terms times k, grouped by x exponent in increasing
-    # order: on a grid row y = b each group is a family of parallel lines.
-    groups: dict[int, list[tuple[int, int, bool]]] = {}
-    for (i, j), (m, ghost) in view.items():
-        groups.setdefault(i, []).append((m * k, j, ghost))
-    return sorted(groups.items())
-
-
-def _row_ghost(groups, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Integers of [lo, hi] where the value on row y = b is ghost.
-
-    The value is the upper envelope of the lines of the row.  It is ghost
-    where two lines attain it, which is at the envelope breakpoints, and
-    along every envelope piece whose line is ghost.  The lines strictly on
-    top somewhere are the strict vertices of the upper hull of the points
-    (slope, intercept), so `_upper_hull` gives the envelope.  Returns
-    sorted, disjoint closed intervals.
-    """
-    tops: list[tuple[int, int, bool]] = []
-    for i, terms in groups:
-        # Parallel lines: keep the highest, ghost on a tie.
-        c, ghost = None, False
-        for m, j, g in terms:
-            v = m + j * b
-            if c is None or v > c:
-                c, ghost = v, g
-            elif v == c:
-                ghost = True
-        tops.append((i, c, ghost))
-    hull = _upper_hull(tops)
-
-    # Each envelope piece adds itself when its line is ghost, then its right
-    # breakpoint when that is an integer; breakpoints increase, so a piece
-    # either extends the last interval or starts a new one.
+def _merge(spans) -> list[tuple[int, int]]:
+    """The union of the nonempty integer intervals [lo, hi] of `spans`, as
+    sorted, disjoint intervals; adjacent ones merge."""
     out: list[tuple[int, int]] = []
-    start = lo  # ceiling of the previous breakpoint
-    for t, (i, c, ghost) in enumerate(hull):
-        if t + 1 < len(hull):
-            i2, c2, _ = hull[t + 1]
-            end, rem = divmod(c - c2, i2 - i)  # floor of the next breakpoint
-        else:
-            end, rem = hi, 1
-        if ghost or rem == 0:
-            l, h = max(start if ghost else end, lo), min(end, hi)
-            if l <= h:
-                if out and l <= out[-1][1] + 1:
-                    out[-1] = (out[-1][0], h)
-                else:
-                    out.append((l, h))
-        start = end if rem == 0 else end + 1
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        elif lo <= hi:
+            out.append((lo, hi))
     return out
 
 
@@ -222,19 +178,23 @@ def _clip(bounds, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _pieces(groups, x0: int, x1: int, y0: int, y1: int) -> tuple[list, list]:
+def _pieces(view: dict, k: int, x0: int, x1: int, y0: int,
+            y1: int) -> tuple[list, list]:
     """The pieces of a polynomial's ghost locus in the box [x0, x1] x [y0, y1].
 
-    With V_p = m_p + i_p X + j_p Y for the scaled terms, the locus is the
+    `view` is the polynomial's `scaled` view, which k brings to the box's
+    units.  With V_p = m_p + i_p X + j_p Y for its terms, the locus is the
     union of the tie edges {V_p = V_q >= every V_r} and of the cells
-    {V_p >= every V_r} of the ghost terms p; on a row it is the set that
-    `_row_ghost` returns.  Returns the edges as (a, b, c, lo, hi): the
-    edge lies on the line a X + b Y = c, and lo..hi are the integer rows
-    where it meets the box.  The cells come as such row ranges (lo, hi).
-    Each edge costs O(terms), each cell O(terms^2) by eliminating X;
-    pieces that meet no integer row of the box are left out.
+    {V_p >= every V_r} of the ghost terms p.  lo..hi are the integer rows
+    where a piece meets the box.  A sloped edge comes as (lo, hi, a, b, c)
+    with a > 0: it lies on the line a X + b Y = c.  A cell comes as
+    (lo, hi, lows, ups): on a row Y its X range is bounded below by each
+    half-plane a X + b Y >= c of `lows` (a > 0) and above by each of `ups`
+    (a < 0).  A tie of parallel lines, on one row, is kept as a cell of
+    that row.  Each edge costs O(terms), each cell O(terms^2) by
+    eliminating X; pieces that meet no integer row of the box are left out.
     """
-    terms = [(i, j, m, ghost) for i, group in groups for m, j, ghost in group]
+    terms = [(i, j, m * k, ghost) for (i, j), (m, ghost) in view.items()]
     edges, cells = [], []
     for p, (ip, jp, mp, ghost) in enumerate(terms):
         # V_p >= V_r as a X + b Y >= c.
@@ -250,14 +210,14 @@ def _pieces(groups, x0: int, x1: int, y0: int, y1: int) -> tuple[list, list]:
                                 for a2, b2, c2 in others] +
                                [(-b, x0 * a - c), (b, c - x1 * a)], y0, y1)
                 if lo <= hi:
-                    edges.append((a, b, c, lo, hi))
+                    edges.append((lo, hi, a, b, c))
             elif c % b == 0 and y0 <= c // b <= y1:
                 # A tie of parallel lines on the one row Y = c / b.
                 y = c // b
                 lo, hi = _clip([(a2, c2 - b2 * y) for a2, b2, c2 in others],
                                x0, x1)
                 if lo <= hi:
-                    edges.append((a, b, c, y, y))
+                    cells.append((y, y, [(1, 0, lo)], [(-1, 0, -hi)]))
         if ghost:
             # Fourier-Motzkin: eliminate X between each lower and each upper
             # bound on it, the box's two sides included.
@@ -269,26 +229,46 @@ def _pieces(groups, x0: int, x1: int, y0: int, y1: int) -> tuple[list, list]:
                             for a1, b1, c1 in lows for a2, b2, c2 in ups],
                            y0, y1)
             if lo <= hi:
-                cells.append((lo, hi))
+                cells.append((lo, hi, lows, ups))
     return edges, cells
 
 
-def _candidate_rows(fg, gg, x0: int, x1: int, y0: int, y1: int,
-                    step: int) -> set[int]:
-    """The base rows y0 + k*step of [y0, y1] that can hold a common ghost
-    point of the two inputs with x in [x0, x1].
+def _row_ghost(pieces, y: int) -> list[tuple[int, int]]:
+    """The integers x with (x, y) on one of `pieces`, the edges and cells
+    of `_pieces`, as sorted, disjoint closed intervals.
+
+    On row y an edge holds its one point when that is an integer, and a
+    cell the x from the ceiling of its highest lower bound to the floor of
+    its lowest upper bound.
+    """
+    edges, cells = pieces
+    spans = []
+    for lo, hi, a, b, c in edges:
+        if lo <= y <= hi:
+            x, rem = divmod(c - b * y, a)
+            if not rem:
+                spans.append((x, x))
+    for lo, hi, lows, ups in cells:
+        if lo <= y <= hi:
+            spans.append((max(-((b * y - c) // a) for a, b, c in lows),
+                          min((c - b * y) // a for a, b, c in ups)))
+    return _merge(spans)
+
+
+def _candidate_rows(fp, gp, y0: int, y1: int, step: int) -> set[int]:
+    """The base rows y0 + k*step of [y0, y1] that can hold a common point
+    of the pieces `fp` and `gp` of the two inputs.
 
     Two edges that cross meet on one row; two edges on one line meet on
     the rows both reach; a cell meets a piece of the other input at most on
     the rows both reach.  Every base row with a common point is listed.
     """
-    fe, fc = _pieces(fg, x0, x1, y0, y1)
-    ge, gc = _pieces(gg, x0, x1, y0, y1)
+    (fe, fc), (ge, gc) = fp, gp
     spans = [(max(l1, l2), min(h1, h2))
              for ours, theirs in ((fc, ge + gc), (gc, fe))
-             for l1, h1 in ours for *_, l2, h2 in theirs]
-    for a1, b1, c1, l1, h1 in fe:
-        for a2, b2, c2, l2, h2 in ge:
+             for l1, h1, *_ in ours for l2, h2, *_ in theirs]
+    for l1, h1, a1, b1, c1 in fe:
+        for l2, h2, a2, b2, c2 in ge:
             det = a1 * b2 - a2 * b1
             if det:
                 y, rem = divmod(a1 * c2 - a2 * c1, det)
@@ -296,7 +276,9 @@ def _candidate_rows(fg, gg, x0: int, x1: int, y0: int, y1: int,
                     spans.append((max(y, l1, l2), min(y, h1, h2)))
             elif a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1:
                 spans.append((max(l1, l2), min(h1, h2)))
-    return {b for lo, hi in IntervalSet.of(s for s in spans if s[0] <= s[1])
+    # The pieces also reach the half rows outside [y0, y1].
+    return {b for lo, hi in _merge((max(lo, y0), min(hi, y1))
+                                   for lo, hi in spans)
             for b in range(lo + (y0 - lo) % step, hi + 1, step)}
 
 
@@ -314,28 +296,28 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     xlo, xhi, ylo, yhi = (as_fraction(w) for w in window)
     if step <= 0 or xhi < xlo or yhi < ylo:
         raise ValueError("bad window or step")
-    den, (fv, gv) = scaled([f._coeffs, g._coeffs])
+    den, views = scaled([f._coeffs, g._coeffs])
     scale = 2 * lcm(den, xlo.denominator, xhi.denominator, ylo.denominator,
                     yhi.denominator, step.denominator)
-    fg, gg = _slope_groups(fv, scale // den), _slope_groups(gv, scale // den)
     step_s = int(step * scale)
     half = step_s // 2
     x0, x1 = int(xlo * scale), int(xhi * scale)
     y0, y1 = int(ylo * scale), int(yhi * scale)
+    # The pieces cover the half rows and columns that the refinement reaches
+    # just outside the window.
+    fp, gp = (_pieces(v, scale // den, x0 - half, x1 + half, y0 - half,
+                      y1 + half) for v in views)
 
     def row(b: int) -> list[tuple[int, int]]:
-        # Common ghost intervals of a row, over the window widened by the
-        # half step that the refinement reaches.
-        ours = _row_ghost(fg, b, x0 - half, x1 + half)
-        return ours and intersect_sorted(
-            ours, _row_ghost(gg, b, x0 - half, x1 + half))
+        # Common ghost intervals of a row.
+        ours = _row_ghost(fp, b)
+        return ours and intersect_sorted(ours, _row_ghost(gp, b))
 
     rows: dict[int, list[int]] = {}
 
     def keep(r: int, reach: list, both: list) -> None:
         # The half-step columns of `reach` where the row's values are ghost.
-        reach = IntervalSet.of(reach).intervals
-        cols = [a for lo, hi in intersect_sorted(reach, both)
+        cols = [a for lo, hi in intersect_sorted(_merge(reach), both)
                 for a in range(lo + (x0 - lo) % half, hi + 1, half)]
         if cols:
             rows[r] = cols
@@ -347,7 +329,7 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     # half row in between.  The row before a skipped one is such a row after
     # a candidate, not a candidate itself, so it leaves `below` empty, as
     # the skipped rows would.
-    cand = _candidate_rows(fg, gg, x0 - half, x1 + half, y0, y1, step_s)
+    cand = _candidate_rows(fp, gp, y0, y1, step_s)
     below: list[tuple[int, int]] = []  # the reach of the base row below
     for b in sorted(cand | {c + step_s for c in cand}):
         both = row(b) if b in cand else []

@@ -178,8 +178,7 @@ class FullPoly(Record):
 def _upper_hull(points: list[tuple]) -> list[tuple]:
     """Strict vertices of the upper concave hull; collinear points dropped.
 
-    Points are (x, y, ...) tuples sorted by increasing x; only the first
-    two entries are read, the rest ride along.
+    Points are (x, y) pairs sorted by increasing x.
     """
     stack: list[tuple] = []
     for p in points:

@@ -15,7 +15,7 @@ from supertrop import bipoly
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
                               _cluster, _row_ghost, _scan)
 from supertrop.checks import Gen
-from supertrop.intervals import intersect_sorted
+from supertrop.sparse import scaled
 
 B = parse_bipoly
 P = parse_poly
@@ -180,8 +180,9 @@ def _ghost_at(terms, a: int, b: int) -> bool:
     return ghost_
 
 
-def oracle_scan(f, g, window, step):
-    """Probe every grid point, then the half-step ring around each hit."""
+def oracle_units(f, g, window, step):
+    """The pair's terms, the window and the step in the scan's integer
+    units: (f's terms, g's terms, scale, (x0, x1, y0, y1), step)."""
     xlo, xhi, ylo, yhi = (Fraction(w) for w in window)
     mags = [c.mag for p in (f, g) for _, c in p.items()]
     scale = 2 * lcm(xlo.denominator, xhi.denominator, ylo.denominator,
@@ -189,14 +190,20 @@ def oracle_scan(f, g, window, step):
                     *(m.denominator for m in mags))
     ft, gt = ([(int(c.mag * scale), i, j, c.is_ghost)
                for (i, j), c in p.items()] for p in (f, g))
-    step_s = int(step * scale)
+    box = tuple(int(w * scale) for w in (xlo, xhi, ylo, yhi))
+    return ft, gt, scale, box, int(step * scale)
+
+
+def oracle_scan(f, g, window, step):
+    """Probe every grid point, then the half-step ring around each hit."""
+    ft, gt, scale, (x0, x1, y0, y1), step_s = oracle_units(f, g, window, step)
     half = step_s // 2
 
     def is_hit(a, b):
         return _ghost_at(ft, a, b) and _ghost_at(gt, a, b)
 
-    xs = range(int(xlo * scale), int(xhi * scale) + 1, step_s)
-    ys = range(int(ylo * scale), int(yhi * scale) + 1, step_s)
+    xs = range(x0, x1 + 1, step_s)
+    ys = range(y0, y1 + 1, step_s)
     hits = {(a, b) for a in xs for b in ys if is_hit(a, b)}
     refined = set(hits)
     for a, b in hits:
@@ -347,26 +354,54 @@ def candidate_rows(f, g, window, step):
     return args, real(*args)
 
 
-@settings(max_examples=300, deadline=None)
-@given(scan_cases())
 # A ghost cell bounded by a horizontal tie at y = 1/3 (8/3 in the scan's
 # integer units) and the window's sides: its row range must come from the
 # cell's own half-planes.
-@example((B("-1*y + 0v"), B("0v*y^3 + y^2 + y + 1"), (0, 0, 0, 1),
-          Fraction(1, 4)))
+GHOST_CELL = (B("-1*y + 0v"), B("0v*y^3 + y^2 + y + 1"), (0, 0, 0, 1),
+              Fraction(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example(GHOST_CELL)
 # Two edges on one line: their common rows are the overlap of their ranges.
 @example((B("x + y + 0"), B("x + y + 0v"), DEFAULT_WINDOW, DEFAULT_STEP))
 # Pairs of parallel lines tied on a whole row.
 @example(FORCED_TIES + (Fraction(1, 3),))
 def test_candidate_rows_hold_every_common_row(case):
-    f, g, window, step = case
-    (fg, gg, xlo, xhi, ylo, yhi, step_s), rows = candidate_rows(*case)
-    base = range(ylo, yhi + 1, step_s)
+    # Against the point oracle: every base row with a column of the
+    # widened window where both inputs are ghost is a candidate.
+    ft, gt, _, (x0, x1, y0, y1), step_s = oracle_units(*case)
+    (_, _, *units), rows = candidate_rows(*case)
+    assert units == [y0, y1, step_s]
+    half = step_s // 2
+    base = range(y0, y1 + 1, step_s)
     assert rows <= set(base)
     for b in base:
-        if intersect_sorted(_row_ghost(fg, b, xlo, xhi),
-                            _row_ghost(gg, b, xlo, xhi)):
-            assert b in rows, (f, g, window, step, b)
+        if any(_ghost_at(ft, a, b) and _ghost_at(gt, a, b)
+               for a in range(x0 - half, x1 + half + 1)):
+            assert b in rows, (case, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases())
+@example(GHOST_CELL)
+@example(FORCED_TIES + (Fraction(1, 3),))
+def test_row_read_matches_point_oracle(case):
+    # Every integer row the scan can read, the half rows just outside the
+    # window included, holds exactly the oracle's ghost columns.
+    f, g, window, step = case
+    ft, gt, scale, (x0, x1, y0, y1), step_s = oracle_units(*case)
+    half = step_s // 2
+    den, views = scaled([f._coeffs, g._coeffs])
+    for terms, view in zip((ft, gt), views):
+        pieces = bipoly._pieces(view, scale // den, x0 - half, x1 + half,
+                                y0 - half, y1 + half)
+        for b in range(y0 - half, y1 + half + 1):
+            cols = [a for lo, hi in _row_ghost(pieces, b)
+                    for a in range(lo, hi + 1)]
+            assert cols == [a for a in range(x0 - half, x1 + half + 1)
+                            if _ghost_at(terms, a, b)], (case, b)
 
 
 def count_row_ghost(monkeypatch) -> list:
@@ -378,7 +413,7 @@ def count_row_ghost(monkeypatch) -> list:
 
 
 def test_scan_rows_do_not_grow_with_step_or_window(monkeypatch):
-    # Sweeping every base row would take 166, 40,006 and 800,006 envelopes
+    # Sweeping every base row would take 166, 40,006 and 800,006 row reads
     # at the three steps.  The pieces of the two lines give the same three
     # candidate rows (y = 0, 2 and 3) at every step and in both windows.
     calls = count_row_ghost(monkeypatch)
