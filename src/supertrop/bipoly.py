@@ -89,10 +89,7 @@ class BiPoly(SparsePoly):
         return sorted(self._coeffs.items())
 
     def evaluate(self, x: Element, y: Element) -> Element:
-        total = ZERO
-        for (i, j), c in self._coeffs.items():
-            total = total + c * x ** i * y ** j
-        return total
+        return self.specialize_y(y).evaluate(x)
 
     def specialize_y(self, b: Element) -> Poly:
         """Substitute y = b, leaving a polynomial in x."""
@@ -289,10 +286,14 @@ DEFAULT_STEP = Fraction(1, 4)
 
 
 def _scan(f: BiPoly, g: BiPoly, window: Window,
-          step: Fraction) -> tuple[dict[int, list[int]], int, int]:
+          step: Rational) -> tuple[dict[int, list[int]], int, int]:
     """Common ghost points of the grid and of its half-step refinement, as
     nonempty rows {y: sorted x columns} in increasing y, with the scale
-    that makes all their coordinates integers and the scaled half step."""
+    that makes all their coordinates integers and the scaled half step.
+    Inputs must be nonzero (the zero polynomial is ghost everywhere)."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("zero polynomial")
+    step = as_fraction(step)
     xlo, xhi, ylo, yhi = (as_fraction(w) for w in window)
     if step <= 0 or xhi < xlo or yhi < ylo:
         raise ValueError("bad window or step")
@@ -432,9 +433,7 @@ def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     half step around every hit.  Inputs must be nonzero (the zero
     polynomial is ghost everywhere).
     """
-    if f.is_zero or g.is_zero:
-        raise ValueError("zero polynomial")
-    rows, scale, _ = _scan(f, g, window, as_fraction(step))
+    rows, scale, _ = _scan(f, g, window, step)
     return _fractions(rows, scale)
 
 
@@ -472,9 +471,6 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     The clustering works on the runs of each row: O(runs) union-find
     steps, plus one bisection per row near each lone point.
     """
-    if f.is_zero or g.is_zero:
-        raise ValueError("zero polynomial")
-    step = as_fraction(step)
     rows, scale, half = _scan(f, g, window, step)
     components, ordinary = _cluster(rows, half)
     m, n = f.total_degree, g.total_degree
@@ -483,4 +479,4 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
         m=m, n=n, bound=bound, hits=tuple(_fractions(rows, scale)),
         component_count=components, ordinary_count=ordinary,
         bound_holds=ordinary <= bound,
-        window=tuple(as_fraction(w) for w in window), step=step)
+        window=tuple(as_fraction(w) for w in window), step=as_fraction(step))

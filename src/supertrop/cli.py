@@ -6,7 +6,8 @@ given inline or as `-` for stdin.  Exit codes: 0 success, 1 parse error
 operation rejected its input, or a file it was given cannot be written),
 3 self-check failure or a failed runtime cross-check.  Under `--json` a
 failure is an object on stdout, `{"error": {"kind", "message",
-"position"}}`, with the same exit code.
+"position"}}`, with the same exit code; a command line that does not parse
+is one too when `--json` comes before any `--`.
 """
 
 from __future__ import annotations
@@ -194,8 +195,17 @@ def _cmd_selfcheck(args) -> int:
     return 3 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    # With json_errors set, a usage error is raised for main to report
+    # like any other parse error; otherwise argparse prints it and exits.
+    def error(self, message: str):
+        if self.json_errors:
+            raise argparse.ArgumentError(None, message)
+        super().error(message)
+
+
+def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="supertrop",
         description="Exact supertropical polynomial calculator.",
         epilog="Arguments that begin with '-' (for example the zero "
@@ -246,6 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "run the example corpus and the property suite")
     p.add_argument("--only", choices=["all", "corpus", "properties"],
                    default="all")
+    for p in (parser, *sub.choices.values()):
+        p.json_errors = json_errors
     return parser
 
 
@@ -256,7 +268,7 @@ _LABELS = {"parse": "parse error", "domain": "error",
 def _fail(args, kind: str, exc: Exception) -> None:
     # Under --json the error is an object on stdout; otherwise a line on
     # stderr that starts with the kind's label.
-    if args is not None and args.json:
+    if args.json:
         pos = exc.pos if isinstance(exc, ParseError) else None
         _print(json.dumps({"error": {"kind": kind, "message": str(exc),
                                      "position": pos}}, indent=2))
@@ -265,15 +277,18 @@ def _fail(args, kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = None
+    argv = sys.argv[1:] if argv is None else argv
+    # A --json before any '--' asks for JSON errors, a usage error included.
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    args = argparse.Namespace(json="--json" in head)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(args.json).parse_args(argv)
         code = args.func(args)
     except SystemExit as exc:
         # Only argparse exits: 0 after --help, 2 after a usage error it
         # has reported.  A command line that does not parse is a parse error.
         code = 1 if exc.code else 0
-    except ParseError as exc:
+    except (ParseError, argparse.ArgumentError) as exc:
         _fail(args, "parse", exc)
         code = 1
     except (ValueError, OSError) as exc:  # OSError: an unwritable --csv

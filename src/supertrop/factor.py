@@ -56,28 +56,25 @@ class Factorization(Record):
     right_ghost: Fraction | None
     linears: tuple[tuple[Fraction, int], ...]
     quadratics: tuple[tuple[Fraction, Fraction, int], ...]
+    _defaults = {"power": 0, "left_ghost": None, "right_ghost": None,
+                 "linears": (), "quadratics": ()}
 
-    def __init__(self, lead: Element, power: int = 0,
-                 left_ghost: Fraction | None = None,
-                 right_ghost: Fraction | None = None,
-                 linears: tuple[tuple[Fraction, int], ...] = (),
-                 quadratics: tuple[tuple[Fraction, Fraction, int], ...] = ()):
-        if lead.is_zero:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.lead.is_zero:
             raise ValueError("factorization of the zero polynomial")
-        if power < 0:
+        if self.power < 0:
             raise ValueError("negative power of x")
-        roots = [a for a, _ in linears]
+        roots = [a for a, _ in self.linears]
         if roots != sorted(roots) or len(set(roots)) != len(roots):
             raise ValueError("linear factors must be sorted by distinct root")
-        if any(m < 1 for _, m in linears):
+        if any(m < 1 for _, m in self.linears):
             raise ValueError("linear multiplicities must be positive")
-        for b, c, m in quadratics:
+        for b, c, m in self.quadratics:
             if m < 1:
                 raise ValueError("quadratic multiplicities must be positive")
             if c - b >= b:
                 raise ValueError(f"degenerate quadratic (b={b}, c={c})")
-        super().__init__(lead, power, left_ghost, right_ghost, linears,
-                         quadratics)
 
     def parts(self) -> list[tuple]:
         """Each non-scalar factor as (lo, hi, multiplicity, polynomial).
@@ -134,9 +131,11 @@ def factor_min_ghosts(f: Poly) -> Factorization:
     corners = list(full.corner_roots())
     lead_mag = full.coeffs[full.hi].mag
 
+    # The fields go in positionally, in slot order: the shared constructor
+    # binds keywords more slowly, and this is on the factoring path.
     if full.all_ghost:
-        return Factorization(lead=Element(lead_mag, True), power=full.shift,
-                             linears=_grouped(corners))
+        return Factorization(Element(lead_mag, True), full.shift, None, None,
+                             _grouped(corners), ())
 
     tangible_slots = [i for i, c in enumerate(full.coeffs) if c.is_tangible]
     linears: list[Fraction] = []
@@ -165,10 +164,9 @@ def factor_min_ghosts(f: Poly) -> Factorization:
         left = block[0]
         linears.extend(block[1:])
 
-    return Factorization(lead=Element(lead_mag, False), power=full.shift,
-                         left_ghost=left, right_ghost=right,
-                         linears=_grouped(linears),
-                         quadratics=tuple(sorted(quads, key=lambda q: (q[1] - q[0], q[0]))))
+    return Factorization(Element(lead_mag, False), full.shift, left, right,
+                         _grouped(linears),
+                         tuple(sorted(quads, key=lambda q: (q[1] - q[0], q[0]))))
 
 
 def expand(fact: Factorization) -> Poly:

@@ -14,9 +14,9 @@ maximum-weight assignment for the magnitude and a test of whether the
 maximal permutation is unique for the layer.  Independent routes to the
 same value live here on purpose, as its oracles and cross-checks:
 
-* `permanent`            generic column-subset dynamic program, O(2^k),
+* `permanent`            column-subset dynamic program over any semiring,
 * `resultant_dp`         `resultant` through `permanent`,
-* `permanent_oracle`     brute force over permutations (small sizes),
+* `permanent_oracle`     brute force over permutations of Elements,
 * `resultant_recursive`  constant-term peeling recursion,
 * `resultant_tangible_product`  closed form for tangible inputs,
 * `resultant_quadratic`  closed form against a monic quadratic,
@@ -60,8 +60,9 @@ def sylvester_vectors(fvec, gvec, zero=ZERO) -> Grid:
     return rows
 
 
-def sylvester(f: Poly, g: Poly, canonical: bool = True) -> Grid:
-    fv, gv = _vectors(f, g, canonical)
+def sylvester(f: Poly, g: Poly) -> Grid:
+    """Sylvester matrix of the canonical full vectors, both degrees >= 1."""
+    fv, gv = _vectors(f, g, True)
     if len(fv) == 1 or len(gv) == 1:
         raise ValueError("sylvester needs both degrees >= 1; "
                          "resultant() handles constants directly")
@@ -103,19 +104,19 @@ def permanent(rows: Grid, zero=ZERO, one=ONE):
     return dp.get((1 << size) - 1, zero)
 
 
-def permanent_oracle(rows: Grid, zero=ZERO, one=ONE):
+def permanent_oracle(rows: Grid) -> Element:
     """Sum over all permutations directly.  Only for small matrices."""
     size = len(rows)
     if size > 8:
         raise ValueError("oracle permanent limited to size 8")
     if size == 0:
-        return one
-    total = zero
+        return ONE
+    total = ZERO
     for perm in itertools.permutations(range(size)):
-        term = one
+        term = ONE
         for i, j in enumerate(perm):
             term = term * rows[i][j]
-            if term == zero:
+            if term == ZERO:
                 break
         total = total + term
     return total
@@ -248,14 +249,14 @@ def resultant_nu(f: Poly, g: Poly) -> Element:
     return _product_rule(*_vectors(f, g, True)).nu()
 
 
-def resultant_nu_assignment(f: Poly, g: Poly, canonical: bool = True) -> Element:
+def resultant_nu_assignment(f: Poly, g: Poly) -> Element:
     """Ghost value of the resultant, by a maximum-weight assignment.
 
     The magnitude of a permanent is the largest total magnitude of any
     permutation avoiding zero entries, which is an assignment problem; this
     is the ghost image of `resultant`, whose engine solves it exactly.
     """
-    return resultant(f, g, canonical).nu()
+    return resultant(f, g).nu()
 
 
 def resultant_recursive(f: Poly, g: Poly) -> Element:

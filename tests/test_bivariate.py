@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from supertrop import (BiPoly, Element, ONE, bezout_report,
+from supertrop import (BiPoly, Element, ONE, ZERO, bezout_report,
                        common_roots_sample, ghost, parse_bipoly, parse_poly,
                        partial_frobenius, resultant, resultant_in_second,
                        tangible)
@@ -28,6 +28,25 @@ def test_evaluate_examples():
     assert f.evaluate(tangible(8), tangible(3)) == ghost(8)
     g = B("x*y + 0")
     assert g.evaluate(tangible(5), tangible(-5)) == ghost(0)
+
+
+def test_evaluate_matches_the_term_sum():
+    # The sum over the terms c * x^i * y^j, against the evaluation through
+    # `specialize_y`, at Zero, ghost and tangible arguments.
+    gen = Gen(506)
+    args = [ZERO] * 2 + [gen.element(ghost_p=0.5) for _ in range(10)]
+    for _ in range(60):
+        f = gen.bipoly(3)
+        for x in args:
+            for y in args:
+                total = ZERO
+                for (i, j), c in f.items():
+                    total = total + c * x ** i * y ** j
+                assert f.evaluate(x, y) == total, (f, x, y)
+    assert BiPoly.zero().evaluate(ZERO, ZERO) == ZERO
+    assert B("x*y + 2*x + 3v").evaluate(ZERO, tangible(1)) == ghost(3)
+    assert B("x*y + 2*y + 1").evaluate(tangible(4), ZERO) == tangible(1)
+    assert B("y^2 + 0").evaluate(ZERO, ZERO) == tangible(0)
 
 
 def test_specialize_examples():
@@ -216,31 +235,10 @@ def oracle_scan(f, g, window, step):
 
 
 def oracle_report(f, g, window=DEFAULT_WINDOW, step=DEFAULT_STEP):
-    """Oracle scan, then flood fill over the 7x7 half-step reach."""
+    """Oracle scan, then the point-by-point `flood_fill`."""
     step = Fraction(step)
     refined, scale = oracle_scan(f, g, window, step)
-    half = int(step * scale) // 2
-    near = [(da * half, db * half) for da in range(-3, 4)
-            for db in range(-3, 4) if da or db]
-    far = [(da * half, db * half) for da in range(-12, 13)
-           for db in range(-12, 13) if da or db]
-    left, components, ordinary = set(refined), 0, 0
-    while left:
-        start = left.pop()
-        components += 1
-        todo, size = [start], 0
-        while todo:
-            a, b = todo.pop()
-            size += 1
-            for da, db in near:
-                q = (a + da, b + db)
-                if q in left:
-                    left.remove(q)
-                    todo.append(q)
-        a, b = start
-        if size == 1 and not any((a + da, b + db) in refined
-                                 for da, db in far):
-            ordinary += 1
+    components, ordinary = flood_fill(refined, int(step * scale) // 2)
     m, n = f.total_degree, g.total_degree
     return BezoutReport(
         m=m, n=n, bound=m * n,

@@ -205,6 +205,11 @@ def test_json_errors_are_objects_on_stdout(capsys, monkeypatch, tmp_path):
         (["factor", "--json", "--", "-inf"], 2, "domain", None, "zero"),
         (["bezout", "--json", "x + y + 0", "1*x + y + 3", "--csv", missing],
          2, "domain", None, "h.csv"),
+        # Usage errors: argparse's message, and nothing on stderr.
+        (["roots", "--json", "-inf"], 1, "parse", None,
+         "the following arguments are required: poly"),
+        (["canon", "--json"], 1, "parse", None,
+         "the following arguments are required: poly"),
     ]
     for argv, want, kind, pos, words in cases:
         code, out, err = run(capsys, *argv)
