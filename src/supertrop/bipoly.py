@@ -16,21 +16,23 @@ magnitudes of the two inputs, rescaled once to the grid.  Each input's
 ghost locus is a union of tie edges, where two terms attain the maximum,
 and of the cells where a ghost term attains it (Richter-Gebert, Sturmfels
 and Theobald, "First steps in tropical geometry").  `_pieces` finds them
-once, exactly: an edge keeps its line, a cell the half-planes that bound x
-from below and above, and each piece the integer rows it reaches.  That
-one locus tells the sweep which rows to visit and what lies on them.  Two
-edges that cross can share only their crossing row, any other two pieces
-only the rows both reach, and only those rows are visited.  On a row each
-piece gives one integer interval of x, an edge at most one point, and the
-grid points where both inputs' intervals meet form runs of columns.  The
-half-step refinement widens each run by half a step and intersects it
-with the intervals of its row and the half rows beside it.
+once, exactly, in one form: the half-planes that bound x from below and
+above on a row, and the integer rows the piece reaches.  An edge on the
+line a x + b y = c is bounded by that line from both sides.  The common
+locus is the union of the meets of a piece of each input: `_meet` joins
+the two pieces' bounds and eliminates x between them to find the rows
+where they meet, so two crossing edges meet only on their crossing row.
+Those rows are the only ones visited.  On a row each common piece gives
+one integer interval of x, an edge at most one point, and the grid points
+of those intervals form runs of columns.  The half-step refinement widens
+each run by half a step and intersects it with the common intervals of its
+row and the half rows beside it.
 
-For T terms a scan costs O(T^3) for the pieces, one test per pair of
-pieces, O(edges + cell bounds) per visited row and O(hits) for the output,
-with no probe of single points.  A finer step or a wider window adds
-visited rows only where a ghost cell or an edge shared by both inputs
-covers them.
+For T terms a scan costs O(T^3) for the pieces, O(T^4) for the meets, one
+elimination per pair of pieces, O(active common pieces * bounds) per
+visited row and O(hits) for the output, with no probe of single points.
+A finer step or a wider window adds visited rows only where the common
+locus spans rows: where it meets a ghost cell or an edge of both inputs.
 
 `bezout_report` clusters the hits by runs, with a union-find over O(runs)
 nodes, and compares the count of isolated ones against the product of the
@@ -175,24 +177,32 @@ def _clip(bounds, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _eliminate(lows, ups) -> list[tuple[int, int]]:
+    """Fourier-Motzkin: the bounds k Y >= r on Y that eliminating X leaves of
+    each lower bound a X + b Y >= c of `lows` (a > 0) and each upper bound
+    of `ups` (a < 0)."""
+    return [(a1 * b2 - a2 * b1, a1 * c2 - a2 * c1)
+            for a1, b1, c1 in lows for a2, b2, c2 in ups]
+
+
 def _pieces(view: dict, k: int, x0: int, x1: int, y0: int,
-            y1: int) -> tuple[list, list]:
+            y1: int) -> list:
     """The pieces of a polynomial's ghost locus in the box [x0, x1] x [y0, y1].
 
     `view` is the polynomial's `scaled` view, which k brings to the box's
     units.  With V_p = m_p + i_p X + j_p Y for its terms, the locus is the
     union of the tie edges {V_p = V_q >= every V_r} and of the cells
-    {V_p >= every V_r} of the ghost terms p.  lo..hi are the integer rows
-    where a piece meets the box.  A sloped edge comes as (lo, hi, a, b, c)
-    with a > 0: it lies on the line a X + b Y = c.  A cell comes as
-    (lo, hi, lows, ups): on a row Y its X range is bounded below by each
-    half-plane a X + b Y >= c of `lows` (a > 0) and above by each of `ups`
-    (a < 0).  A tie of parallel lines, on one row, is kept as a cell of
-    that row.  Each edge costs O(terms), each cell O(terms^2) by
-    eliminating X; pieces that meet no integer row of the box are left out.
+    {V_p >= every V_r} of the ghost terms p.  A piece is (lo, hi, lows,
+    ups): it meets the box on the integer rows lo..hi, and on a row Y its X
+    range is bounded below by each half-plane a X + b Y >= c of `lows`
+    (a > 0) and above by each of `ups` (a < 0).  A sloped edge on the line
+    a X + b Y = c has the bounds (a, b, c) and (-a, -b, -c), a tie of
+    parallel lines on one row the ends of its stretch of that row.  Each
+    edge costs O(terms), each cell O(terms^2) by eliminating X; pieces that
+    meet no integer row of the box are left out.
     """
     terms = [(i, j, m * k, ghost) for (i, j), (m, ghost) in view.items()]
-    edges, cells = [], []
+    pieces = []
     for p, (ip, jp, mp, ghost) in enumerate(terms):
         # V_p >= V_r as a X + b Y >= c.
         others = [(ip - i, jp - j, m - mp)
@@ -207,76 +217,60 @@ def _pieces(view: dict, k: int, x0: int, x1: int, y0: int,
                                 for a2, b2, c2 in others] +
                                [(-b, x0 * a - c), (b, c - x1 * a)], y0, y1)
                 if lo <= hi:
-                    edges.append((lo, hi, a, b, c))
+                    pieces.append((lo, hi, [(a, b, c)], [(-a, -b, -c)]))
             elif c % b == 0 and y0 <= c // b <= y1:
                 # A tie of parallel lines on the one row Y = c / b.
                 y = c // b
                 lo, hi = _clip([(a2, c2 - b2 * y) for a2, b2, c2 in others],
                                x0, x1)
                 if lo <= hi:
-                    cells.append((y, y, [(1, 0, lo)], [(-1, 0, -hi)]))
+                    pieces.append((y, y, [(1, 0, lo)], [(-1, 0, -hi)]))
         if ghost:
-            # Fourier-Motzkin: eliminate X between each lower and each upper
-            # bound on it, the box's two sides included.
+            # The box's two sides bound X as well.
             bounds = others + [(1, 0, x0), (-1, 0, -x1)]
             lows = [h for h in bounds if h[0] > 0]
             ups = [h for h in bounds if h[0] < 0]
             lo, hi = _clip([(b, c) for a, b, c in bounds if a == 0] +
-                           [(a1 * b2 - a2 * b1, a1 * c2 - a2 * c1)
-                            for a1, b1, c1 in lows for a2, b2, c2 in ups],
-                           y0, y1)
+                           _eliminate(lows, ups), y0, y1)
             if lo <= hi:
-                cells.append((lo, hi, lows, ups))
-    return edges, cells
+                pieces.append((lo, hi, lows, ups))
+    return pieces
 
 
-def _row_ghost(pieces, y: int) -> list[tuple[int, int]]:
-    """The integers x with (x, y) on one of `pieces`, the edges and cells
-    of `_pieces`, as sorted, disjoint closed intervals.
+def _meet(fp: list, gp: list) -> list:
+    """The common ghost locus of the pieces `fp` and `gp` of two inputs: the
+    nonempty meets of a piece of each, in the form of `_pieces`.
 
-    On row y an edge holds its one point when that is an integer, and a
-    cell the x from the ceiling of its highest lower bound to the floor of
-    its lowest upper bound.
+    A meet keeps both pieces' bounds, each once, on the rows both reach
+    where some real X satisfies them all.  The bounds of one piece already
+    agree on its rows, so only each piece's lower bounds and the other's
+    upper bounds are eliminated: two crossing edges meet on their crossing
+    row.
     """
-    edges, cells = pieces
-    spans = []
-    for lo, hi, a, b, c in edges:
-        if lo <= y <= hi:
-            x, rem = divmod(c - b * y, a)
-            if not rem:
-                spans.append((x, x))
-    for lo, hi, lows, ups in cells:
-        if lo <= y <= hi:
-            spans.append((max(-((b * y - c) // a) for a, b, c in lows),
-                          min((c - b * y) // a for a, b, c in ups)))
-    return _merge(spans)
+    out = []
+    for lo1, hi1, lows1, ups1 in fp:
+        for lo2, hi2, lows2, ups2 in gp:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo <= hi:
+                lo, hi = _clip(_eliminate(lows1, ups2) +
+                               _eliminate(lows2, ups1), lo, hi)
+                if lo <= hi:
+                    out.append((lo, hi, list({*lows1, *lows2}),
+                                list({*ups1, *ups2})))
+    return out
 
 
-def _candidate_rows(fp, gp, y0: int, y1: int, step: int) -> set[int]:
-    """The base rows y0 + k*step of [y0, y1] that can hold a common point
-    of the pieces `fp` and `gp` of the two inputs.
+def _row_ghost(pieces: list, y: int) -> list[tuple[int, int]]:
+    """The integers x with (x, y) on one of `pieces`, in the form of
+    `_pieces`, as sorted, disjoint closed intervals.
 
-    Two edges that cross meet on one row; two edges on one line meet on
-    the rows both reach; a cell meets a piece of the other input at most on
-    the rows both reach.  Every base row with a common point is listed.
+    On row y a piece holds the x from the ceiling of its highest lower bound
+    to the floor of its lowest upper bound: an edge its one point when that
+    is an integer.
     """
-    (fe, fc), (ge, gc) = fp, gp
-    spans = [(max(l1, l2), min(h1, h2))
-             for ours, theirs in ((fc, ge + gc), (gc, fe))
-             for l1, h1, *_ in ours for l2, h2, *_ in theirs]
-    for l1, h1, a1, b1, c1 in fe:
-        for l2, h2, a2, b2, c2 in ge:
-            det = a1 * b2 - a2 * b1
-            if det:
-                y, rem = divmod(a1 * c2 - a2 * c1, det)
-                if not rem:
-                    spans.append((max(y, l1, l2), min(y, h1, h2)))
-            elif a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1:
-                spans.append((max(l1, l2), min(h1, h2)))
-    # The pieces also reach the half rows outside [y0, y1].
-    return {b for lo, hi in _merge((max(lo, y0), min(hi, y1))
-                                   for lo, hi in spans)
-            for b in range(lo + (y0 - lo) % step, hi + 1, step)}
+    return _merge((max([-((b * y - c) // a) for a, b, c in lows]),
+                   min([(c - b * y) // a for a, b, c in ups]))
+                  for lo, hi, lows, ups in pieces if lo <= y <= hi)
 
 
 Window = tuple[Rational, Rational, Rational, Rational]
@@ -306,14 +300,8 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     y0, y1 = int(ylo * scale), int(yhi * scale)
     # The pieces cover the half rows and columns that the refinement reaches
     # just outside the window.
-    fp, gp = (_pieces(v, scale // den, x0 - half, x1 + half, y0 - half,
-                      y1 + half) for v in views)
-
-    def row(b: int) -> list[tuple[int, int]]:
-        # Common ghost intervals of a row.
-        ours = _row_ghost(fp, b)
-        return ours and intersect_sorted(ours, _row_ghost(gp, b))
-
+    common = _meet(*(_pieces(v, scale // den, x0 - half, x1 + half,
+                             y0 - half, y1 + half) for v in views))
     rows: dict[int, list[int]] = {}
 
     def keep(r: int, reach: list, both: list) -> None:
@@ -329,11 +317,14 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     # so the loop visits those and the base row after each, which fills the
     # half row in between.  The row before a skipped one is such a row after
     # a candidate, not a candidate itself, so it leaves `below` empty, as
-    # the skipped rows would.
-    cand = _candidate_rows(fp, gp, y0, y1, step_s)
+    # the skipped rows would.  The candidates are the base rows a common
+    # piece reaches; the pieces also reach the half rows outside [y0, y1].
+    cand = {b for lo, hi in _merge((max(lo, y0), min(hi, y1))
+                                   for lo, hi, *_ in common)
+            for b in range(lo + (y0 - lo) % step_s, hi + 1, step_s)}
     below: list[tuple[int, int]] = []  # the reach of the base row below
     for b in sorted(cand | {c + step_s for c in cand}):
-        both = row(b) if b in cand else []
+        both = _row_ghost(common, b) if b in cand else []
         runs = []
         for lo, hi in both:
             first = x0 - (x0 - max(lo, x0)) // step_s * step_s  # column >= lo
@@ -341,7 +332,7 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
             if first <= last:
                 runs.append((first - half, last - (last - x0) % step_s + half))
         if below or runs:
-            keep(b - half, below + runs, row(b - half))
+            keep(b - half, below + runs, _row_ghost(common, b - half))
         if runs:
             keep(b, runs, both)
         below = runs

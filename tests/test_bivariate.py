@@ -338,18 +338,22 @@ def test_bezout_report_fine_step():
     assert (rep.component_count, rep.ordinary_count) == (1, 1)
 
 
-# -- candidate rows: the sweep skips only rows with no common point ----------
+# -- common pieces: the sweep skips only rows with no common point ----------
 
 
-def candidate_rows(f, g, window, step):
-    """The arguments `_scan` gives `_candidate_rows`, and its answer."""
-    seen = []
-    real = bipoly._candidate_rows
-    with mock.patch.object(bipoly, "_candidate_rows",
-                           lambda *args: seen.append(args) or real(*args)):
+def common_pieces(f, g, window, step):
+    """The boxes `_scan` gives `_pieces`, and the common pieces `_meet`
+    returns to it."""
+    boxes, common = [], []
+    pieces, meet = bipoly._pieces, bipoly._meet
+    with mock.patch.object(bipoly, "_pieces",
+                           lambda *args: boxes.append(args[2:])
+                           or pieces(*args)), \
+            mock.patch.object(bipoly, "_meet",
+                              lambda *args: common.extend(meet(*args))
+                              or common):
         _scan(f, g, window, step)
-    (args,) = seen
-    return args, real(*args)
+    return boxes, common
 
 
 # A ghost cell bounded by a horizontal tie at y = 1/3 (8/3 in the scan's
@@ -368,38 +372,41 @@ GHOST_CELL = (B("-1*y + 0v"), B("0v*y^3 + y^2 + y + 1"), (0, 0, 0, 1),
 @example(FORCED_TIES + (Fraction(1, 3),))
 def test_candidate_rows_hold_every_common_row(case):
     # Against the point oracle: every base row with a column of the
-    # widened window where both inputs are ghost is a candidate.
+    # widened window where both inputs are ghost is a row of a common piece.
     ft, gt, _, (x0, x1, y0, y1), step_s = oracle_units(*case)
-    (_, _, *units), rows = candidate_rows(*case)
-    assert units == [y0, y1, step_s]
     half = step_s // 2
-    base = range(y0, y1 + 1, step_s)
-    assert rows <= set(base)
-    for b in base:
+    boxes, common = common_pieces(*case)
+    assert boxes == [(x0 - half, x1 + half, y0 - half, y1 + half)] * 2
+    for b in range(y0, y1 + 1, step_s):
         if any(_ghost_at(ft, a, b) and _ghost_at(gt, a, b)
                for a in range(x0 - half, x1 + half + 1)):
-            assert b in rows, (case, b)
+            assert any(lo <= b <= hi for lo, hi, *_ in common), (case, b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(scan_cases())
 @example(GHOST_CELL)
+@example((B("x + y + 0"), B("x + y + 0v"), DEFAULT_WINDOW, DEFAULT_STEP))
 @example(FORCED_TIES + (Fraction(1, 3),))
 def test_row_read_matches_point_oracle(case):
     # Every integer row the scan can read, the half rows just outside the
-    # window included, holds exactly the oracle's ghost columns.
+    # window included, holds exactly the oracle's ghost columns: those of
+    # each input on its pieces, and those of both on their meet.
     f, g, window, step = case
     ft, gt, scale, (x0, x1, y0, y1), step_s = oracle_units(*case)
     half = step_s // 2
     den, views = scaled([f._coeffs, g._coeffs])
-    for terms, view in zip((ft, gt), views):
-        pieces = bipoly._pieces(view, scale // den, x0 - half, x1 + half,
-                                y0 - half, y1 + half)
-        for b in range(y0 - half, y1 + half + 1):
-            cols = [a for lo, hi in _row_ghost(pieces, b)
-                    for a in range(lo, hi + 1)]
-            assert cols == [a for a in range(x0 - half, x1 + half + 1)
-                            if _ghost_at(terms, a, b)], (case, b)
+    fp, gp = (bipoly._pieces(view, scale // den, x0 - half, x1 + half,
+                             y0 - half, y1 + half) for view in views)
+    common = bipoly._meet(fp, gp)
+    xs = range(x0 - half, x1 + half + 1)
+    for b in range(y0 - half, y1 + half + 1):
+        reads = [[a for lo, hi in _row_ghost(pieces, b)
+                  for a in range(lo, hi + 1)] for pieces in (fp, gp, common)]
+        fcols, gcols = ([a for a in xs if _ghost_at(terms, a, b)]
+                        for terms in (ft, gt))
+        assert reads == [fcols, gcols, sorted(set(fcols) & set(gcols))], \
+            (case, b)
 
 
 def count_row_ghost(monkeypatch) -> list:
@@ -412,8 +419,9 @@ def count_row_ghost(monkeypatch) -> list:
 
 def test_scan_rows_do_not_grow_with_step_or_window(monkeypatch):
     # Sweeping every base row would take 166, 40,006 and 800,006 row reads
-    # at the three steps.  The pieces of the two lines give the same three
-    # candidate rows (y = 0, 2 and 3) at every step and in both windows.
+    # at the three steps.  The exact meet of the two lines gives one
+    # candidate row, y = 2, at every step and in both windows: its read and
+    # those of the half rows below and above it.
     calls = count_row_ghost(monkeypatch)
     f, g = B("x + y + 0"), B("1*x + y + 3")
     wide = (-100000, 100000, -100000, 100000)
@@ -426,13 +434,12 @@ def test_scan_rows_do_not_grow_with_step_or_window(monkeypatch):
         assert bezout_report(f, g, window, step).hits == \
             ((Fraction(2), Fraction(2)),)
         counts.append(len(calls))
-    assert counts == [10] * 4
+    assert counts == [3] * 4
 
 
 def test_scan_clips_pieces_to_the_window(monkeypatch):
     # The lines' pieces cross at (2, 2), right of the window.  Clipped to
-    # the window, no piece of f shares a row with a piece of g, so no row
-    # is swept.
+    # the window, no piece of f meets a piece of g, so no row is read.
     calls = count_row_ghost(monkeypatch)
     assert common_roots_sample(B("x + y + 0"), B("1*x + y + 3"),
                                (-10, 0, -10, 10)) == []
