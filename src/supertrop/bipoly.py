@@ -9,6 +9,11 @@ in the one-variable case: a permanent of the Sylvester matrix, except the
 entries are now polynomials in the first variable.  Because evaluation at
 a point is a semiring map, specialising the first variable commutes with
 taking that permanent, which is the main exactness test for this module.
+`resultant_in_second` returns its exact formal coefficients, those off the
+upper hull included.  It runs the O(2^k) subset DP `permanent` for the
+Sylvester size k on one scaled integer view of both inputs, one
+`ScaledView` per y-coefficient, and builds one Fraction and one Element per
+output coefficient.
 
 `common_roots_sample` finds the points of a rational grid where both
 inputs take ghost values, entirely in integer arithmetic: the `scaled`
@@ -52,7 +57,7 @@ from .intervals import intersect_sorted
 from .poly import Poly
 from .record import Record
 from .resultant import permanent, sylvester_vectors
-from .sparse import SparsePoly, scaled
+from .sparse import ScaledView, SparsePoly, _unscaled, scaled
 
 
 class BiPoly(SparsePoly):
@@ -111,13 +116,6 @@ class BiPoly(SparsePoly):
             out[k] = out[k] + term if k in out else term
         return Poly(out)
 
-    def y_vector(self) -> list[Poly]:
-        """Coefficients as a polynomial in y: entry j is a Poly in x."""
-        out = [dict() for _ in range(self.deg_y + 1)]
-        for (i, j), c in self._coeffs.items():
-            out[j][i] = c
-        return [Poly(d) for d in out]
-
 
 def partial_frobenius(f: BiPoly, m: int, var: str = "x") -> BiPoly:
     """Substitute the m-th power of one variable: f(x^m, y) or f(x, y^m).
@@ -139,17 +137,32 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
 
     The inputs are viewed as polynomials in y whose coefficients live in
     the polynomial semiring in x; the value is the permanent of their
-    Sylvester matrix over that semiring.  The raw y-coefficient vectors
-    are used without canonicalisation, so specialising x at any tangible
-    point commutes with the whole computation.
+    Sylvester matrix over that semiring, with its exact formal
+    coefficients, not only its function.  The raw y-coefficients are used
+    without canonicalisation, so specialising x at any tangible point
+    commutes with the whole computation.
+
+    Both inputs go on one integer scale once (`scaled`), and each
+    y-coefficient becomes a `ScaledView` keyed by the degree in x.  The
+    subset DP `permanent` runs on those views, O(2^k) states for the
+    Sylvester size k, with no Fraction or Element until the one conversion
+    of the result.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     if f.deg_y == 0 or g.deg_y == 0:
         raise ValueError("inputs must be nonconstant in y")
-    fv, gv = f.y_vector(), g.y_vector()
-    grid = sylvester_vectors(fv, gv, zero=Poly.zero())
-    return permanent(grid, zero=Poly.zero(), one=Poly.constant(ONE))
+    den, views = scaled([f._coeffs, g._coeffs])
+    vecs = []
+    for p, view in zip((f, g), views):
+        rows: list[dict] = [{} for _ in range(p.deg_y + 1)]
+        for (i, j), mg in view.items():
+            rows[j][i] = mg
+        vecs.append([ScaledView(row) for row in rows])
+    zero = ScaledView({})
+    out = permanent(sylvester_vectors(*vecs, zero=zero), zero=zero,
+                    one=ScaledView({0: (0, False)}))
+    return Poly._of(_unscaled(out.terms, den, None))
 
 
 def _merge(spans) -> list[tuple[int, int]]:

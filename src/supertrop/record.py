@@ -46,20 +46,37 @@ class Record(Frozen):
         cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self.__slots__
+        fields, setters = self.__slots__, self._setters
         n = len(args)
-        if n > len(fields) or kwargs and not kwargs.keys() <= set(fields[n:]):
-            raise TypeError(f"{type(self).__name__} has the fields {fields}; "
-                            f"got {n} positional and {sorted(kwargs)}")
-        if n < len(fields):
-            given = {**self._defaults, **kwargs}
-            try:
-                args += tuple(given[name] for name in fields[n:])
-            except KeyError as exc:
-                raise TypeError(f"{type(self).__name__} is missing the field "
-                                f"{exc.args[0]!r}") from None
-        for set_, value in zip(self._setters, args):
+        if n > len(fields):
+            raise self._fields_error(n, kwargs)
+        for set_, value in zip(setters, args):
             set_(self, value)
+        if n == len(fields) and not kwargs:
+            return
+        # The fields left, each from its keyword or else its default.  Every
+        # keyword must name one of them; that is checked before a missing
+        # field is reported.
+        defaults = self._defaults
+        used, missing = 0, None
+        for name, set_ in zip(fields[n:], setters[n:]):
+            if name in kwargs:
+                set_(self, kwargs[name])
+                used += 1
+            elif name in defaults:
+                set_(self, defaults[name])
+            elif missing is None:
+                missing = name
+        if used != len(kwargs):
+            raise self._fields_error(n, kwargs)
+        if missing is not None:
+            raise TypeError(f"{type(self).__name__} is missing the field "
+                            f"{missing!r}")
+
+    def _fields_error(self, n: int, kwargs: dict) -> TypeError:
+        return TypeError(f"{type(self).__name__} has the fields "
+                        f"{self.__slots__}; got {n} positional and "
+                        f"{sorted(kwargs)}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -22,6 +22,10 @@ same value live here on purpose, as its oracles and cross-checks:
 * `resultant_quadratic`  closed form against a monic quadratic,
 * `resultant_nu`         ghost value by the same corner-root product rule.
 
+`permanent` over `Poly` entries is also the test oracle of the formal
+coefficients that `bipoly.resultant_in_second` computes: that route runs
+the same DP on scaled integer maps instead.
+
 `resultant_nu_assignment` is the ghost image of `resultant`.  `METHODS`
 names the resultant routes for the CLI and the example corpus.
 """

@@ -17,7 +17,7 @@ Fraction.
 `scaled` is the one place that clears denominators: it puts the
 magnitudes of some maps on one integer scale, the lcm of their
 denominators, for the hull of `poly`, the products and powers here, the
-resultant engine and the Bezout scan.  A one-term operand of a product
+resultant engine, the elimination of y and the Bezout scan.  A one-term operand of a product
 (as in "3*x^2") only shifts exponents and multiplies each coefficient by
 its own; the others are convolved on their `scaled` (int, ghost) pairs.
 Magnitudes add, ghost absorbs, and two products that land on one
@@ -32,6 +32,11 @@ pay for all of them.
 Output keys come in the order in which the nested convolution loop first
 meets them, as a product of Elements would list them; a power lists the
 keys of its square-and-multiply chain.
+
+A `ScaledView` holds one scaled map as a semiring value, so that the
+subset DP `resultant.permanent` can run on maps of one scale: its `*` is
+`_convolve` and its `+` the max-merge `_merged`.  `bipoly` eliminates y
+on these and converts back once, with `_unscaled`.
 
 `SparsePoly` is the one wrapper over a map, subclassed by `Poly` and
 `BiPoly`.  It holds their construction (checking exponents and
@@ -258,3 +263,41 @@ def _convolve(p: dict, q: dict) -> dict:
             elif m == cur[0]:
                 out[key] = (m, True)
     return out
+
+
+def _merged(p: dict, q: dict) -> dict:
+    """The max-plus sum of two scaled maps: the larger magnitude on each
+    key, turning ghost on a tie, in the order of `terms_add`."""
+    out = dict(p)
+    get = out.get
+    for key, mg in q.items():
+        cur = get(key)
+        if cur is None or mg[0] > cur[0]:
+            out[key] = mg
+        elif mg[0] == cur[0]:
+            out[key] = (cur[0], True)
+    return out
+
+
+class ScaledView:
+    """One scaled map as a value of the max-plus semiring of such maps.
+
+    `*` convolves, `+` max-merges, and an empty map is the zero.  All the
+    maps that meet must share one scale: the views of one `scaled` call.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __mul__(self, other: "ScaledView") -> "ScaledView":
+        return ScaledView(_convolve(self.terms, other.terms))
+
+    def __add__(self, other: "ScaledView") -> "ScaledView":
+        return ScaledView(_merged(self.terms, other.terms))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ScaledView:
+            return NotImplemented
+        return self.terms == other.terms

@@ -7,11 +7,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from supertrop import (BiPoly, Element, ONE, ZERO, bezout_report,
+from supertrop import (BiPoly, Element, ONE, ZERO, Poly, bezout_report,
                        common_roots_sample, ghost, parse_bipoly, parse_poly,
-                       partial_frobenius, resultant, resultant_in_second,
-                       tangible)
-from supertrop import bipoly
+                       partial_frobenius, permanent, resultant,
+                       resultant_in_second, sylvester_vectors, tangible)
+from supertrop import bipoly, sparse
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
                               _cluster, _row_ghost, _scan)
 from supertrop.checks import Gen
@@ -128,6 +128,72 @@ def test_resultant_specializes():
         spec = resultant(f.specialize_x(c), g.specialize_x(c),
                          canonical=False)
         assert r.evaluate(c) == spec, (f, g, c)
+
+
+def eliminate_oracle(frows: list, grows: list) -> Poly:
+    """The permanent of the Sylvester matrix over the `Poly` semiring, from
+    the y-coefficients as {degree in x: Element} maps (None for a missing
+    one)."""
+    fv, gv = ([Poly(row or {}) for row in rows] for rows in (frows, grows))
+    return permanent(sylvester_vectors(fv, gv, zero=Poly.zero()),
+                     zero=Poly.zero(), one=Poly.constant(ONE))
+
+
+def from_rows(rows: list) -> BiPoly:
+    return BiPoly({(i, j): c for j, row in enumerate(rows) if row
+                   for i, c in row.items()})
+
+
+# A small pool of magnitudes forces ties; the others have denominators up
+# to 7, so the scale is an lcm of distinct ones.
+_mags = st.one_of(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3)]),
+                  st.fractions(-3, 3, max_denominator=7))
+# A y-coefficient: a polynomial in x, often of one term.
+_x_polys = st.dictionaries(st.integers(0, 2), st.builds(Element, _mags, st.booleans()),
+                           min_size=1, max_size=3)
+# The y-coefficients of degree 1 to 4 in y; below the top one, None leaves a
+# coefficient out, so Zero entries fall inside the Sylvester band.
+_y_rows = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(*[st.none() | _x_polys] * d, _x_polys).map(list))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_y_rows, _y_rows)
+@example([{0: tangible(Fraction(2, 3))}, None, {0: tangible(Fraction(3, 2))}],
+         [{0: ghost(0)}, {0: ONE, 1: tangible(2)}])
+def test_resultant_in_second_matches_the_poly_permanent(frows, grows):
+    # The exact formal coefficients, not only the function: equal maps.
+    assert resultant_in_second(from_rows(frows), from_rows(grows)) == \
+        eliminate_oracle(frows, grows)
+
+
+def test_elimination_scales_once_and_builds_only_the_output(monkeypatch):
+    # Arithmetic on Poly values would scale every product of two
+    # multi-term polynomials and build Elements for every sum and product.
+    frows = [{0: tangible(Fraction(-1, 2)), 1: tangible(Fraction(1, 3))},
+             {2: ONE}, {1: ghost(2)}, {0: tangible(Fraction(1, 2))}]
+    grows = [{0: ONE, 2: ghost(1)}, {0: tangible(Fraction(1, 5)), 1: tangible(3)},
+             None, {0: ONE}]
+    f, g = from_rows(frows), from_rows(grows)
+    scale_calls, built = [], []
+    real_scaled, real_init = sparse.scaled, Element.__init__
+
+    def counting_scaled(maps):
+        scale_calls.append(len(maps))
+        return real_scaled(maps)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse, "scaled", counting_scaled)
+    monkeypatch.setattr(bipoly, "scaled", counting_scaled)
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    r = resultant_in_second(f, g)
+    monkeypatch.undo()
+    assert scale_calls == [2]
+    assert len(built) == len(r._coeffs) > 1
+    assert r == eliminate_oracle(frows, grows)
 
 
 def test_common_roots_examples():
