@@ -35,12 +35,9 @@ from .poly import (CommonRoot, FullPoly, HalfTangible, NotGhostSum,
                    canonical_full, classify_half_tangible, e_equiv,
                    essential_part, frobenius, full_from_corners, ggraph,
                    is_ghost_poly, mul_shift, tangible_roots)
-from .resultant import (RelPrimeReport, decide, permanent, permanent_oracle,
-                        resultant, resultant_dp, resultant_nu,
-                        resultant_nu_assignment,
-                        resultant_quadratic, resultant_recursive,
-                        resultant_tangible_product, semitangible_blocks,
-                        sylvester, sylvester_vectors)
+from .resultant import (RelPrimeReport, decide, resultant, resultant_nu,
+                        resultant_nu_assignment, semitangible_blocks,
+                        sylvester)
 
 __all__ = [
     "BiPoly", "BezoutReport", "CommonRoot", "DEFAULT_STEP", "DEFAULT_WINDOW",
@@ -53,12 +50,9 @@ __all__ = [
     "essential_part", "expand", "factor_min_ghosts", "frobenius",
     "full_from_corners", "ggraph", "ghost", "is_ghost_poly",
     "left_ghost_factor", "mul_shift", "parse_bipoly", "parse_element",
-    "parse_poly", "partial_frobenius", "permanent", "permanent_oracle",
-    "poly_from_json", "poly_to_json", "quadratic_factor",
-    "radical_member_check", "resultant", "resultant_dp",
+    "parse_poly", "partial_frobenius", "poly_from_json", "poly_to_json",
+    "quadratic_factor", "radical_member_check", "resultant",
     "resultant_in_second", "resultant_nu", "resultant_nu_assignment",
-    "resultant_quadratic", "resultant_recursive",
-    "resultant_tangible_product", "right_ghost_factor", "semitangible_blocks",
-    "split_tan_intan", "sylvester", "sylvester_vectors", "tangible",
-    "tangible_roots", "verify_division",
+    "right_ghost_factor", "semitangible_blocks", "split_tan_intan",
+    "sylvester", "tangible", "tangible_roots", "verify_division",
 ]

@@ -1,5 +1,12 @@
 """Randomized property checks shared by the test suite and `selfcheck`.
 
+The oracle routes live here, not in the library, because only the checks
+and the corpus call them: `permanent_oracle` (the permanent as a sum over
+all permutations), `resultant_recursive` (constant-term peeling),
+`resultant_tangible_product` (the closed form for tangible inputs) and
+`resultant_quadratic` (the closed form against a monic quadratic).  Each
+is compared with `resultant` or `permanent` on its own domain.
+
 Each check function draws its own seeded generator, so running one from
 pytest and from the command line exercises identical cases.  A failure
 raises AssertionError with the offending inputs in the message; success
@@ -7,10 +14,11 @@ returns the number of cases checked.  `CHECKS` lists them all in the
 order they are reported.
 
 `run_corpus` replays the worked examples stored in corpus.json through
-the public API and returns a list of per-entry results.  The corpus is
-one table with one verdict: `_ENTRIES` maps each entry kind to a function
-of the entry that returns (got, want), and an entry fails exactly when
-the two differ.  Optional fields are checked only where an entry has them.
+the library and these oracles, and returns a list of per-entry results.
+The corpus is one table with one verdict: `_ENTRIES` maps each entry kind
+to a function of the entry that returns (got, want), and an entry fails
+exactly when the two differ.  Optional fields are checked only where an
+entry has them.
 
 `outcome` runs one check or one entry: any exception it raises, a wrong
 answer or a crash, is that one name's failure.
@@ -18,6 +26,7 @@ answer or a crash, is that one name's failure.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -33,10 +42,8 @@ from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, add_shift,
                    analyze_ghost_sum, canonical_full, classify_half_tangible,
                    e_equiv, essential_part, frobenius, full_from_corners,
                    ggraph, is_ghost_poly, mul_shift, tangible_roots)
-from .resultant import (DEFAULT_METHOD, METHODS, decide, permanent,
-                        permanent_oracle, resultant, resultant_nu,
-                        resultant_quadratic, resultant_recursive,
-                        resultant_tangible_product, sylvester)
+from .resultant import (_product_rule, decide, permanent, resultant,
+                        resultant_nu, sylvester)
 
 
 class Gen:
@@ -112,6 +119,94 @@ class Gen:
                 if (i, j) != top and self.rng.random() < keep_p:
                     coeffs[(i, j)] = self.element()
         return BiPoly(coeffs)
+
+
+# -- oracle routes -------------------------------------------------------
+
+
+def permanent_oracle(rows: list[list]) -> Element:
+    """Sum over all permutations directly.  Only for small matrices."""
+    size = len(rows)
+    if size > 8:
+        raise ValueError("oracle permanent limited to size 8")
+    if size == 0:
+        return ONE
+    total = ZERO
+    for perm in itertools.permutations(range(size)):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+            if term == ZERO:
+                break
+        total = total + term
+    return total
+
+
+def resultant_recursive(f: Poly, g: Poly) -> Element:
+    """Resultant by peeling constant terms.
+
+    Requires both inputs full with nonzero constant term.  Writing f^(k)
+    for the polynomial whose coefficients are those of f from slot k up,
+    the value satisfies
+
+        res(f, g) = alpha_0 * res(f, g^(1)) + beta_0 * res(f^(1), g)
+
+    with res(f, b) = b^deg(f) and res(a, g) = a^deg(g) against constants.
+    Every pair reached is (f^(i), g^(j)), so the table is filled bottom up
+    over the offsets, keeping one row: O(mn) products in O(n) memory, and
+    no recursion, so any degree works.
+    """
+    for p in (f, g):
+        if p.is_zero or not p.is_full() or p.ldeg != 0:
+            raise ValueError("recursive resultant needs full polynomials "
+                             "with nonzero constant term")
+    fv, gv = f.coeff_vector(), g.coeff_vector()
+    m, n = len(fv) - 1, len(gv) - 1
+    # row[j] = res(f^(i), g^(j)), from i = m down; f^(m) and g^(n) are
+    # constants.
+    row = [fv[m] ** (n - j) for j in range(n + 1)]
+    for i in range(m - 1, -1, -1):
+        row[n] = gv[n] ** (m - i)
+        for j in range(n - 1, -1, -1):
+            row[j] = fv[i] * row[j + 1] + gv[j] * row[j]
+    return row[0]
+
+
+def resultant_tangible_product(f: Poly, g: Poly) -> Element:
+    """The corner-root product rule, for full tangible polynomials."""
+    for p in (f, g):
+        if p.is_zero or not p.is_full() or p.ldeg != 0 or not p.all_tangible():
+            raise ValueError("product rule needs full tangible polynomials "
+                             "with nonzero constant term")
+    return _product_rule(f.coeff_vector(), g.coeff_vector())
+
+
+def resultant_quadratic(f: Poly, g: Poly) -> Element:
+    """Closed form against a monic quadratic g = x^2 + beta1 x + beta0.
+
+    Requires f full with nonzero constant term and the quadratic's corner
+    roots ordered, i.e. 2 mag(beta1) >= mag(beta0).  Unrolls the peeling
+    recursion in closed form:
+
+        res(f, g) = sum over k < m of alpha_k beta0^k f^(k)(beta1)
+                    + beta0^m alpha_m^2.
+    """
+    if f.is_zero or not f.is_full() or f.ldeg != 0 or f.degree < 1:
+        raise ValueError("needs f full of degree >= 1 with nonzero constant term")
+    if g.degree != 2 or g.coeff(2) != ONE or not g.is_full() or g.ldeg != 0:
+        raise ValueError("needs g a monic full quadratic")
+    b0, b1 = g.coeff(0), g.coeff(1)
+    if 2 * b1.mag < b0.mag:
+        raise ValueError("quadratic corner roots out of order")
+    fv = tuple(f.coeff_vector())
+    m = len(fv) - 1
+    total = b0 ** m * fv[m] ** 2
+    for k in range(m):
+        tail = ZERO
+        for i in range(k, m + 1):
+            tail = tail + fv[i] * b1 ** (i - k)
+        total = total + fv[k] * b0 ** k * tail
+    return total
 
 
 # -- acceptance criteria -------------------------------------------------
@@ -480,6 +575,18 @@ def _factor(e: dict) -> tuple:
     return (str(fact), e_equiv(expand(fact), f)), (e["expect"], True)
 
 
+# The routes a resultant entry can name in its "method" field; an entry
+# without one takes `resultant`, and an unknown name fails the entry.
+_ROUTES = {"recursive": resultant_recursive,
+           "product": resultant_tangible_product,
+           "quadratic": resultant_quadratic, "nu": resultant_nu}
+
+
+def _resultant(e: dict) -> tuple:
+    route = _ROUTES[e["method"]] if "method" in e else resultant
+    return route(_p(e, "f"), _p(e, "g")), _el(e, "expect")
+
+
 def _permanent(e: dict) -> tuple:
     rows = [[Element.parse(c) for c in row] for row in e["matrix"]]
     want = _el(e, "expect")
@@ -540,8 +647,7 @@ _ENTRIES = {
     "sylvester": lambda e: ([[str(c) for c in row]
                              for row in sylvester(_p(e, "f"), _p(e, "g"))],
                             e["expect"]),
-    "resultant": lambda e: (METHODS[e.get("method", DEFAULT_METHOD)](
-        _p(e, "f"), _p(e, "g")), _el(e, "expect")),
+    "resultant": _resultant,
     "permanent": _permanent,
     "relprime": _relprime,
     "verify_division": lambda e: (verify_division(

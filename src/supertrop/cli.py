@@ -25,7 +25,7 @@ from .intervals import RootSet, _fmt_endpoint
 from .element import _read_rational
 from .parse import ParseError, parse_bipoly, parse_poly, poly_to_json
 from .poly import canonical_full, tangible_roots
-from .resultant import DEFAULT_METHOD, METHODS, decide
+from .resultant import decide, resultant, resultant_nu
 
 
 def _text(arg: str) -> str:
@@ -99,7 +99,7 @@ def _cmd_factor(args) -> int:
 def _cmd_resultant(args) -> int:
     f = parse_poly(_text(args.f))
     g = parse_poly(_text(args.g))
-    value = METHODS[args.method](f, g)
+    value = (resultant_nu if args.method == "nu" else resultant)(f, g)
     return _emit(args, str(value), {"resultant": str(value)})
 
 
@@ -229,8 +229,10 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p = cmd("resultant", _cmd_resultant, "resultant of two polynomials")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--method", choices=sorted(METHODS),
-                   default=DEFAULT_METHOD)
+    p.add_argument("--method", choices=["assignment", "nu"],
+                   default="assignment",
+                   help="assignment (the default) prints the resultant, nu "
+                   "its ghost value")
     p = cmd("relprime", _cmd_relprime, "relative primeness decision")
     p.add_argument("f")
     p.add_argument("g")

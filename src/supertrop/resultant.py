@@ -9,30 +9,19 @@ a tangible root, provided at most one of them is divisible by x.  The
 vectors and factors powers of x out; `decide` restores the x | f, x | g
 bookkeeping on top of it.
 
-`resultant` takes the permanent with an exact O(k^3) engine: a
-maximum-weight assignment for the magnitude and a test of whether the
-maximal permutation is unique for the layer.  Independent routes to the
-same value live here on purpose, as its oracles and cross-checks:
+`resultant` is the one production route.  It takes the permanent with an
+exact O(k^3) engine: a maximum-weight assignment for the magnitude and a
+test of whether the maximal permutation is unique for the layer.
+`resultant_nu` is its ghost value by the corner-root product rule, in
+O(mn), and `resultant_nu_assignment` the ghost image of `resultant`.
 
-* `permanent`            column-subset dynamic program over any semiring,
-* `resultant_dp`         `resultant` through `permanent`,
-* `permanent_oracle`     brute force over permutations of Elements,
-* `resultant_recursive`  constant-term peeling recursion,
-* `resultant_tangible_product`  closed form for tangible inputs,
-* `resultant_quadratic`  closed form against a monic quadratic,
-* `resultant_nu`         ghost value by the same corner-root product rule.
-
-`permanent` over `Poly` entries is also the test oracle of the formal
-coefficients that `bipoly.resultant_in_second` computes: that route runs
-the same DP on scaled integer maps instead.
-
-`resultant_nu_assignment` is the ghost image of `resultant`.  `METHODS`
-names the resultant routes for the CLI and the example corpus.
+`permanent`, a column-subset dynamic program over any semiring, is the
+engine of `bipoly.resultant_in_second` over `Poly` entries; the slow
+oracle routes that the checks compare with these live in `checks`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .element import Element, ONE, ZERO
@@ -65,11 +54,13 @@ def sylvester_vectors(fvec, gvec, zero=ZERO) -> Grid:
 
 
 def sylvester(f: Poly, g: Poly) -> Grid:
-    """Sylvester matrix of the canonical full vectors, both degrees >= 1."""
+    """Sylvester matrix of the canonical full vectors, both of degree >= 1
+    once the power of x is stripped."""
     fv, gv = _vectors(f, g, True)
     if len(fv) == 1 or len(gv) == 1:
-        raise ValueError("sylvester needs both degrees >= 1; "
-                         "resultant() handles constants directly")
+        raise ValueError("sylvester needs both degrees >= 1 after the power "
+                         "of x is stripped; resultant() handles constants "
+                         "directly")
     return sylvester_vectors(fv, gv)
 
 
@@ -106,24 +97,6 @@ def permanent(rows: Grid, zero=ZERO, one=ONE):
         if not dp:
             return zero
     return dp.get((1 << size) - 1, zero)
-
-
-def permanent_oracle(rows: Grid) -> Element:
-    """Sum over all permutations directly.  Only for small matrices."""
-    size = len(rows)
-    if size > 8:
-        raise ValueError("oracle permanent limited to size 8")
-    if size == 0:
-        return ONE
-    total = ZERO
-    for perm in itertools.permutations(range(size)):
-        term = ONE
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-            if term == ZERO:
-                break
-        total = total + term
-    return total
 
 
 def _permanent_assignment(rows: Grid) -> Element:
@@ -228,14 +201,6 @@ def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     return _permanent_assignment(sylvester_vectors(*_vectors(f, g, canonical)))
 
 
-def resultant_dp(f: Poly, g: Poly, canonical: bool = True) -> Element:
-    """`resultant` through the generic subset DP `permanent`, in O(2^(m+n)).
-
-    Same inputs and conventions as `resultant`; kept as its oracle.
-    """
-    return permanent(sylvester_vectors(*_vectors(f, g, canonical)))
-
-
 def _product_rule(fv, gv) -> Element:
     """lead_f^n * lead_g^m * prod over corner-root pairs (a, b) of (a + b),
     for full coefficient vectors of degrees m and n.  Taken on magnitudes:
@@ -261,73 +226,6 @@ def resultant_nu_assignment(f: Poly, g: Poly) -> Element:
     is the ghost image of `resultant`, whose engine solves it exactly.
     """
     return resultant(f, g).nu()
-
-
-def resultant_recursive(f: Poly, g: Poly) -> Element:
-    """Resultant by peeling constant terms.
-
-    Requires both inputs full with nonzero constant term.  Writing f^(k)
-    for the polynomial whose coefficients are those of f from slot k up,
-    the value satisfies
-
-        res(f, g) = alpha_0 * res(f, g^(1)) + beta_0 * res(f^(1), g)
-
-    with res(f, b) = b^deg(f) and res(a, g) = a^deg(g) against constants.
-    Every pair reached is (f^(i), g^(j)), so the table is filled bottom up
-    over the offsets, keeping one row: O(mn) products in O(n) memory, and
-    no recursion, so any degree works.
-    """
-    for p in (f, g):
-        if p.is_zero or not p.is_full() or p.ldeg != 0:
-            raise ValueError("recursive resultant needs full polynomials "
-                             "with nonzero constant term")
-    fv, gv = f.coeff_vector(), g.coeff_vector()
-    m, n = len(fv) - 1, len(gv) - 1
-    # row[j] = res(f^(i), g^(j)), from i = m down; f^(m) and g^(n) are
-    # constants.
-    row = [fv[m] ** (n - j) for j in range(n + 1)]
-    for i in range(m - 1, -1, -1):
-        row[n] = gv[n] ** (m - i)
-        for j in range(n - 1, -1, -1):
-            row[j] = fv[i] * row[j + 1] + gv[j] * row[j]
-    return row[0]
-
-
-def resultant_tangible_product(f: Poly, g: Poly) -> Element:
-    """The corner-root product rule, for full tangible polynomials."""
-    for p in (f, g):
-        if p.is_zero or not p.is_full() or p.ldeg != 0 or not p.all_tangible():
-            raise ValueError("product rule needs full tangible polynomials "
-                             "with nonzero constant term")
-    return _product_rule(f.coeff_vector(), g.coeff_vector())
-
-
-def resultant_quadratic(f: Poly, g: Poly) -> Element:
-    """Closed form against a monic quadratic g = x^2 + beta1 x + beta0.
-
-    Requires f full with nonzero constant term and the quadratic's corner
-    roots ordered, i.e. 2 mag(beta1) >= mag(beta0).  Unrolls the peeling
-    recursion in closed form:
-
-        res(f, g) = sum over k < m of alpha_k beta0^k f^(k)(beta1)
-                    + beta0^m alpha_m^2.
-    """
-    if f.is_zero or not f.is_full() or f.ldeg != 0 or f.degree < 1:
-        raise ValueError("needs f full of degree >= 1 with nonzero constant term")
-    if g.degree != 2 or g.coeff(2) != ONE or not g.is_full() or g.ldeg != 0:
-        raise ValueError("needs g a monic full quadratic")
-    b0, b1 = g.coeff(0), g.coeff(1)
-    if 2 * b1.mag < b0.mag:
-        raise ValueError("quadratic corner roots out of order")
-    fv = tuple(f.coeff_vector())
-    m = len(fv) - 1
-    total = b0 ** m * fv[m] ** 2
-    for k in range(m):
-        tail = ZERO
-        for i in range(k, m + 1):
-            tail = tail + fv[i] * b1 ** (i - k)
-        total = total + fv[k] * b0 ** k * tail
-    return total
 
 
 def semitangible_blocks(f: Poly) -> list[Poly]:
@@ -388,16 +286,3 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
                               f, g, r, common))
     return RelPrimeReport(r, r.is_tangible, common,
                           common.intervals.leftmost_finite())
-
-
-# Resultant routes by name, shared by the CLI's --method and the corpus;
-# DEFAULT_METHOD is the one used when none is named.
-METHODS = {
-    "assignment": resultant,
-    "dp": resultant_dp,
-    "recursive": resultant_recursive,
-    "product": resultant_tangible_product,
-    "quadratic": resultant_quadratic,
-    "nu": resultant_nu,
-}
-DEFAULT_METHOD = "assignment"

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from supertrop import (BiPoly, Element, ONE, ZERO, Poly, bezout_report,
                        common_roots_sample, ghost, parse_bipoly, parse_poly,
-                       partial_frobenius, permanent, resultant,
-                       resultant_in_second, sylvester_vectors, tangible)
+                       partial_frobenius, resultant, resultant_in_second,
+                       tangible)
 from supertrop import bipoly, sparse
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
                               _cluster, _row_ghost, _scan)
 from supertrop.checks import Gen
+from supertrop.resultant import permanent, sylvester_vectors
 from supertrop.sparse import scaled
 
 B = parse_bipoly

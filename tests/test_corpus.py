@@ -91,6 +91,19 @@ def test_a_crashing_entry_fails_exactly_its_entry(monkeypatch, capsys):
     assert f"FAIL {target['name']}" in capsys.readouterr().out
 
 
+def test_an_unknown_resultant_route_fails_exactly_its_entry(monkeypatch):
+    # A name outside the table fails its entry instead of falling back to
+    # `resultant`.
+    corpus = copy.deepcopy(CORPUS)
+    target = next(e for e in corpus if e["kind"] == "resultant"
+                  and "method" not in e)
+    target["method"] = "dp"
+    monkeypatch.setattr(checks, "load_corpus", lambda: corpus)
+    failed = [(name, detail) for name, ok, detail in checks.run_corpus()
+              if not ok]
+    assert failed == [(target["name"], "KeyError: 'dp'")]
+
+
 def test_a_crashing_check_fails_exactly_that_check(monkeypatch, capsys):
     def crashes():
         raise ArithmeticError("out of range")

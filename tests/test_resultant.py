@@ -12,14 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import supertrop
 from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
-                       permanent, permanent_oracle, resultant, resultant_dp,
-                       resultant_nu, resultant_nu_assignment,
-                       resultant_quadratic, resultant_recursive,
-                       resultant_tangible_product, sylvester,
-                       sylvester_vectors, tangible, tangible_roots)
+                       resultant, resultant_nu, resultant_nu_assignment,
+                       sylvester, tangible, tangible_roots)
 from supertrop.poly import canonical_full, full_from_corners
-from supertrop.resultant import _permanent_assignment, semitangible_blocks
-from supertrop.checks import Gen
+from supertrop.resultant import (_permanent_assignment, _vectors, permanent,
+                                 semitangible_blocks, sylvester_vectors)
+from supertrop.checks import (Gen, permanent_oracle, resultant_quadratic,
+                              resultant_recursive, resultant_tangible_product)
 
 P = parse_poly
 
@@ -58,6 +57,12 @@ def polys(draw):
     return Poly(dict(enumerate(coeffs + [lead])))
 
 
+def resultant_dp(f, g, canonical=True):
+    """`resultant` through the subset DP `permanent`, in O(2^(m+n)), on the
+    same canonical or raw vectors."""
+    return permanent(sylvester_vectors(*_vectors(f, g, canonical)))
+
+
 def grid(f, g):
     return [[str(e) for e in row] for row in sylvester(f, g)]
 
@@ -74,7 +79,7 @@ def test_sylvester_examples():
 def test_sylvester_rejects_constants():
     with pytest.raises(ValueError):
         sylvester(P("x + 1"), P("4"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="after the power of x is stripped"):
         # x^2 canonicalizes to a constant once the power is stripped.
         sylvester(P("x^2"), P("x + 1"))
     with pytest.raises(ValueError):
