@@ -10,10 +10,10 @@ entries are now polynomials in the first variable.  Because evaluation at
 a point is a semiring map, specialising the first variable commutes with
 taking that permanent, which is the main exactness test for this module.
 `resultant_in_second` returns its exact formal coefficients, those off the
-upper hull included.  It runs the O(2^k) subset DP `permanent` for the
-Sylvester size k on one scaled integer view of both inputs, one
-`ScaledView` per y-coefficient, and builds one Fraction and one Element per
-output coefficient.
+upper hull included.  It runs its own O(2^k) subset DP for the Sylvester
+size k on one scaled integer view of both inputs, with `sparse._convolve`
+as the product and `sparse._merged` as the sum of y-coefficients, and
+builds one Fraction and one Element per output coefficient.
 
 `common_roots_sample` finds the points of a rational grid where both
 inputs take ghost values, entirely in integer arithmetic: the `scaled`
@@ -56,8 +56,8 @@ from .element import Element, ONE, ZERO, Rational, as_fraction
 from .intervals import intersect_sorted
 from .poly import Poly
 from .record import Record
-from .resultant import permanent, sylvester_vectors
-from .sparse import ScaledView, SparsePoly, _unscaled, scaled
+from .resultant import sylvester_vectors
+from .sparse import SparsePoly, _convolve, _merged, _unscaled, scaled
 
 
 class BiPoly(SparsePoly):
@@ -123,7 +123,7 @@ def partial_frobenius(f: BiPoly, m: int, var: str = "x") -> BiPoly:
     Sends a common root (a, b) of a pair to (a/m, b) (or (a, b/m)) in
     logarithmic notation.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"power must be a positive integer: {m!r}")
     if var == "x":
         return BiPoly({(m * i, j): c for (i, j), c in f.items()})
@@ -143,10 +143,11 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
     commutes with the whole computation.
 
     Both inputs go on one integer scale once (`scaled`), and each
-    y-coefficient becomes a `ScaledView` keyed by the degree in x.  The
-    subset DP `permanent` runs on those views, O(2^k) states for the
-    Sylvester size k, with no Fraction or Element until the one conversion
-    of the result.
+    y-coefficient becomes a scaled map keyed by the degree in x, multiplied
+    by `_convolve` and added by `_merged`.  A subset DP over the columns
+    already matched takes the permanent one row at a time, O(2^k) states
+    for the Sylvester size k, with no Fraction or Element until the one
+    conversion of the result.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
@@ -155,14 +156,22 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
     den, views = scaled([f._coeffs, g._coeffs])
     vecs = []
     for p, view in zip((f, g), views):
-        rows: list[dict] = [{} for _ in range(p.deg_y + 1)]
+        vec: list[dict] = [{} for _ in range(p.deg_y + 1)]
         for (i, j), mg in view.items():
-            rows[j][i] = mg
-        vecs.append([ScaledView(row) for row in rows])
-    zero = ScaledView({})
-    out = permanent(sylvester_vectors(*vecs, zero=zero), zero=zero,
-                    one=ScaledView({0: (0, False)}))
-    return Poly._of(_unscaled(out.terms, den, None))
+            vec[j][i] = mg
+        vecs.append(vec)
+    rows = sylvester_vectors(*vecs, zero={})
+    dp = {0: {0: (0, False)}}
+    for row in rows:
+        entries = [(1 << j, e) for j, e in enumerate(row) if e]
+        nxt: dict[int, dict] = {}
+        for mask, acc in dp.items():
+            for bit, e in entries:
+                if not mask & bit:
+                    key, term = mask | bit, _convolve(acc, e)
+                    nxt[key] = _merged(nxt[key], term) if key in nxt else term
+        dp = nxt
+    return Poly._of(_unscaled(dp.get((1 << len(rows)) - 1, {}), den, None))
 
 
 def _merge(spans) -> list[tuple[int, int]]:

@@ -102,6 +102,6 @@ def radical_member_check(a: Poly, k: int, b: Poly, q: Poly) -> bool:
     True exactly when q witnesses that a^k divides b up to ghosts, which
     places a in the radical of any set containing b.
     """
-    if k < 1:
-        raise ValueError("exponent must be a positive integer")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"exponent must be a positive integer: {k!r}")
     return verify_division(b, a ** k, q)

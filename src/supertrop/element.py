@@ -78,8 +78,11 @@ class Element(Frozen):
     is_ghost: bool
 
     def __init__(self, mag: int | Fraction | None, is_ghost: bool = False):
-        # Exact magnitudes only: an int is stored as a Fraction; a float, a
-        # str or a bool would fail far from here, or not at all.
+        # Exact magnitudes and a bool flag only: an int is stored as a
+        # Fraction; anything else would fail far from here, or split one
+        # value in two under equality and hashing.
+        if type(is_ghost) is not bool:
+            raise TypeError(f"layer flag must be a bool: {is_ghost!r}")
         if type(mag) is not Fraction:
             if mag is None:
                 if is_ghost:
@@ -137,7 +140,7 @@ class Element(Frozen):
         Defining Zero ** 0 = One keeps empty products well behaved (the same
         convention as x ** 0 = 1 in ordinary arithmetic).
         """
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
         if n == 0:
             return ONE

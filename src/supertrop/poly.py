@@ -421,7 +421,7 @@ def frobenius(f: Poly, m: int) -> Poly:
     Tangible roots divide by m (in logarithmic notation), which stays inside
     the rationals.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"frobenius exponent must be a positive integer: {m!r}")
     return Poly({m * deg: c for deg, c in f.items()})
 

@@ -15,16 +15,16 @@ test of whether the maximal permutation is unique for the layer.
 `resultant_nu` is its ghost value by the corner-root product rule, in
 O(mn), and `resultant_nu_assignment` the ghost image of `resultant`.
 
-`permanent`, a column-subset dynamic program over any semiring, is the
-engine of `bipoly.resultant_in_second` over `Poly` entries; the slow
-oracle routes that the checks compare with these live in `checks`.
+Every route here runs in polynomial time.  The slow oracle routes that
+the checks compare with these, the subset-DP `permanent` over any
+semiring among them, live in `checks`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .element import Element, ONE, ZERO
+from .element import Element, ZERO
 from .intervals import Endpoint, RootSet
 from .poly import Poly, _corners, canonical_full, tangible_roots
 from .record import Record
@@ -62,41 +62,6 @@ def sylvester(f: Poly, g: Poly) -> Grid:
                          "of x is stripped; resultant() handles constants "
                          "directly")
     return sylvester_vectors(fv, gv)
-
-
-def permanent(rows: Grid, zero=ZERO, one=ONE):
-    """Permanent over any commutative semiring, via a subset DP.
-
-    Processes one row at a time; the state is the set of columns already
-    matched, so the cost is O(2^k * nnz) for a k * k matrix.  Entries only
-    need `+` and `*`.
-    """
-    size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("permanent requires a square matrix")
-    if size == 0:
-        return one
-    prepared = []
-    for row in rows:
-        entries = [(1 << j, e) for j, e in enumerate(row) if e != zero]
-        if not entries:
-            return zero
-        prepared.append(entries)
-    dp = {0: one}
-    for entries in prepared:
-        nxt: dict[int, object] = {}
-        for mask, acc in dp.items():
-            for bit, e in entries:
-                if mask & bit:
-                    continue
-                key = mask | bit
-                term = acc * e
-                old = nxt.get(key)
-                nxt[key] = term if old is None else old + term
-        dp = nxt
-        if not dp:
-            return zero
-    return dp.get((1 << size) - 1, zero)
 
 
 def _permanent_assignment(rows: Grid) -> Element:

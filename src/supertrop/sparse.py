@@ -33,10 +33,9 @@ Output keys come in the order in which the nested convolution loop first
 meets them, as a product of Elements would list them; a power lists the
 keys of its square-and-multiply chain.
 
-A `ScaledView` holds one scaled map as a semiring value, so that the
-subset DP `resultant.permanent` can run on maps of one scale: its `*` is
-`_convolve` and its `+` the max-merge `_merged`.  `bipoly` eliminates y
-on these and converts back once, with `_unscaled`.
+`_convolve` and the max-merge `_merged` are the product and the sum of
+scaled maps of one scale: `bipoly` eliminates y on them and converts back
+once, with `_unscaled`.
 
 `SparsePoly` is the one wrapper over a map, subclassed by `Poly` and
 `BiPoly`.  It holds their construction (checking exponents and
@@ -180,7 +179,7 @@ class SparsePoly(Frozen):
         return self._of(terms_mul(self._coeffs, other._coeffs))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
         return self._of(terms_pow(self._coeffs, n, self._unit))
 
@@ -278,26 +277,3 @@ def _merged(p: dict, q: dict) -> dict:
             out[key] = (cur[0], True)
     return out
 
-
-class ScaledView:
-    """One scaled map as a value of the max-plus semiring of such maps.
-
-    `*` convolves, `+` max-merges, and an empty map is the zero.  All the
-    maps that meet must share one scale: the views of one `scaled` call.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def __mul__(self, other: "ScaledView") -> "ScaledView":
-        return ScaledView(_convolve(self.terms, other.terms))
-
-    def __add__(self, other: "ScaledView") -> "ScaledView":
-        return ScaledView(_merged(self.terms, other.terms))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ScaledView:
-            return NotImplemented
-        return self.terms == other.terms

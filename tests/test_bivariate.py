@@ -14,8 +14,8 @@ from supertrop import (BiPoly, Element, ONE, ZERO, Poly, bezout_report,
 from supertrop import bipoly, sparse
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
                               _cluster, _row_ghost, _scan)
-from supertrop.checks import Gen
-from supertrop.resultant import permanent, sylvester_vectors
+from supertrop.checks import Gen, permanent
+from supertrop.resultant import sylvester_vectors
 from supertrop.sparse import scaled
 
 B = parse_bipoly

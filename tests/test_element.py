@@ -98,6 +98,21 @@ def test_magnitudes_are_exact_at_the_door():
         Element(None, True)
 
 
+def test_layer_flags_are_bools_at_the_door():
+    # A flag of another type would print like a bool but split one value
+    # in two: Element(1, None) would differ from the tangible 1 and hash
+    # apart, and Element(1, "yes") would print 1v but differ from ghost(1).
+    for flag in (None, "yes", 1, 0, 1.0, [True]):
+        with pytest.raises(TypeError, match="layer flag must be a bool"):
+            Element(1, flag)
+        with pytest.raises(TypeError, match="layer flag must be a bool"):
+            Element(None, flag)
+    assert Element(1, False) == Element(1) == tangible(1)
+    assert hash(Element(1, False)) == hash(tangible(1))
+    assert Element(1, True) == ghost(1) and str(Element(1, True)) == "1v"
+    assert Element(None, False) == ZERO
+
+
 def test_layer_predicates():
     assert ZERO.is_zero and ZERO.in_ghost_ideal and not ZERO.is_tangible
     assert tangible(1).is_tangible and not tangible(1).in_ghost_ideal

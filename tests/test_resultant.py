@@ -15,10 +15,11 @@ from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
                        resultant, resultant_nu, resultant_nu_assignment,
                        sylvester, tangible, tangible_roots)
 from supertrop.poly import canonical_full, full_from_corners
-from supertrop.resultant import (_permanent_assignment, _vectors, permanent,
+from supertrop.resultant import (_permanent_assignment, _vectors,
                                  semitangible_blocks, sylvester_vectors)
-from supertrop.checks import (Gen, permanent_oracle, resultant_quadratic,
-                              resultant_recursive, resultant_tangible_product)
+from supertrop.checks import (Gen, permanent, permanent_oracle,
+                              resultant_quadratic, resultant_recursive,
+                              resultant_tangible_product)
 
 P = parse_poly
 

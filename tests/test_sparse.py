@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supertrop import (BiPoly, Element, ONE, Poly, Side, ZERO, canonical_full,
-                       classify_half_tangible, ghost, parse_bipoly, parse_poly,
-                       partial_frobenius)
+                       classify_half_tangible, frobenius, ghost, parse_bipoly,
+                       parse_poly, partial_frobenius, radical_member_check,
+                       tangible)
 from supertrop.sparse import scaled, terms_add, terms_mul, terms_pow
 
 
@@ -233,9 +234,22 @@ def test_constructors_refuse_bad_exponents():
             make({key: ONE})
     assert Poly({2: ghost(1), 0: ZERO}) == Poly.monomial(2, ghost(1))
     # Powers of one variable are positive ints, as in `frobenius`.
-    for power in (0, 0.0, 2.0, Fraction(2), "2"):
+    for power in (0, 0.0, 2.0, Fraction(2), "2", True):
         with pytest.raises(ValueError, match="positive integer"):
             partial_frobenius(BiPoly.monomial(1, 1), power)
+    # A bool is not an exponent, as it is not a key or a magnitude.
+    f = parse_poly("x + 1")
+    for power in (lambda: frobenius(f, True), lambda: f ** True,
+                  lambda: BiPoly.monomial(1, 1) ** True,
+                  lambda: tangible(2) ** True):
+        with pytest.raises(ValueError, match="integer: True"):
+            power()
+    # The radical certificate asks for a positive int as well.
+    a, b, q = parse_poly("x + 4"), parse_poly("(x+4)^2"), parse_poly("0")
+    for k in (0, True, "2", 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="positive integer"):
+            radical_member_check(a, k, b, q)
+    assert radical_member_check(a, 2, b, q)
     assert BiPoly({(1, 2): ONE, (0, 0): ZERO}) == BiPoly.monomial(1, 2)
 
 
