@@ -2,7 +2,8 @@
 
 The oracle routes live here, not in the library, because only the checks
 and the corpus call them: `permanent` (a subset DP over any semiring),
-`permanent_oracle` (the permanent as a sum over all permutations),
+`permanent_oracle` (the permanent as a sum over all permutations, on
+scaled integers),
 `resultant_recursive` (constant-term peeling),
 `resultant_tangible_product` (the closed form for tangible inputs) and
 `resultant_quadratic` (the closed form against a monic quadratic).  Each
@@ -45,6 +46,7 @@ from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, add_shift,
                    ggraph, is_ghost_poly, mul_shift, tangible_roots)
 from .resultant import (_permanent_assignment, _product_rule, decide,
                         resultant, resultant_nu, sylvester)
+from .sparse import scaled
 
 
 class Gen:
@@ -126,21 +128,38 @@ class Gen:
 
 
 def permanent_oracle(rows: list[list]) -> Element:
-    """Sum over all permutations directly.  Only for small matrices."""
+    """The permanent by its definition, a maximum over all permutations,
+    on the `scaled` integers.  Only for small matrices.
+
+    The value is ghost when two or more permutations reach the maximum,
+    or when the one that does uses a ghost entry; ZERO when every
+    permutation meets a Zero entry.
+    """
     size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise ValueError("permanent requires a square matrix")
     if size > 8:
         raise ValueError("oracle permanent limited to size 8")
-    if size == 0:
-        return ONE
-    total = ZERO
+    den, views = scaled([{j: e for j, e in enumerate(row) if not e.is_zero}
+                         for row in rows])
+    grid = [[view.get(j) for j in range(size)] for view in views]
+    best = reached = None
     for perm in itertools.permutations(range(size)):
-        term = ONE
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-            if term == ZERO:
+        total, uses_ghost = 0, False
+        for row, j in zip(grid, perm):
+            entry = row[j]
+            if entry is None:
                 break
-        total = total + term
-    return total
+            total += entry[0]
+            uses_ghost = uses_ghost or entry[1]
+        else:
+            if best is None or total > best:
+                best, reached = total, [uses_ghost]
+            elif total == best:
+                reached.append(uses_ghost)
+    if best is None:
+        return ZERO
+    return Element(Fraction(best, den), len(reached) > 1 or reached[0])
 
 
 def permanent(rows: list[list], zero=ZERO, one=ONE):

@@ -9,9 +9,13 @@ a tangible root, provided at most one of them is divisible by x.  The
 vectors and factors powers of x out; `decide` restores the x | f, x | g
 bookkeeping on top of it.
 
-`resultant` is the one production route.  It takes the permanent with an
-exact O(k^3) engine: a maximum-weight assignment for the magnitude and a
-test of whether the maximal permutation is unique for the layer.
+`resultant` is the one production route.  It puts its two coefficient
+vectors on one integer scale (`sparse.scaled`) once, lays the Sylvester
+band out over those scaled entries, and takes the permanent with an
+exact O(k^3) engine, `_assignment`: a maximum-weight assignment for the
+magnitude, warm-started as in Jonker and Volgenant (1987), and a test of
+whether the maximal permutation is unique for the layer.
+`_permanent_assignment` feeds the same engine a matrix of Elements.
 `resultant_nu` is its ghost value by the corner-root product rule, in
 O(mn), and `resultant_nu_assignment` the ghost image of `resultant`.
 
@@ -39,8 +43,9 @@ def sylvester_vectors(fvec, gvec, zero=ZERO) -> Grid:
     For deg f = m and deg g = n the matrix has n rows carrying f's
     coefficients followed by m rows carrying g's, each row shifted one
     column to the right of the previous one.  Entries may be any semiring
-    values; missing positions are filled with the additive zero.  A
-    constant side gives a diagonal matrix, two constants the empty one.
+    values, or `scaled` pairs with zero=None; missing positions are filled
+    with `zero`.  A constant side gives a diagonal matrix, two constants
+    the empty one.
     """
     if not fvec or not gvec:
         raise ValueError("sylvester_vectors needs nonempty vectors")
@@ -67,12 +72,37 @@ def sylvester(f: Poly, g: Poly) -> Grid:
 def _permanent_assignment(rows: Grid) -> Element:
     """Permanent of a square matrix of Elements in O(k^3).
 
-    The magnitude of the permanent is the largest total magnitude of a
-    permutation that avoids Zero entries: a maximum-weight assignment,
-    found by the Hungarian method (Kuhn 1955) as shortest augmenting paths
-    with row and column potentials, on the `scaled` magnitudes: Python
-    ints, so nothing can overflow.  Zero entries are missing edges, and
-    the value is ZERO when no permutation avoids them.
+    The grid goes on one integer scale (`scaled`) once, and its rows,
+    Zero entries left out, go to `_assignment`, the engine that
+    `resultant` runs on its Sylvester band.  The checks, the corpus's
+    `permanent` entries and the tests call this adapter.
+    """
+    size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise ValueError("permanent requires a square matrix")
+    return _assignment(*scaled([{j: e for j, e in enumerate(row)
+                                 if e.mag is not None} for row in rows]))
+
+
+def _assignment(scale: int, rows: list[dict]) -> Element:
+    """Permanent of a square matrix given as `scaled` rows, in O(k^3).
+
+    Row i maps each column j of a non-Zero entry to (magnitude * scale,
+    ghost); the ints are exact, so nothing can overflow.  The magnitude
+    of the permanent is the largest total magnitude of a permutation
+    that avoids Zero entries: a maximum-weight assignment, found as
+    shortest augmenting paths with row and column potentials (Kuhn 1955)
+    on cost = -magnitude.  The value is ZERO when no permutation avoids
+    the Zero entries.
+
+    The search is warm-started as in Jonker and Volgenant ("A shortest
+    augmenting path algorithm for dense and sparse linear assignment
+    problems", Computing 38, 1987): each column's potential is its
+    smallest cost, each row's its smallest reduced cost, and each row
+    takes a free column where its reduced cost is 0.  Only the rows left
+    over run a Dijkstra search, which holds just the columns it has
+    reached and moves the potentials once, on the rows it scanned and
+    the columns it settled.
 
     The value is ghost when two permutations reach the maximum, or when
     the only one that does uses a ghost entry.  Every maximal permutation
@@ -81,52 +111,67 @@ def _permanent_assignment(rows: Grid) -> Element:
     alternates with the one found (Butkovic, Max-linear Systems, 2010).
     """
     size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("permanent requires a square matrix")
-    # Minimise cost = -scaled magnitude, read off the view.  Columns are
-    # 1..size; column 0 is the root of each search and holds the row being
-    # added.
-    scale, views = scaled([{j: e for j, e in enumerate(row, 1)
-                            if e.mag is not None} for row in rows])
-    u = [0] * size
-    v = [0] * (size + 1)
-    owner = [-1] * (size + 1)
-    for i in range(size):
-        owner[0] = i
-        dist: list[int | None] = [None] * (size + 1)
-        prev = [0] * (size + 1)
-        used = [False] * (size + 1)
-        j0 = 0
-        while owner[j0] != -1:
-            used[j0] = True
-            i0 = owner[j0]
-            neg_u = -u[i0]
-            for j, (m, _) in views[i0].items():
-                d = neg_u - m - v[j]
-                if not used[j] and (dist[j] is None or d < dist[j]):
-                    dist[j] = d
-                    prev[j] = j0
-            delta, j0 = min(((d, j) for j, d in enumerate(dist)
-                             if d is not None and not used[j]),
-                            default=(None, 0))
-            if delta is None:
+    if not all(rows):
+        return ZERO
+    top: list = [None] * size
+    for row in rows:
+        for j, (m, _) in row.items():
+            t = top[j]
+            if t is None or m > t:
+                top[j] = m
+    if None in top:
+        return ZERO
+    # Reduced cost -m - u[i] - v[j] >= 0, and 0 on matched entries.
+    v = [-t for t in top]
+    u = []
+    col = [-1] * size
+    owner = [-1] * size
+    for i, row in enumerate(rows):
+        best = max([m + v[j] for j, (m, _) in row.items()])
+        u.append(-best)
+        for j, (m, _) in row.items():
+            if owner[j] < 0 and m + v[j] == best:
+                owner[j] = i
+                col[i] = j
+                break
+    for s in range(size):
+        if col[s] >= 0:
+            continue
+        us = u[s]
+        dist = {j: -m - us - v[j] for j, (m, _) in rows[s].items()}
+        via = dict.fromkeys(dist, s)
+        settled: dict[int, int] = {}
+        while True:
+            if not dist:
                 # No augmenting path: every permutation meets a Zero entry.
                 return ZERO
-            for j in range(size + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                elif dist[j] is not None:
-                    dist[j] -= delta
-        while j0:
-            owner[j0] = owner[prev[j0]]
-            j0 = prev[j0]
-    col = [0] * size
-    for j in range(1, size + 1):
-        col[owner[j]] = j
+            j = min(dist, key=dist.get)
+            d = dist.pop(j)
+            i = owner[j]
+            if i < 0:
+                break
+            settled[j] = d
+            base = d - u[i]
+            for j2, (m, _) in rows[i].items():
+                if j2 not in settled:
+                    nd = base - m - v[j2]
+                    cur = dist.get(j2)
+                    if cur is None or nd < cur:
+                        dist[j2] = nd
+                        via[j2] = i
+        u[s] += d
+        for j2, dj in settled.items():
+            u[owner[j2]] += d - dj
+            v[j2] -= d - dj
+        while True:
+            i = via[j]
+            owner[j] = i
+            col[i], j = j, col[i]
+            if i == s:
+                break
     # Row i points to row r when i could take r's column at no loss; a
     # cycle is a second maximal permutation.  Peel rows nothing points to.
-    succ = [[owner[j] for j, (m, _) in views[i].items()
+    succ = [[owner[j] for j, (m, _) in rows[i].items()
              if j != col[i] and -m == u[i] + v[j]] for i in range(size)]
     indegree = [0] * size
     for targets in succ:
@@ -140,8 +185,8 @@ def _permanent_assignment(rows: Grid) -> Element:
             indegree[r] -= 1
             if indegree[r] == 0:
                 free.append(r)
-    is_ghost = peeled < size or any(views[i][col[i]][1] for i in range(size))
-    total = sum(views[i][col[i]][0] for i in range(size))
+    is_ghost = peeled < size or any(rows[i][col[i]][1] for i in range(size))
+    total = sum(rows[i][col[i]][0] for i in range(size))
     return Element(Fraction(total, scale), is_ghost)
 
 
@@ -163,7 +208,15 @@ def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     vectors are used as written.  A constant side of value c against a side
     of degree d gives c^d, and two constants give One.
     """
-    return _permanent_assignment(sylvester_vectors(*_vectors(f, g, canonical)))
+    vectors = _vectors(f, g, canonical)
+    scale, views = scaled([{i: c for i, c in enumerate(vec)
+                            if c.mag is not None} for vec in vectors])
+    # One band layout, over the scaled entries, with None for Zero.
+    band = sylvester_vectors(*[[view.get(i) for i in range(len(vec))]
+                               for vec, view in zip(vectors, views)],
+                             zero=None)
+    return _assignment(scale, [{j: e for j, e in enumerate(row)
+                                if e is not None} for row in band])
 
 
 def _product_rule(fv, gv) -> Element:

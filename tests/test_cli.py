@@ -218,9 +218,9 @@ def test_json_errors_are_objects_on_stdout(capsys, monkeypatch, tmp_path):
         assert (error["kind"], error["position"]) == (kind, pos), argv
         assert words in error["message"], argv
     module = importlib.import_module("supertrop.resultant")
-    real = module._permanent_assignment
-    monkeypatch.setattr(module, "_permanent_assignment",
-                        lambda rows: real(rows).nu())
+    real = module._assignment
+    monkeypatch.setattr(module, "_assignment",
+                        lambda scale, rows: real(scale, rows).nu())
     code, out, err = run(capsys, "relprime", "--json", "x + 1", "x + 2")
     assert (code, err) == (3, "")
     assert json.loads(out)["error"]["kind"] == "check"
@@ -265,9 +265,9 @@ def test_failed_runtime_cross_check_exits_3(capsys, monkeypatch):
     # a bug in the library, reported with the self-check code.  The package
     # attribute `supertrop.resultant` is the function, hence import_module.
     module = importlib.import_module("supertrop.resultant")
-    real = module._permanent_assignment
-    monkeypatch.setattr(module, "_permanent_assignment",
-                        lambda rows: real(rows).nu())
+    real = module._assignment
+    monkeypatch.setattr(module, "_assignment",
+                        lambda scale, rows: real(scale, rows).nu())
     code, out, err = run(capsys, "relprime", "x + 1", "x + 2")
     assert (code, out) == (3, "")
     assert err.startswith("internal check failed: ")

@@ -58,6 +58,22 @@ def polys(draw):
     return Poly(dict(enumerate(coeffs + [lead])))
 
 
+@st.composite
+def sylvester_pairs(draw):
+    """Two polynomials whose raw Sylvester matrix has side at most 8, with
+    tied magnitudes, ghosts, interior Zero coefficients and powers of x."""
+    m = draw(st.integers(0, 8))
+    pair = []
+    for deg in (m, draw(st.integers(0, 8 - m))):
+        coeffs = draw(st.lists(draw(entry_kinds()), min_size=deg,
+                               max_size=deg))
+        low = draw(st.integers(0, deg))
+        lead = draw(draw(entry_kinds(zero_ok=False)))
+        pair.append(Poly({i: c for i, c in enumerate(coeffs) if i >= low}
+                         | {deg: lead}))
+    return pair
+
+
 def resultant_dp(f, g, canonical=True):
     """`resultant` through the subset DP `permanent`, in O(2^(m+n)), on the
     same canonical or raw vectors."""
@@ -94,8 +110,10 @@ def test_permanent_examples():
     assert permanent(rows) == tangible(2)
     with pytest.raises(ValueError):
         permanent([[ONE, ONE]])
-    with pytest.raises(ValueError):
-        _permanent_assignment([[ONE, ONE]])
+    for route in (_permanent_assignment, permanent_oracle):
+        for rows in ([[ONE, ONE]], [[ONE, ONE], [ONE]]):
+            with pytest.raises(ValueError, match="square matrix"):
+                route(rows)
 
 
 def test_permanent_matches_oracle():
@@ -111,6 +129,30 @@ def test_permanent_matches_oracle():
 @given(matrices())
 def test_assignment_permanent_matches_oracle(rows):
     assert _permanent_assignment(rows) == permanent_oracle(rows)
+
+
+def test_assignment_zero_exits():
+    a = tangible(1)
+    empty_row = [[a, a], [ZERO, ZERO]]
+    empty_col = [[a, ZERO], [a, ZERO]]
+    # Every row and column has an entry, but rows 0-2 share columns 1-2
+    # only: no permutation avoids Zero, and the search finds no path.
+    hall = [[ZERO, a, a, ZERO]] * 3 + [[a, a, a, a]]
+    for rows in (empty_row, empty_col, hall):
+        assert _permanent_assignment(rows) == ZERO == permanent_oracle(rows)
+
+
+def test_assignment_search_after_warm_start():
+    # Both rows reach their largest reduced value only in column 0, the
+    # shared column maximum: row 1 is left over and augments through row 0.
+    for low, want in ((tangible(3), tangible(3)), (ghost(3), ghost(3))):
+        rows = [[tangible(3), tangible(0)], [low, tangible(-1)]]
+        assert _permanent_assignment(rows) == want == permanent_oracle(rows)
+    # Row 0 takes column 0, where rows 1 and 2 also do best, so both of
+    # them search, the second after the first has moved the potentials.
+    rows = [[tangible(m) for m in row]
+            for row in ([0, 2, 2], [0, -2, 0], [-2, -2, -1])]
+    assert _permanent_assignment(rows) == tangible(1) == permanent_oracle(rows)
 
 
 def test_resultant_examples():
@@ -130,6 +172,18 @@ def test_resultant_examples():
 def test_resultant_matches_dp(f, g):
     for canonical in (True, False):
         assert resultant(f, g, canonical) == resultant_dp(f, g, canonical)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sylvester_pairs())
+def test_resultant_matches_oracle_on_its_band(pair):
+    # `resultant` lays the band out over scaled entries; the oracle reads
+    # the Element matrix of the same vectors.
+    f, g = pair
+    for canonical in (True, False):
+        rows = sylvester_vectors(*_vectors(f, g, canonical))
+        assert resultant(f, g, canonical) == permanent_oracle(rows), (
+            f, g, canonical)
 
 
 def test_resultant_matches_dp_at_8_plus_8():
@@ -171,8 +225,8 @@ import importlib
 R = importlib.import_module("supertrop.resultant")
 from supertrop import parse_poly as P
 print(R.resultant_nu_assignment(P("x^2 + 3*x + 1"), P("x + 4")))
-real = R._permanent_assignment
-R._permanent_assignment = lambda rows: real(rows).nu()
+real = R._assignment
+R._assignment = lambda scale, rows: real(scale, rows).nu()
 try:
     R.decide(P("x + 1"), P("x + 2"))
 except AssertionError:
@@ -434,9 +488,9 @@ def test_decide_examples():
 
 def test_decide_raises_when_routes_disagree(monkeypatch):
     module = importlib.import_module("supertrop.resultant")
-    real = module._permanent_assignment
-    monkeypatch.setattr(module, "_permanent_assignment",
-                        lambda rows: real(rows).nu())
+    real = module._assignment
+    monkeypatch.setattr(module, "_assignment",
+                        lambda scale, rows: real(scale, rows).nu())
     with pytest.raises(AssertionError):
         decide(P("x + 1"), P("x + 2"))
 
