@@ -40,12 +40,13 @@ from .element import Element, ONE, ZERO, ghost, tangible
 from .factor import e_divides, expand, factor_min_ghosts, split_tan_intan
 from .intervals import IntervalSet
 from .parse import parse_bipoly, parse_element, parse_poly
-from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, add_shift,
-                   analyze_ghost_sum, canonical_full, classify_half_tangible,
-                   e_equiv, essential_part, frobenius, full_from_corners,
-                   ggraph, is_ghost_poly, mul_shift, tangible_roots)
-from .resultant import (_permanent_assignment, _product_rule, decide,
-                        resultant, resultant_nu, sylvester)
+from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, _corners,
+                   add_shift, analyze_ghost_sum, canonical_full,
+                   classify_half_tangible, e_equiv, essential_part, frobenius,
+                   full_from_corners, ggraph, is_ghost_poly, mul_shift,
+                   tangible_roots)
+from .resultant import (_permanent_assignment, decide, resultant,
+                        resultant_nu, sylvester)
 from .sparse import scaled
 
 
@@ -228,12 +229,23 @@ def resultant_recursive(f: Poly, g: Poly) -> Element:
 
 
 def resultant_tangible_product(f: Poly, g: Poly) -> Element:
-    """The corner-root product rule, for full tangible polynomials."""
+    """The corner-root product rule, for full tangible polynomials.
+
+    lead_f^n * lead_g^m * prod over corner-root pairs (a, b) of (a + b),
+    for degrees m and n, taken on Element magnitudes: a pair adds
+    max(a, b), and a tie a = b makes the value ghost.  `resultant_nu`
+    takes the same rule on scaled ints.
+    """
     for p in (f, g):
         if p.is_zero or not p.is_full() or p.ldeg != 0 or not p.all_tangible():
             raise ValueError("product rule needs full tangible polynomials "
                              "with nonzero constant term")
-    return _product_rule(f.coeff_vector(), g.coeff_vector())
+    fv, gv = f.coeff_vector(), g.coeff_vector()
+    m, n = len(fv) - 1, len(gv) - 1
+    ca, cb = _corners(fv), _corners(gv)
+    return fv[m] ** n * gv[n] ** m * Element(
+        sum([max(a, b) for a in ca for b in cb], Fraction(0)),
+        not set(ca).isdisjoint(cb))
 
 
 def resultant_quadratic(f: Poly, g: Poly) -> Element:

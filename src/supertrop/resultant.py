@@ -13,11 +13,21 @@ bookkeeping on top of it.
 vectors on one integer scale (`sparse.scaled`) once, lays the Sylvester
 band out over those scaled entries, and takes the permanent with an
 exact O(k^3) engine, `_assignment`: a maximum-weight assignment for the
-magnitude, warm-started as in Jonker and Volgenant (1987), and a test of
-whether the maximal permutation is unique for the layer.
-`_permanent_assignment` feeds the same engine a matrix of Elements.
-`resultant_nu` is its ghost value by the corner-root product rule, in
-O(mn), and `resultant_nu_assignment` the ghost image of `resultant`.
+magnitude, and a test of whether the maximal permutation is unique for
+the layer.  The engine is warm-started from the max-plus product f*g of
+the two vectors.  The Newton polygon of f*g is the Minkowski sum of those
+of f and g, and for canonical vectors minus its coefficients are optimal
+column potentials:
+- each row's best reduced value is minus a coefficient of the other side;
+- the dual value they give is the product-rule magnitude below;
+- each row's highest tight column is where its edge of the merged Newton
+  polygon path leaves, so the warm start matches every row unless f and g
+  share a corner root.
+`_permanent_assignment` feeds the same engine a matrix of Elements, with
+the column maxima of Jonker and Volgenant (1987) as potentials.
+`resultant_nu` is the ghost value by the corner-root product rule, on
+the scaled ints in O(mn), and `resultant_nu_assignment` the ghost image
+of `resultant`.
 
 Every route here runs in polynomial time.  The slow oracle routes that
 the checks compare with these, the subset-DP `permanent` over any
@@ -30,9 +40,9 @@ from fractions import Fraction
 
 from .element import Element, ZERO
 from .intervals import Endpoint, RootSet
-from .poly import Poly, _corners, canonical_full, tangible_roots
+from .poly import Poly, canonical_full, tangible_roots
 from .record import Record
-from .sparse import scaled
+from .sparse import _convolve, scaled
 
 Grid = list[list]
 
@@ -84,52 +94,76 @@ def _permanent_assignment(rows: Grid) -> Element:
                                  if e.mag is not None} for row in rows]))
 
 
-def _assignment(scale: int, rows: list[dict]) -> Element:
+def _assignment(scale: int, rows: list[dict], product: dict | None = None
+                ) -> Element:
     """Permanent of a square matrix given as `scaled` rows, in O(k^3).
 
     Row i maps each column j of a non-Zero entry to (magnitude * scale,
-    ghost); the ints are exact, so nothing can overflow.  The magnitude
-    of the permanent is the largest total magnitude of a permutation
-    that avoids Zero entries: a maximum-weight assignment, found as
-    shortest augmenting paths with row and column potentials (Kuhn 1955)
-    on cost = -magnitude.  The value is ZERO when no permutation avoids
-    the Zero entries.
+    ghost), in ascending order of j; the ints are exact, so nothing can
+    overflow.  The magnitude of the permanent is the largest total
+    magnitude of a permutation that avoids Zero entries: a maximum-weight
+    assignment, found as shortest augmenting paths with row and column
+    potentials (Kuhn 1955) on cost = -magnitude.  The value is ZERO when
+    no permutation avoids the Zero entries.
 
     The search is warm-started as in Jonker and Volgenant ("A shortest
     augmenting path algorithm for dense and sparse linear assignment
-    problems", Computing 38, 1987): each column's potential is its
-    smallest cost, each row's its smallest reduced cost, and each row
-    takes a free column where its reduced cost is 0.  Only the rows left
-    over run a Dijkstra search, which holds just the columns it has
-    reached and moves the potentials once, on the rows it scanned and
-    the columns it settled.
+    problems", Computing 38, 1987): each row's potential is its smallest
+    reduced cost, which keeps any column potentials feasible, and each
+    row takes its highest free column where its reduced cost is 0.  Only
+    the rows left over run a Dijkstra search, which holds just the
+    columns it has reached and moves the potentials once, on the rows it
+    scanned and the columns it settled.
+
+    A column's potential is its smallest cost (minus its largest entry)
+    unless `product` is given.  `resultant` passes the scaled max-plus
+    product P = f*g of the two vectors of its band, and column c then
+    starts at -P_c; a column where P has no term, possible only for raw
+    vectors with Zero coefficients, keeps minus its largest entry.  For
+    canonical vectors of degrees m and n, F and G their scaled
+    magnitudes, and k = m + n, these potentials are an optimal dual:
+    - f-row i's best reduced value is -G_i, and g-row q's is -F_q;
+    - the sum of P_c over c < k, less G_i over i < n and F_q over q < m,
+      is n F_m + m G_n + the sum of max(a, b) over corner-root pairs,
+      the product-rule magnitude;
+    - column c goes to the row whose edge of the merged Newton-polygon
+      path leaves c.  That is the highest tight column of its row, so
+      the warm start matches every row unless f and g share corner
+      slopes.
 
     The value is ghost when two permutations reach the maximum, or when
     the only one that does uses a ghost entry.  Every maximal permutation
-    uses only entries that are tight under the final potentials, so a
+    uses only entries that are tight under any optimal potentials, so a
     second one exists exactly when the tight entries hold a cycle that
     alternates with the one found (Butkovic, Max-linear Systems, 2010).
     """
     size = len(rows)
     if not all(rows):
         return ZERO
-    top: list = [None] * size
-    for row in rows:
-        for j, (m, _) in row.items():
-            t = top[j]
-            if t is None or m > t:
-                top[j] = m
-    if None in top:
-        return ZERO
     # Reduced cost -m - u[i] - v[j] >= 0, and 0 on matched entries.
-    v = [-t for t in top]
+    v: list = [None] * size
+    for j, (m, _) in (product or {}).items():
+        if j < size:
+            v[j] = -m
+    if None in v:
+        # A term of the product at c has an entry of the band in column c,
+        # so only the other columns can be empty.
+        top: list = [None] * size
+        for row in rows:
+            for j, (m, _) in row.items():
+                t = top[j]
+                if t is None or m > t:
+                    top[j] = m
+        if None in top:
+            return ZERO
+        v = [-t if p is None else p for p, t in zip(v, top)]
     u = []
     col = [-1] * size
     owner = [-1] * size
     for i, row in enumerate(rows):
         best = max([m + v[j] for j, (m, _) in row.items()])
         u.append(-best)
-        for j, (m, _) in row.items():
+        for j, (m, _) in reversed(row.items()):
             if owner[j] < 0 and m + v[j] == best:
                 owner[j] = i
                 col[i] = j
@@ -206,7 +240,8 @@ def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     value is an invariant of the functions; ghost or zero output then means
     a shared tangible root.  With canonical=False the raw dense coefficient
     vectors are used as written.  A constant side of value c against a side
-    of degree d gives c^d, and two constants give One.
+    of degree d gives c^d, and two constants give One.  The engine starts
+    from the max-plus product of the two scaled vectors (`_assignment`).
     """
     vectors = _vectors(f, g, canonical)
     scale, views = scaled([{i: c for i, c in enumerate(vec)
@@ -216,24 +251,30 @@ def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
                                for vec, view in zip(vectors, views)],
                              zero=None)
     return _assignment(scale, [{j: e for j, e in enumerate(row)
-                                if e is not None} for row in band])
-
-
-def _product_rule(fv, gv) -> Element:
-    """lead_f^n * lead_g^m * prod over corner-root pairs (a, b) of (a + b),
-    for full coefficient vectors of degrees m and n.  Taken on magnitudes:
-    a pair adds max(a, b), and a tie a = b makes the value ghost."""
-    m, n = len(fv) - 1, len(gv) - 1
-    ca, cb = _corners(fv), _corners(gv)
-    return fv[m] ** n * gv[n] ** m * Element(
-        sum([max(a, b) for a in ca for b in cb], Fraction(0)),
-        not set(ca).isdisjoint(cb))
+                                if e is not None} for row in band],
+                       _convolve(*views))
 
 
 def resultant_nu(f: Poly, g: Poly) -> Element:
-    """Ghost value of the resultant: the product rule on the canonical
-    vectors, pushed to the ghost layer.  Agrees with nu(resultant(f, g))."""
-    return _product_rule(*_vectors(f, g, True)).nu()
+    """Ghost value of the resultant, by the corner-root product rule.
+
+    On the canonical vectors of degrees m and n, with F and G their
+    coefficient magnitudes and a, b their corner roots, the magnitude is
+    n F_m + m G_n + the sum of max(a, b) over all m n pairs.  That is the
+    value of the dual that `_assignment` reads off P = f*g: each f-row's
+    best reduced value is -G_i and each g-row's -F_q, and the sum of P_c
+    over c < m + n, less G_i over i < n and F_q over q < m, is this
+    magnitude.  It is taken on the `scaled` ints, with one Fraction at
+    the end, in O(mn).  Agrees with nu(resultant(f, g)).
+    """
+    scale, (fs, gs) = scaled([dict(enumerate(vec))
+                              for vec in _vectors(f, g, True)])
+    fm, gm = [[mag for mag, _ in view.values()] for view in (fs, gs)]
+    m, n = len(fm) - 1, len(gm) - 1
+    fr = [a - b for a, b in zip(fm, fm[1:])]
+    gr = [a - b for a, b in zip(gm, gm[1:])]
+    total = n * fm[m] + m * gm[n] + sum([max(a, b) for a in fr for b in gr])
+    return Element(Fraction(total, scale), True)
 
 
 def resultant_nu_assignment(f: Poly, g: Poly) -> Element:

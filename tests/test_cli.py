@@ -220,7 +220,7 @@ def test_json_errors_are_objects_on_stdout(capsys, monkeypatch, tmp_path):
     module = importlib.import_module("supertrop.resultant")
     real = module._assignment
     monkeypatch.setattr(module, "_assignment",
-                        lambda scale, rows: real(scale, rows).nu())
+                        lambda *a: real(*a).nu())
     code, out, err = run(capsys, "relprime", "--json", "x + 1", "x + 2")
     assert (code, err) == (3, "")
     assert json.loads(out)["error"]["kind"] == "check"
@@ -267,7 +267,7 @@ def test_failed_runtime_cross_check_exits_3(capsys, monkeypatch):
     module = importlib.import_module("supertrop.resultant")
     real = module._assignment
     monkeypatch.setattr(module, "_assignment",
-                        lambda scale, rows: real(scale, rows).nu())
+                        lambda *a: real(*a).nu())
     code, out, err = run(capsys, "relprime", "x + 1", "x + 2")
     assert (code, out) == (3, "")
     assert err.startswith("internal check failed: ")

@@ -383,6 +383,8 @@ def test_each_kernel_scales_its_inputs_once(monkeypatch):
     assert scalings_in(lambda: canonical_full(f)) == 0
     # The two canonical forms and the assignment engine.
     assert scalings_in(lambda: resultant(g, h)) == 3
+    # With the canonical forms cached, the int product rule scales once.
+    assert scalings_in(lambda: resultant_nu(g, h)) == 1
     # One product; a sum is never scaled.
     assert scalings_in(lambda: P("(x+1)*(x+2)")) == 1
     assert scalings_in(lambda: P("x^2 + 1/3*x + 2/5v")) == 0

@@ -17,6 +17,7 @@ from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
 from supertrop.poly import canonical_full, full_from_corners
 from supertrop.resultant import (_permanent_assignment, _vectors,
                                  semitangible_blocks, sylvester_vectors)
+from supertrop.sparse import _convolve, scaled
 from supertrop.checks import (Gen, permanent, permanent_oracle,
                               resultant_quadratic, resultant_recursive,
                               resultant_tangible_product)
@@ -143,16 +144,27 @@ def test_assignment_zero_exits():
 
 
 def test_assignment_search_after_warm_start():
-    # Both rows reach their largest reduced value only in column 0, the
-    # shared column maximum: row 1 is left over and augments through row 0.
-    for low, want in ((tangible(3), tangible(3)), (ghost(3), ghost(3))):
-        rows = [[tangible(3), tangible(0)], [low, tangible(-1)]]
+    # Each row takes its highest free column of largest reduced value.
+    # Row 0 takes the only such column of row 2, which is left to the
+    # search.  Its path moves the potentials, which then decide the layer:
+    # two permutations tie in the first case, one alone is maximal in the
+    # second.
+    for rows, want in (([[-1, 0, 0], [1, 0, 1], [-1, 0, 0]], ghost(1)),
+                       ([[1, 1, 0, 0], [-1, 2, 2, 0], [0, 0, 0, 0],
+                         [1, 0, -1, 0]], tangible(4))):
+        rows = [[tangible(m) for m in row] for row in rows]
         assert _permanent_assignment(rows) == want == permanent_oracle(rows)
-    # Row 0 takes column 0, where rows 1 and 2 also do best, so both of
-    # them search, the second after the first has moved the potentials.
-    rows = [[tangible(m) for m in row]
-            for row in ([0, 2, 2], [0, -2, 0], [-2, -2, -1])]
-    assert _permanent_assignment(rows) == tangible(1) == permanent_oracle(rows)
+    # Two rows search, the second after the first has moved the potentials.
+    for rows, want in (([[2, 1, 0], [0, 0, 0], [0, 0, 0]], ghost(2)),
+                       ([[3, 3, -1, 0], [1, 0, 0, 0], [-1, 0, 1, 0],
+                         [0, 1, 3, 0]], tangible(7))):
+        rows = [[tangible(m) for m in row] for row in rows]
+        assert _permanent_assignment(rows) == want == permanent_oracle(rows)
+    # On a band the product's potentials are an optimal dual, but a corner
+    # root that f and g share leaves one row to the search.
+    f, g = P("(x+1)^3"), P("(x+1)^2*(x+2)")
+    rows = sylvester_vectors(*_vectors(f, g, True))
+    assert resultant(f, g) == ghost(12) == permanent_oracle(rows)
 
 
 def test_resultant_examples():
@@ -226,7 +238,7 @@ R = importlib.import_module("supertrop.resultant")
 from supertrop import parse_poly as P
 print(R.resultant_nu_assignment(P("x^2 + 3*x + 1"), P("x + 4")))
 real = R._assignment
-R._assignment = lambda scale, rows: real(scale, rows).nu()
+R._assignment = lambda *a: real(*a).nu()
 try:
     R.decide(P("x + 1"), P("x + 2"))
 except AssertionError:
@@ -378,6 +390,48 @@ def test_recursive_matches_the_unmemoized_recursion(f, g):
     assert resultant_recursive(f, g) == want
 
 
+# -- the dual certificate of the engine's warm start -------------------------
+
+
+@st.composite
+def canonical_pairs(draw):
+    """Two `layered_full` polynomials times powers of x: ties within and
+    across the pair, ghosts, fractions, and constant sides."""
+    return [draw(layered_full()) * Poly({draw(st.integers(0, 2)): ONE})
+            for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_pairs())
+@example([P("(x+1)^3"), P("(x+1)^2*(x+2)")])
+def test_product_gives_an_optimal_dual(pair):
+    # Column c at v_c = -(f*g)_c and each row at its largest reduced value
+    # u_r form a feasible dual of the band whose value, sum u - sum v, is
+    # the resultant's magnitude on the scaled ints: an optimal dual.
+    f, g = pair
+    vectors = _vectors(f, g, True)
+    scale, views = scaled([dict(enumerate(vec)) for vec in vectors])
+    band = sylvester_vectors(*[list(view.values()) for view in views],
+                             zero=None)
+    product = _convolve(*views)
+    v = [-product[c][0] for c in range(len(band))]
+    u = [max([e[0] + v[j] for j, e in enumerate(row) if e is not None])
+         for row in band]
+    assert sum(u) - sum(v) == resultant(f, g).mag * scale, (f, g)
+
+
+def test_product_missing_columns_fall_back():
+    # Raw vectors with Zero coefficients: f*g has no term at columns 1 and
+    # 3, which keep minus their largest entry.
+    f, g = P("x^2 + 0"), P("x^2 + 1")
+    vectors = _vectors(f, g, False)
+    _, views = scaled([{i: c for i, c in enumerate(vec) if not c.is_zero}
+                       for vec in vectors])
+    assert sorted(_convolve(*views)) == [0, 2, 4]
+    rows = sylvester_vectors(*vectors)
+    assert resultant(f, g, False) == tangible(2) == permanent_oracle(rows)
+
+
 def test_recursive_matches_permanent():
     gen = Gen(305)
     for _ in range(150):
@@ -490,7 +544,7 @@ def test_decide_raises_when_routes_disagree(monkeypatch):
     module = importlib.import_module("supertrop.resultant")
     real = module._assignment
     monkeypatch.setattr(module, "_assignment",
-                        lambda scale, rows: real(scale, rows).nu())
+                        lambda *a: real(*a).nu())
     with pytest.raises(AssertionError):
         decide(P("x + 1"), P("x + 2"))
 
