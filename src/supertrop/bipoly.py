@@ -33,21 +33,24 @@ of those intervals form runs of columns.  The half-step refinement widens
 each run by half a step and intersects it with the common intervals of its
 row and the half rows beside it.
 
-For T terms a scan costs O(T^3) for the pieces, O(T^4) for the meets, one
-elimination per pair of pieces, O(active common pieces * bounds) per
-visited row and O(hits) for the output, with no probe of single points.
-A finer step or a wider window adds visited rows only where the common
-locus spans rows: where it meets a ghost cell or an edge of both inputs.
+The hits stay runs, (first, last) pairs on the half-step lattice, from
+the scan through the clustering; only the output lists them point by
+point.  For T terms a scan costs O(T^3) for the pieces, O(T^4) for the
+meets, one elimination per pair of pieces, and O(active common pieces *
+bounds + runs) per visited row, with no probe of single points and no
+step per hit.  A finer step or a wider window adds visited rows only
+where the common locus spans rows: where it meets a ghost cell or an edge
+of both inputs.  Only the output costs O(hits): a pair per hit, with
+one Fraction per distinct coordinate.
 
-`bezout_report` clusters the hits by runs, with a union-find over O(runs)
-nodes, and compares the count of isolated ones against the product of the
-total degrees.  The clustering is heuristic by nature; the degree bound on
+`bezout_report` clusters the runs, with a union-find over O(runs) nodes,
+and compares the count of isolated hits against the product of the total
+degrees.  The clustering is heuristic by nature; the degree bound on
 isolated hits is the part that is checked.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
@@ -301,12 +304,22 @@ DEFAULT_WINDOW: Window = (-10, 10, -10, 10)
 DEFAULT_STEP = Fraction(1, 4)
 
 
-def _scan(f: BiPoly, g: BiPoly, window: Window,
-          step: Rational) -> tuple[dict[int, list[int]], int, int]:
+def _scan(f: BiPoly, g: BiPoly, window: Window, step: Rational
+          ) -> tuple[dict[int, tuple[tuple[int, int], ...]], int, int]:
     """Common ghost points of the grid and of its half-step refinement, as
-    nonempty rows {y: sorted x columns} in increasing y, with the scale
-    that makes all their coordinates integers and the scaled half step.
-    Inputs must be nonzero (the zero polynomial is ghost everywhere)."""
+    nonempty rows {y: runs} in increasing y, with the scale that makes all
+    their coordinates integers and the scaled half step.
+
+    A run (first, last) stands for the columns first, first + half, ...,
+    last of the half-step lattice; the runs of a row, a tuple, are strictly
+    increasing and disjoint.  They are the common intervals of the row
+    snapped to the lattice, never expanded, so a visited row costs
+    O(runs), not O(hits).  When half > 1 two runs may sit one half step
+    apart, snapped from two intervals with a gap of off-lattice integers
+    between them.  CPython's garbage collector stops tracking a tuple of
+    int pairs, so the rows of an output-bound pair do not lengthen its full
+    passes.  Inputs must be nonzero (the zero polynomial is ghost
+    everywhere)."""
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     step = as_fraction(step)
@@ -324,14 +337,19 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     # just outside the window.
     common = _meet(*(_pieces(v, scale // den, x0 - half, x1 + half,
                              y0 - half, y1 + half) for v in views))
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def keep(r: int, reach: list, both: list) -> None:
-        # The half-step columns of `reach` where the row's values are ghost.
-        cols = [a for lo, hi in intersect_sorted(_merge(reach), both)
-                for a in range(lo + (x0 - lo) % half, hi + 1, half)]
-        if cols:
-            rows[r] = cols
+        # The runs of half-step columns of `reach` where the row's values
+        # are ghost: each common interval shrunk to the lattice points in it.
+        runs = []
+        for lo, hi in intersect_sorted(_merge(reach), both):
+            lo += (x0 - lo) % half
+            hi -= (hi - x0) % half
+            if lo <= hi:
+                runs.append((lo, hi))
+        if runs:
+            rows[r] = tuple(runs)
 
     # Each common interval of a base row holds a run [first, last] of step
     # columns; the refinement reaches [first - half, last + half] on the
@@ -361,30 +379,36 @@ def _scan(f: BiPoly, g: BiPoly, window: Window,
     return rows, scale, half
 
 
-def _cluster(rows: Mapping[int, list[int]], half: int) -> tuple[int, int]:
+def _cluster(rows: Mapping[int, tuple[tuple[int, int], ...]],
+             half: int) -> tuple[int, int]:
     """Components and ordinary points of points on a half-step lattice.
 
-    `rows` maps y to its sorted x columns.  Points at most three half steps
-    apart in each coordinate are neighbors, and a point is ordinary when no
-    other point lies within twelve.  A run, a maximal stretch of one row
-    with gaps of at most three half steps, is connected; two runs on rows
-    at most three half steps apart are neighbors exactly when their
-    extents, widened by three half steps, overlap.
+    `rows` maps y to its runs, as `_scan` returns them.  Points at most
+    three half steps apart in each coordinate are neighbors, and a point is
+    ordinary when no other point lies within twelve.  A stretch, a maximal
+    chain of runs of one row with gaps of at most three half steps, is
+    connected; two stretches on rows at most three half steps apart are
+    neighbors exactly when their extents, widened by three half steps,
+    overlap.  The work is O(runs), with no step per point.  The stretches
+    live in flat int lists, not one container each, which keeps the
+    garbage collector's full passes short on output-bound pairs.
     """
     near, far = 3 * half, 12 * half
-    runs: list[list[int]] = []  # [y, first x, last x]
-    row_runs: dict[int, list[int]] = {}  # indices into runs, left to right
-    for b, cols in rows.items():
-        ids = row_runs[b] = []
-        for a in cols:
-            if ids and a - runs[-1][2] <= near:
-                runs[-1][2] = a
+    firsts: list[int] = []  # the first x of each stretch
+    lasts: list[int] = []  # and its last x
+    row_stretches: dict[int, range] = {}  # indices of a row's, left to right
+    for b, row in rows.items():
+        start = len(lasts)
+        for first, last in row:
+            if len(lasts) > start and first - lasts[-1] <= near:
+                lasts[-1] = last
             else:
-                ids.append(len(runs))
-                runs.append([b, a, a])
+                firsts.append(first)
+                lasts.append(last)
+        row_stretches[b] = range(start, len(lasts))
 
-    parent = list(range(len(runs)))
-    linked = [False] * len(runs)
+    parent = list(range(len(lasts)))
+    linked = [False] * len(lasts)
 
     def find(u: int) -> int:
         while parent[u] != u:
@@ -392,50 +416,77 @@ def _cluster(rows: Mapping[int, list[int]], half: int) -> tuple[int, int]:
             u = parent[u]
         return u
 
-    for b, ours in row_runs.items():
+    for b, ours in row_stretches.items():
         for d in (half, 2 * half, 3 * half):
-            theirs = row_runs.get(b + d, ())
-            # Widened to [first, last + near], the runs of one row stay
+            theirs = row_stretches.get(b + d, range(0))
+            # Widened to [first, last + near], the stretches of one row stay
             # sorted and disjoint, so a two-pointer merge finds every overlap.
-            i = j = 0
-            while i < len(ours) and j < len(theirs):
-                u, v = ours[i], theirs[j]
-                _, ulo, uhi = runs[u]
-                _, vlo, vhi = runs[v]
-                if ulo <= vhi + near and vlo <= uhi + near:
+            u, v = ours.start, theirs.start
+            while u < ours.stop and v < theirs.stop:
+                if firsts[u] <= lasts[v] + near and \
+                        firsts[v] <= lasts[u] + near:
                     linked[u] = linked[v] = True
                     parent[find(v)] = find(u)
-                if uhi < vhi:
-                    i += 1
+                if lasts[u] < lasts[v]:
+                    u += 1
                 else:
-                    j += 1
+                    v += 1
 
-    components = sum(parent[u] == u for u in range(len(runs)))
+    components = sum(parent[u] == u for u in range(len(lasts)))
     # A lone point is ordinary only when no other point lies within twelve
     # half steps: hits strung along a shared curve piece of slope p/q, with
     # |p| and |q| bounded by the degree, land at most that far apart, and
-    # such pieces are not isolated crossings.  A linked run has a point
-    # within three half steps, so only unlinked one-point runs are tested.
+    # such pieces are not isolated crossings.  A linked stretch has a point
+    # within three half steps, so only unlinked one-point stretches are
+    # tested, by counting the lattice points of the runs that overlap the
+    # point's window on the 25 rows around it.
     ordinary = 0
-    for u, (b, a, last) in enumerate(runs):
-        if a == last and not linked[u]:
-            crowd = 0
-            for d in range(-far, far + 1, half):
-                cols = rows.get(b + d)
-                if cols:
-                    crowd += (bisect_right(cols, a + far)
-                              - bisect_left(cols, a - far))
-            ordinary += crowd == 1
+    for b, ours in row_stretches.items():
+        for u in ours:
+            a = firsts[u]
+            if a == lasts[u] and not linked[u]:
+                lo, hi = a - far, a + far
+                crowd = 0
+                for d in range(-far, far + 1, half):
+                    for first, last in rows.get(b + d, ()):
+                        if first > hi:
+                            break
+                        if last >= lo:
+                            crowd += (min(last, hi) - max(first, lo)) \
+                                // half + 1
+                ordinary += crowd == 1
     return components, ordinary
 
 
-def _fractions(rows: Mapping[int, list[int]],
-               scale: int) -> list[tuple[Fraction, Fraction]]:
-    # The points in (x, y) order, with one Fraction per distinct
-    # coordinate: points share rows and columns.
-    points = sorted((a, b) for b, cols in rows.items() for a in cols)
-    memo = {v: Fraction(v, scale) for v in {v for p in points for v in p}}
-    return [(memo[a], memo[b]) for a, b in points]
+def _fractions(rows: Mapping[int, tuple[tuple[int, int], ...]], scale: int,
+               half: int) -> list[tuple[Fraction, Fraction]]:
+    """The points of `_scan`'s runs as Fractions, in (x, y) order.
+
+    One pass over the rows lists the rows of each column, already in
+    increasing y; only the distinct columns are sorted, and each distinct
+    coordinate gets one Fraction, which x and y share.  This is the one
+    O(hits) step of the probe.
+    """
+    memo = {b: Fraction(b, scale) for b in rows}
+    cols: dict[int, list[Fraction]] = {}
+    for b, row in rows.items():
+        y = memo[b]
+        for first, last in row:
+            # A one-point run, as on a curve, builds no range: on an
+            # output-bound curve that range cost more than the point.
+            for a in (first,) if first == last else range(first, last + 1,
+                                                             half):
+                col = cols.get(a)
+                if col is None:
+                    cols[a] = [y]
+                else:
+                    col.append(y)
+    out = []
+    for a in sorted(cols):
+        x = memo[a] if a in memo else Fraction(a, scale)
+        for y in cols[a]:
+            out.append((x, y))
+    return out
 
 
 def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
@@ -446,8 +497,7 @@ def common_roots_sample(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     half step around every hit.  Inputs must be nonzero (the zero
     polynomial is ghost everywhere).
     """
-    rows, scale, _ = _scan(f, g, window, step)
-    return _fractions(rows, scale)
+    return _fractions(*_scan(f, g, window, step))
 
 
 class BezoutReport(Record):
@@ -482,14 +532,14 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     refinement points).  A singleton cluster is a transversal crossing;
     their number is checked against the product of the total degrees.
     The clustering works on the runs of each row: O(runs) union-find
-    steps, plus one bisection per row near each lone point.
+    steps, plus a look at the runs of the 25 rows around each lone point.
     """
     rows, scale, half = _scan(f, g, window, step)
     components, ordinary = _cluster(rows, half)
     m, n = f.total_degree, g.total_degree
     bound = m * n
     return BezoutReport(
-        m=m, n=n, bound=bound, hits=tuple(_fractions(rows, scale)),
+        m=m, n=n, bound=bound, hits=tuple(_fractions(rows, scale, half)),
         component_count=components, ordinary_count=ordinary,
         bound_holds=ordinary <= bound,
         window=tuple(as_fraction(w) for w in window), step=as_fraction(step))

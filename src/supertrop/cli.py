@@ -3,11 +3,12 @@
 One subcommand per library operation, text or JSON output, polynomials
 given inline or as `-` for stdin.  Exit codes: 0 success, 1 parse error
 (a command line that does not parse included), 2 domain error (an
-operation rejected its input, or a file it was given cannot be written),
-3 self-check failure or a failed runtime cross-check.  Under `--json` a
-failure is an object on stdout, `{"error": {"kind", "message",
-"position"}}`, with the same exit code; a command line that does not parse
-is one too when `--json` comes before any `--`.
+operation rejected its input, a file it was given cannot be written, or
+the work ran out of memory or stack), 3 self-check failure or a failed
+runtime cross-check.  Under `--json` a failure is an object on stdout,
+`{"error": {"kind", "message", "position"}}`, with the same exit code; a
+command line that does not parse is one too when `--json` comes before
+any `--`.
 """
 
 from __future__ import annotations
@@ -295,6 +296,13 @@ def main(argv: list[str] | None = None) -> int:
         code = 1
     except (ValueError, OSError) as exc:  # OSError: an unwritable --csv
         _fail(args, "domain", exc)
+        code = 2
+    except (MemoryError, RecursionError) as exc:
+        # The input asks for more memory or stack than there is: a domain
+        # error, as a budget on the input would reject it before the work.
+        # A MemoryError usually has no message.
+        _fail(args, "domain", exc if str(exc) else
+              ValueError(f"out of resources ({type(exc).__name__})"))
         code = 2
     except (AssertionError, ArithmeticError) as exc:
         # A runtime cross-check of the library failed: a bug, not bad input.

@@ -352,13 +352,21 @@ def scan_cases(draw):
 
 def scan_points(f, g, window, step):
     """`_scan` as the oracle's point set, after checking the row layout:
-    increasing nonempty rows of strictly increasing columns."""
+    increasing nonempty rows, each a tuple of runs (first, last) on the
+    half-step lattice of the window's corner, each run strictly after the
+    one before it."""
     rows, scale, half = _scan(f, g, window, step)
+    x0 = int(Fraction(window[0]) * scale)
     assert list(rows) == sorted(rows)
-    assert all(cols and all(a < c for a, c in zip(cols, cols[1:]))
-               for cols in rows.values())
     assert half == int(step * scale) // 2
-    return {(a, b) for b, cols in rows.items() for a in cols}, scale
+    for runs in rows.values():
+        assert runs and type(runs) is tuple
+        for before, (first, last) in zip((None,) + runs, runs):
+            assert first <= last
+            assert (first - x0) % half == (last - x0) % half == 0
+            assert before is None or before[1] < first
+    return {(a, b) for b, runs in rows.items() for first, last in runs
+            for a in range(first, last + 1, half)}, scale
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,6 +402,17 @@ def test_bezout_report_matches_oracle_on_check_pairs():
     for _ in range(100):
         f, g = gen.bipoly(3), gen.bipoly(3)
         assert bezout_report(f, g) == oracle_report(f, g), (f, g)
+
+
+def test_scan_keeps_a_patch_as_one_run_per_row():
+    # The ghost cells x <= 0 and y <= 0 share a quadrant: the refined hits
+    # fill a rectangle of the half-step lattice, one run on each row.
+    f, g = B("x + 0v"), B("y + 0v")
+    rows, _, _ = _scan(f, g, DEFAULT_WINDOW, DEFAULT_STEP)
+    assert all(len(runs) == 1 for runs in rows.values())
+    hits = common_roots_sample(f, g)
+    columns = {x for x, _ in hits}
+    assert len(hits) == len(rows) * len(columns) == 82 * 82
 
 
 def test_bezout_report_fine_step():
@@ -541,11 +560,18 @@ def flood_fill(points, half):
     return components, ordinary
 
 
-def cluster_points(points, half):
+def cluster_points(points, half, cuts=()):
+    """`_cluster` on the rows of runs of `points`: a run takes the next
+    point one half step on, unless that point is in `cuts`, so runs one
+    half step apart, which `_scan` may return, come from `cuts`."""
     rows = {}
     for a, b in sorted(points, key=lambda p: (p[1], p[0])):
-        rows.setdefault(b, []).append(a)
-    return _cluster(rows, half)
+        runs = rows.setdefault(b, [])
+        if runs and a == runs[-1][1] + half and (a, b) not in cuts:
+            runs[-1] = (runs[-1][0], a)
+        else:
+            runs.append((a, a))
+    return _cluster({b: tuple(runs) for b, runs in rows.items()}, half)
 
 
 U_SHAPE = ({(0, v) for v in range(0, 7, 3)} | {(10, v) for v in range(0, 7, 3)}
@@ -584,17 +610,23 @@ def test_run_clustering_cases(cells, components, ordinary):
 
 @st.composite
 def lattice_sets(draw):
-    """Points of a half-step lattice with an offset, sparse or crowded."""
+    """Points of a half-step lattice with an offset, sparse or crowded, and
+    the points where a run is cut short."""
     half = draw(st.integers(1, 3))
     ox, oy = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
     side = draw(st.integers(0, 40))
     cells = draw(st.sets(st.tuples(st.integers(0, side), st.integers(0, side)),
                          max_size=80))
-    return {(ox + u * half, oy + v * half) for u, v in cells}, half
+    cuts = draw(st.sets(st.sampled_from(sorted(cells)))) if cells else set()
+    return ({(ox + u * half, oy + v * half) for u, v in cells}, half,
+            {(ox + u * half, oy + v * half) for u, v in cuts})
 
 
 @settings(max_examples=300, deadline=None)
 @given(lattice_sets())
+# On the row y = 2 with half 2, cut before x = 3: the runs (1, 1) and
+# (3, 5) sit one half step apart, and a lone point lies 13 half steps on.
+@example(({(1, 2), (3, 2), (5, 2), (31, 2)}, 2, {(3, 2)}))
 def test_run_clustering_matches_flood_fill(case):
-    points, half = case
-    assert cluster_points(points, half) == flood_fill(points, half)
+    points, half, cuts = case
+    assert cluster_points(points, half, cuts) == flood_fill(points, half)

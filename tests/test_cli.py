@@ -274,6 +274,27 @@ def test_failed_runtime_cross_check_exits_3(capsys, monkeypatch):
     assert "resultant and root sets disagree" in err
 
 
+def test_resource_errors_exit_2(capsys, monkeypatch):
+    # Running out of memory or stack is a domain error, with no traceback,
+    # in text and under --json.  The command only raises the error: no
+    # test allocates real memory or recurses deeply.
+    from supertrop import cli
+    cases = [(MemoryError(), "out of resources (MemoryError)"),
+             (RecursionError("maximum recursion depth exceeded"),
+              "maximum recursion depth exceeded")]
+    for exc, message in cases:
+        def raise_(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_canon", raise_)
+        code, out, err = run(capsys, "canon", "x + 1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "canon", "--json", "x + 1")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"error": {"kind": "domain",
+                                             "message": message,
+                                             "position": None}}
+
+
 def test_selfcheck_fails_under_optimize():
     # -O strips asserts; the corpus verdicts must still fail.
     script = """
