@@ -59,7 +59,7 @@ from .element import Element, ONE, ZERO, Rational, as_fraction
 from .intervals import intersect_sorted
 from .poly import Poly
 from .record import Record
-from .resultant import sylvester_vectors
+from .resultant import _band
 from .sparse import SparsePoly, _convolve, _merged, _unscaled, scaled
 
 
@@ -145,28 +145,29 @@ def resultant_in_second(f: BiPoly, g: BiPoly) -> Poly:
     without canonicalisation, so specialising x at any tangible point
     commutes with the whole computation.
 
-    Both inputs go on one integer scale once (`scaled`), and each
-    y-coefficient becomes a scaled map keyed by the degree in x, multiplied
-    by `_convolve` and added by `_merged`.  A subset DP over the columns
-    already matched takes the permanent one row at a time, O(2^k) states
-    for the Sylvester size k, with no Fraction or Element until the one
-    conversion of the result.
+    Both inputs go on one integer scale once (`scaled`), and each nonzero
+    y-coefficient becomes a scaled map keyed by the degree in x.  Grouped
+    in ascending degree in y, they are the entries of the sparse band
+    (`resultant._band`), multiplied by `_convolve` and added by `_merged`.
+    A subset DP over the columns already matched takes the permanent one
+    row at a time, O(2^k) states for the Sylvester size k, with no Fraction
+    or Element until the one conversion of the result.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     if f.deg_y == 0 or g.deg_y == 0:
         raise ValueError("inputs must be nonconstant in y")
     den, views = scaled([f._coeffs, g._coeffs])
-    vecs = []
-    for p, view in zip((f, g), views):
-        vec: list[dict] = [{} for _ in range(p.deg_y + 1)]
+    sides = []
+    for view in views:
+        side: dict[int, dict] = {}
         for (i, j), mg in view.items():
-            vec[j][i] = mg
-        vecs.append(vec)
-    rows = sylvester_vectors(*vecs, zero={})
+            side.setdefault(j, {})[i] = mg
+        sides.append(dict(sorted(side.items())))
+    rows = _band(*sides)
     dp = {0: {0: (0, False)}}
     for row in rows:
-        entries = [(1 << j, e) for j, e in enumerate(row) if e]
+        entries = [(1 << j, e) for j, e in row.items()]
         nxt: dict[int, dict] = {}
         for mask, acc in dp.items():
             for bit, e in entries:
@@ -322,17 +323,15 @@ def _scan(f: BiPoly, g: BiPoly, window: Window, step: Rational
     everywhere)."""
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
-    step = as_fraction(step)
-    xlo, xhi, ylo, yhi = (as_fraction(w) for w in window)
-    if step <= 0 or xhi < xlo or yhi < ylo:
-        raise ValueError("bad window or step")
+    bounds = [as_fraction(q) for q in (*window, step)]
     den, views = scaled([f._coeffs, g._coeffs])
-    scale = 2 * lcm(den, xlo.denominator, xhi.denominator, ylo.denominator,
-                    yhi.denominator, step.denominator)
-    step_s = int(step * scale)
+    scale = 2 * lcm(den, *[q.denominator for q in bounds])
+    # Each bound on the scale, in ints: scale is a multiple of its denominator.
+    x0, x1, y0, y1, step_s = [q.numerator * (scale // q.denominator)
+                              for q in bounds]
+    if step_s <= 0 or x1 < x0 or y1 < y0:
+        raise ValueError("bad window or step")
     half = step_s // 2
-    x0, x1 = int(xlo * scale), int(xhi * scale)
-    y0, y1 = int(ylo * scale), int(yhi * scale)
     # The pieces cover the half rows and columns that the refinement reaches
     # just outside the window.
     common = _meet(*(_pieces(v, scale // den, x0 - half, x1 + half,
@@ -534,6 +533,8 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
     The clustering works on the runs of each row: O(runs) union-find
     steps, plus a look at the runs of the 25 rows around each lone point.
     """
+    window = tuple(as_fraction(w) for w in window)
+    step = as_fraction(step)
     rows, scale, half = _scan(f, g, window, step)
     components, ordinary = _cluster(rows, half)
     m, n = f.total_degree, g.total_degree
@@ -542,4 +543,4 @@ def bezout_report(f: BiPoly, g: BiPoly, window: Window = DEFAULT_WINDOW,
         m=m, n=n, bound=bound, hits=tuple(_fractions(rows, scale, half)),
         component_count=components, ordinary_count=ordinary,
         bound_holds=ordinary <= bound,
-        window=tuple(as_fraction(w) for w in window), step=as_fraction(step))
+        window=window, step=step)

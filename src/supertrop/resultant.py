@@ -10,19 +10,26 @@ vectors and factors powers of x out; `decide` restores the x | f, x | g
 bookkeeping on top of it.
 
 `resultant` is the one production route.  It puts its two coefficient
-vectors on one integer scale (`sparse.scaled`) once, lays the Sylvester
-band out over those scaled entries, and takes the permanent with an
-exact O(k^3) engine, `_assignment`: a maximum-weight assignment for the
-magnitude, and a test of whether the maximal permutation is unique for
-the layer.  The engine is warm-started from the max-plus product f*g of
-the two vectors.  The Newton polygon of f*g is the Minkowski sum of those
-of f and g, and for canonical vectors minus its coefficients are optimal
-column potentials:
-- each row's best reduced value is minus a coefficient of the other side;
-- the dual value they give is the product-rule magnitude below;
-- each row's highest tight column is where its edge of the merged Newton
-  polygon path leaves, so the warm start matches every row unless f and g
-  share a corner root.
+maps (`_maps`) on one integer scale (`sparse.scaled`) once, lays the
+Sylvester band out over those scaled entries as one sparse {column:
+entry} row each (`_band`), and takes the permanent with an exact O(k^3)
+engine, `_assignment`: a maximum-weight assignment for the magnitude, and
+a test of whether the maximal permutation is unique for the layer.
+
+The engine is warm-started from the max-plus product P = f*g of the two
+scaled maps.  The Newton polygon of f*g is the Minkowski sum of those of
+f and g, and for canonical vectors of degrees m and n, F and G their
+scaled magnitudes and k = m + n, the column potentials -P_c are an
+optimal dual of the band:
+- f-row i's best reduced value is -G_i, and g-row q's is -F_q;
+- the sum of P_c over c < k, less G_i over i < n and F_q over q < m, is
+  n F_m + m G_n + the sum of max(a, b) over the m n pairs of corner roots
+  a of f and b of g: the product-rule magnitude, which `resultant_nu`
+  takes directly;
+- column c goes to the row whose edge of the merged Newton-polygon path
+  leaves c.  That is the highest tight column of its row, so the warm
+  start matches every row unless f and g share a corner slope.
+
 `_permanent_assignment` feeds the same engine a matrix of Elements, with
 the column maxima of Jonker and Volgenant (1987) as potentials.
 `resultant_nu` is the ghost value by the corner-root product rule, on
@@ -47,36 +54,40 @@ from .sparse import _convolve, scaled
 Grid = list[list]
 
 
-def sylvester_vectors(fvec, gvec, zero=ZERO) -> Grid:
-    """Sylvester matrix from ascending coefficient vectors.
+def _maps(f: Poly, g: Poly, canonical: bool) -> list[dict]:
+    """The two sides as ascending {slot: nonzero coefficient} maps: the
+    canonical full vectors, power of x stripped, or the raw coefficients."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    if canonical:
+        return [dict(enumerate(canonical_full(p).coeffs)) for p in (f, g)]
+    return [dict(sorted(p.items())) for p in (f, g)]
 
-    For deg f = m and deg g = n the matrix has n rows carrying f's
-    coefficients followed by m rows carrying g's, each row shifted one
-    column to the right of the previous one.  Entries may be any semiring
-    values, or `scaled` pairs with zero=None; missing positions are filled
-    with `zero`.  A constant side gives a diagonal matrix, two constants
-    the empty one.
+
+def _band(fv: dict, gv: dict) -> list[dict]:
+    """The Sylvester rows of two ascending maps as {column: entry} dicts.
+
+    For top slots m and n there are n rows carrying fv, then m rows
+    carrying gv, each shifted one column right of the one before, every
+    row in ascending column order.  Entries may be any values: Elements,
+    `scaled` pairs, maps in x.  A constant side gives a diagonal band, two
+    constants the empty one.
     """
-    if not fvec or not gvec:
-        raise ValueError("sylvester_vectors needs nonempty vectors")
-    m, n = len(fvec) - 1, len(gvec) - 1
-    rows: Grid = []
-    for i in range(n):
-        rows.append([zero] * i + list(fvec) + [zero] * (n - 1 - i))
-    for j in range(m):
-        rows.append([zero] * j + list(gvec) + [zero] * (m - 1 - j))
-    return rows
+    m, n = next(reversed(fv)), next(reversed(gv))
+    return ([{i + s: c for s, c in fv.items()} for i in range(n)]
+            + [{i + s: c for s, c in gv.items()} for i in range(m)])
 
 
 def sylvester(f: Poly, g: Poly) -> Grid:
     """Sylvester matrix of the canonical full vectors, both of degree >= 1
     once the power of x is stripped."""
-    fv, gv = _vectors(f, g, True)
+    fv, gv = _maps(f, g, True)
     if len(fv) == 1 or len(gv) == 1:
         raise ValueError("sylvester needs both degrees >= 1 after the power "
                          "of x is stripped; resultant() handles constants "
                          "directly")
-    return sylvester_vectors(fv, gv)
+    rows = _band(fv, gv)
+    return [[row.get(j, ZERO) for j in range(len(rows))] for row in rows]
 
 
 def _permanent_assignment(rows: Grid) -> Element:
@@ -120,16 +131,8 @@ def _assignment(scale: int, rows: list[dict], product: dict | None = None
     product P = f*g of the two vectors of its band, and column c then
     starts at -P_c; a column where P has no term, possible only for raw
     vectors with Zero coefficients, keeps minus its largest entry.  For
-    canonical vectors of degrees m and n, F and G their scaled
-    magnitudes, and k = m + n, these potentials are an optimal dual:
-    - f-row i's best reduced value is -G_i, and g-row q's is -F_q;
-    - the sum of P_c over c < k, less G_i over i < n and F_q over q < m,
-      is n F_m + m G_n + the sum of max(a, b) over corner-root pairs,
-      the product-rule magnitude;
-    - column c goes to the row whose edge of the merged Newton-polygon
-      path leaves c.  That is the highest tight column of its row, so
-      the warm start matches every row unless f and g share corner
-      slopes.
+    canonical vectors these potentials are an optimal dual (module
+    docstring).
 
     The value is ghost when two permutations reach the maximum, or when
     the only one that does uses a ghost entry.  Every maximal permutation
@@ -224,35 +227,20 @@ def _assignment(scale: int, rows: list[dict], product: dict | None = None
     return Element(Fraction(total, scale), is_ghost)
 
 
-def _vectors(f: Poly, g: Poly, canonical: bool) -> tuple[tuple, tuple]:
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    if canonical:
-        return canonical_full(f).coeffs, canonical_full(g).coeffs
-    return tuple(f.coeff_vector()), tuple(g.coeff_vector())
-
-
 def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     """Permanent of the Sylvester matrix of f and g, in polynomial time.
 
     With canonical=True (the default) both inputs are replaced by their
     canonical full coefficient vectors with the power of x stripped, so the
     value is an invariant of the functions; ghost or zero output then means
-    a shared tangible root.  With canonical=False the raw dense coefficient
-    vectors are used as written.  A constant side of value c against a side
-    of degree d gives c^d, and two constants give One.  The engine starts
-    from the max-plus product of the two scaled vectors (`_assignment`).
+    a shared tangible root.  With canonical=False the raw coefficients are
+    used as written.  A constant side of value c against a side of degree
+    d gives c^d, and two constants give One.  The engine reads the sparse
+    band of the two scaled maps and starts from their max-plus product
+    (module docstring).
     """
-    vectors = _vectors(f, g, canonical)
-    scale, views = scaled([{i: c for i, c in enumerate(vec)
-                            if c.mag is not None} for vec in vectors])
-    # One band layout, over the scaled entries, with None for Zero.
-    band = sylvester_vectors(*[[view.get(i) for i in range(len(vec))]
-                               for vec, view in zip(vectors, views)],
-                             zero=None)
-    return _assignment(scale, [{j: e for j, e in enumerate(row)
-                                if e is not None} for row in band],
-                       _convolve(*views))
+    scale, views = scaled(_maps(f, g, canonical))
+    return _assignment(scale, _band(*views), _convolve(*views))
 
 
 def resultant_nu(f: Poly, g: Poly) -> Element:
@@ -260,15 +248,12 @@ def resultant_nu(f: Poly, g: Poly) -> Element:
 
     On the canonical vectors of degrees m and n, with F and G their
     coefficient magnitudes and a, b their corner roots, the magnitude is
-    n F_m + m G_n + the sum of max(a, b) over all m n pairs.  That is the
-    value of the dual that `_assignment` reads off P = f*g: each f-row's
-    best reduced value is -G_i and each g-row's -F_q, and the sum of P_c
-    over c < m + n, less G_i over i < n and F_q over q < m, is this
-    magnitude.  It is taken on the `scaled` ints, with one Fraction at
-    the end, in O(mn).  Agrees with nu(resultant(f, g)).
+    n F_m + m G_n + the sum of max(a, b) over all m n pairs: the value of
+    the optimal dual that `_assignment` starts from (module docstring).
+    It is taken on the `scaled` ints, with one Fraction at the end, in
+    O(mn).  Agrees with nu(resultant(f, g)).
     """
-    scale, (fs, gs) = scaled([dict(enumerate(vec))
-                              for vec in _vectors(f, g, True)])
+    scale, (fs, gs) = scaled(_maps(f, g, True))
     fm, gm = [[mag for mag, _ in view.values()] for view in (fs, gs)]
     m, n = len(fm) - 1, len(gm) - 1
     fr = [a - b for a, b in zip(fm, fm[1:])]

@@ -15,8 +15,8 @@ from supertrop import bipoly, sparse
 from supertrop.bipoly import (DEFAULT_STEP, DEFAULT_WINDOW, BezoutReport,
                               _cluster, _row_ghost, _scan)
 from supertrop.checks import Gen, permanent
-from supertrop.resultant import sylvester_vectors
 from supertrop.sparse import scaled
+from test_resultant import dense
 
 B = parse_bipoly
 P = parse_poly
@@ -136,7 +136,8 @@ def eliminate_oracle(frows: list, grows: list) -> Poly:
     the y-coefficients as {degree in x: Element} maps (None for a missing
     one)."""
     fv, gv = ([Poly(row or {}) for row in rows] for rows in (frows, grows))
-    return permanent(sylvester_vectors(fv, gv, zero=Poly.zero()),
+    return permanent(dense([dict(enumerate(v)) for v in (fv, gv)],
+                           zero=Poly.zero()),
                      zero=Poly.zero(), one=Poly.constant(ONE))
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
                        resultant, resultant_nu, resultant_nu_assignment,
                        sylvester, tangible, tangible_roots)
 from supertrop.poly import canonical_full, full_from_corners
-from supertrop.resultant import (_permanent_assignment, _vectors,
-                                 semitangible_blocks, sylvester_vectors)
+from supertrop.resultant import (_band, _maps, _permanent_assignment,
+                                 semitangible_blocks)
 from supertrop.sparse import _convolve, scaled
 from supertrop.checks import (Gen, permanent, permanent_oracle,
                               resultant_quadratic, resultant_recursive,
@@ -75,10 +76,20 @@ def sylvester_pairs(draw):
     return pair
 
 
+def dense(maps, zero=ZERO):
+    """The Sylvester matrix of two ascending {slot: coefficient} maps, laid
+    out dense with `zero` in the gaps: the oracles' own layout, built
+    apart from the engine's sparse `_band`."""
+    fv, gv = ([p.get(i, zero) for i in range(max(p) + 1)] for p in maps)
+    m, n = len(fv) - 1, len(gv) - 1
+    return ([[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * j + gv + [zero] * (m - 1 - j) for j in range(m)])
+
+
 def resultant_dp(f, g, canonical=True):
     """`resultant` through the subset DP `permanent`, in O(2^(m+n)), on the
     same canonical or raw vectors."""
-    return permanent(sylvester_vectors(*_vectors(f, g, canonical)))
+    return permanent(dense(_maps(f, g, canonical)))
 
 
 def grid(f, g):
@@ -100,8 +111,16 @@ def test_sylvester_rejects_constants():
     with pytest.raises(ValueError, match="after the power of x is stripped"):
         # x^2 canonicalizes to a constant once the power is stripped.
         sylvester(P("x^2"), P("x + 1"))
-    with pytest.raises(ValueError):
-        sylvester_vectors([], [ONE])
+
+
+def test_zero_polynomial_is_refused():
+    routes = [partial(resultant, canonical=True),
+              partial(resultant, canonical=False), resultant_nu, sylvester]
+    for pair in ((Poly.zero(), P("x + 1")), (P("x + 1"), Poly.zero())):
+        for route in routes:
+            with pytest.raises(ValueError,
+                               match=r"^resultant of the zero polynomial$"):
+                route(*pair)
 
 
 def test_permanent_examples():
@@ -163,7 +182,7 @@ def test_assignment_search_after_warm_start():
     # On a band the product's potentials are an optimal dual, but a corner
     # root that f and g share leaves one row to the search.
     f, g = P("(x+1)^3"), P("(x+1)^2*(x+2)")
-    rows = sylvester_vectors(*_vectors(f, g, True))
+    rows = dense(_maps(f, g, True))
     assert resultant(f, g) == ghost(12) == permanent_oracle(rows)
 
 
@@ -188,12 +207,25 @@ def test_resultant_matches_dp(f, g):
 
 @settings(max_examples=200, deadline=None)
 @given(sylvester_pairs())
+# Terms stored in descending order: the raw maps must still ascend.
+@example([Poly({3: ONE, 1: tangible(1), 0: ghost(2)}),
+          Poly({2: ghost(1), 0: ONE})])
 def test_resultant_matches_oracle_on_its_band(pair):
-    # `resultant` lays the band out over scaled entries; the oracle reads
-    # the Element matrix of the same vectors.
+    # `resultant` lays the sparse band out over scaled entries; the oracle
+    # reads the dense Element matrix of the same maps.
     f, g = pair
     for canonical in (True, False):
-        rows = sylvester_vectors(*_vectors(f, g, canonical))
+        maps = _maps(f, g, canonical)
+        band = _band(*maps)
+        for row in band:
+            cols = list(row)
+            assert all(a < b for a, b in zip(cols, cols[1:])), row
+            assert not any(e.is_zero for e in row.values()), row
+        m, n = (max(p) for p in maps)
+        assert sum(map(len, band)) == n * len(maps[0]) + m * len(maps[1])
+        rows = dense(maps)
+        if canonical and m and n:
+            assert rows == sylvester(f, g)
         assert resultant(f, g, canonical) == permanent_oracle(rows), (
             f, g, canonical)
 
@@ -409,10 +441,8 @@ def test_product_gives_an_optimal_dual(pair):
     # u_r form a feasible dual of the band whose value, sum u - sum v, is
     # the resultant's magnitude on the scaled ints: an optimal dual.
     f, g = pair
-    vectors = _vectors(f, g, True)
-    scale, views = scaled([dict(enumerate(vec)) for vec in vectors])
-    band = sylvester_vectors(*[list(view.values()) for view in views],
-                             zero=None)
+    scale, views = scaled(_maps(f, g, True))
+    band = dense(views, zero=None)
     product = _convolve(*views)
     v = [-product[c][0] for c in range(len(band))]
     u = [max([e[0] + v[j] for j, e in enumerate(row) if e is not None])
@@ -424,11 +454,10 @@ def test_product_missing_columns_fall_back():
     # Raw vectors with Zero coefficients: f*g has no term at columns 1 and
     # 3, which keep minus their largest entry.
     f, g = P("x^2 + 0"), P("x^2 + 1")
-    vectors = _vectors(f, g, False)
-    _, views = scaled([{i: c for i, c in enumerate(vec) if not c.is_zero}
-                       for vec in vectors])
+    maps = _maps(f, g, False)
+    _, views = scaled(maps)
     assert sorted(_convolve(*views)) == [0, 2, 4]
-    rows = sylvester_vectors(*vectors)
+    rows = dense(maps)
     assert resultant(f, g, False) == tangible(2) == permanent_oracle(rows)
 
 
