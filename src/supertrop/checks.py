@@ -35,7 +35,8 @@ from importlib import resources
 from random import Random
 
 from .bipoly import BiPoly, bezout_report, resultant_in_second
-from .divide import divides_linear, radical_member_check, verify_division
+from .divide import (_residual, divides_linear, radical_member_check,
+                     verify_division)
 from .element import Element, ONE, ZERO, ghost, tangible
 from .factor import e_divides, expand, factor_min_ghosts, split_tan_intan
 from .intervals import IntervalSet
@@ -352,6 +353,25 @@ def check_root_resultant_equivalence() -> int:
     return cases
 
 
+def check_root_division_equivalence() -> int:
+    """x + a divides a non-monomial f up to ghosts exactly at the tangible
+    roots a, tried with the greatest quotient and no root test in front."""
+    gen, done = Gen(42012), 0
+    for _ in range(300):
+        f = gen.poly(6)
+        roots = tangible_roots(f)
+        probes = {a for piece in roots.intervals for a in piece
+                  if isinstance(a, Fraction)}
+        for a in probes | {gen.fraction(), gen.fraction()}:
+            g = Poly.linear(a)
+            q = _residual(f, g)
+            if (q is not None and verify_division(f, g, q)) != (
+                    a in roots and not f.is_monomial):
+                raise AssertionError((f, a, q))
+            done += 1
+    return done
+
+
 def check_product_formula() -> int:
     """Tangible pairs: permanent equals all three closed forms.
 
@@ -574,6 +594,7 @@ CHECKS: list[tuple[str, object]] = [
     ("example table", check_example_table),
     ("resultant case analysis", check_eq43),
     ("root/resultant equivalence", check_root_resultant_equivalence),
+    ("root/division equivalence", check_root_division_equivalence),
     ("tangible product formula", check_product_formula),
     ("nu multiplicativity", check_nu_multiplicativity),
     ("cross-algorithm agreement", check_cross_algorithms),

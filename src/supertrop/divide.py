@@ -1,25 +1,26 @@
 """Division up to ghosts, with constructive witnesses.
 
-A tangible quotient q witnesses that g divides f when f equals q*g plus a
-ghost correction.  The check used throughout: s = f + q*g must be a ghost
-polynomial whose ghost value agrees with that of f.  That holds exactly
-when q*g never exceeds f in magnitude and f is ghost wherever it strictly
-dominates q*g.
+A tangible quotient q witnesses that g divides f when s = f + q*g is a
+ghost polynomial with the magnitudes of f: q*g never exceeds f, and f is
+ghost wherever it strictly dominates q*g.
 
-`divides_linear` makes the connection to roots constructive: a tangible
-point a is a root of f if and only if such a witness exists for g = x + a,
-and the witness is read off the factorization of f.
+The quotient to try is the greatest tangible q with q*g <= f as functions,
+by max-plus residuation (Baccelli, Cohen, Olsder and Quadrat,
+*Synchronization and Linearity*, ch. 4).  A term c*x^k lies under f exactly
+when c <= F_k, the magnitude at slot k of f's canonical full form, so
+q_s = min over the terms G_j*x^j of g of F_{s+j} - G_j.  Every witness q'
+lies under q termwise, and where f strictly dominates q*g it dominates
+q'*g, so q witnesses g | f whenever any tangible quotient does, and
+`divides_linear` finds a witness for x + a at every tangible root a of a
+non-monomial f.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .element import Rational, as_fraction, tangible
-from .factor import factor_min_ghosts
-from .intervals import NEG_INF, POS_INF
-from .poly import Poly, e_equiv, is_ghost_poly, tangible_roots
+from .element import Rational, as_fraction
+from .poly import Poly, canonical_full, e_equiv, is_ghost_poly, tangible_roots
 from .record import Record
+from .sparse import _unscaled, scaled
 
 
 class DivisionWitness(Record):
@@ -39,61 +40,37 @@ def verify_division(f: Poly, g: Poly, q: Poly) -> bool:
     return is_ghost_poly(s) and e_equiv(s.nu(), f.nu())
 
 
-def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
-    """Witness that x + a divides f, or None when a is not a root.
+def _residual(f: Poly, g: Poly) -> Poly | None:
+    """The greatest tangible q with q*g <= f, or None when no term fits:
+    q_s for s from max(0, ldeg f - ldeg g) to deg f - deg g, O(deg f * |g|)
+    int steps on one `scaled` view of both maps, one Fraction per term."""
+    full = canonical_full(f)
+    lo, hi = max(0, full.shift - g.ldeg), full.degree - g.degree
+    if lo > hi:
+        return None
+    den, (fv, gv) = scaled([full.to_poly()._coeffs, g._coeffs])
+    return Poly._of(_unscaled(
+        {s: (min(fv[s + j][0] - m for j, (m, _) in gv.items()), False)
+         for s in range(lo, hi + 1)}, den, None))
 
-    The quotient replaces the first factor of f (in `Factorization.parts`
-    order) whose root interval contains a: a matching linear or right
-    ghost contributes One, a left ghost x^nu + b the scalar b - a, and a
-    quadratic with c - b <= a <= b contributes x + (c - a).  Everything
-    else joins the quotient with its layers forgotten.
+
+def divides_linear(f: Poly, a: Rational) -> DivisionWitness | None:
+    """Witness that x + a divides f, or None when there is none.
+
+    The root test is the cheap reject; a monomial (a ghost one has every
+    root) has no quotient.  Otherwise q = `_residual(f, x + a)`, q_s =
+    min(F_s - a, F_{s+1}) in O(deg f), and as q*(x + a) <= f, q is a
+    witness exactly when the ghost sum is ghost.
     """
     if f.is_zero or f.degree == 0:
         raise ValueError("input must be nonconstant")
     a = as_fraction(a)
-    if a not in tangible_roots(f):
+    if f.is_monomial or a not in tangible_roots(f):
         return None
-    fact = factor_min_ghosts(f)
-
-    def witness(q: Poly) -> DivisionWitness:
-        # Products of tangible factors can tie coefficients into ghosts;
-        # the quotient must be tangible, and its layers are immaterial to
-        # the witness property, so flatten them.
-        q = q.hat()
-        return DivisionWitness(q=q, ghost_sum=f + q * Poly.linear(a))
-
-    if fact.lead.is_ghost:
-        # Every tangible point is a root here.  Quotient: drop the nearest
-        # corner from above (or the top corner, lowering the scalar), so
-        # that q*(x + a) stays under f in magnitude everywhere.
-        corners = [r for r, m in fact.linears for _ in range(m)]
-        if not corners:
-            # Ghost monomial: the slope mismatch leaves no tangible witness.
-            return None
-        above = [r for r in corners if r >= a]
-        scale = Fraction(0)
-        if above:
-            corners.remove(min(above))
-        else:
-            scale = corners[-1] - a
-            corners.pop()
-        lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
-        return witness(Poly.product([lead, *map(Poly.linear, corners)]))
-
-    parts = fact.parts()
-    for k, (lo, hi, _, _) in enumerate(parts):
-        if lo <= a <= hi:
-            break
-    else:
-        raise AssertionError(f"root {a} not covered by any factor of {f}")
-    # One copy of the factor found is replaced; the lead stays put.
-    factors = [Poly.monomial(fact.power, fact.lead),
-               *(p ** (m - (j == k)) for j, (_, _, m, p) in enumerate(parts))]
-    if NEG_INF < lo < hi < POS_INF:
-        factors.append(Poly.linear(lo + hi - a))  # quadratic: c - a
-    elif hi == POS_INF:
-        factors.append(Poly.constant(tangible(lo - a)))  # left ghost
-    return witness(Poly.product(factors))
+    g = Poly.linear(a)
+    q = _residual(f, g)
+    s = f + q * g
+    return DivisionWitness(q, s) if is_ghost_poly(s) else None
 
 
 def radical_member_check(a: Poly, k: int, b: Poly, q: Poly) -> bool:

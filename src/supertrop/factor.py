@@ -80,8 +80,7 @@ class Factorization(Record):
         """Each non-scalar factor as (lo, hi, multiplicity, polynomial).
 
         [lo, hi] is the factor's root interval.  Linears come first, then
-        quadratics, the right ghost and the left ghost: the order in which
-        `divides_linear` looks for the factor that holds a root.
+        quadratics, the right ghost and the left ghost.
         """
         out = [(a, a, m, Poly.linear(a)) for a, m in self.linears]
         out += [(c - b, b, m, quadratic_factor(b, c))

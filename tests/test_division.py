@@ -5,10 +5,10 @@ from itertools import product
 
 import pytest
 
-from supertrop import (ONE, Poly, divides_linear, e_equiv, is_ghost_poly,
-                       parse_poly, radical_member_check, tangible,
-                       tangible_roots, verify_division)
-from supertrop.checks import Gen, _relayer
+from supertrop import (ONE, ZERO, Element, Poly, divides_linear, e_equiv,
+                       is_ghost_poly, parse_poly, radical_member_check,
+                       tangible, tangible_roots, verify_division)
+from supertrop.checks import Gen, _relayer, check_root_division_equivalence
 
 P = parse_poly
 
@@ -44,12 +44,45 @@ def test_divides_linear_examples():
     assert divides_linear(P("(x+1)*(x+2)"), Fraction(3)) is None
 
 
-def test_divides_linear_searches_linears_before_quadratics():
-    # 2 is the linear factor's root and lies inside the quadratic's root
-    # interval [1, 3]; the linear is dropped, not the quadratic replaced
-    # (which would give x^2 + 2*x + 4).
-    w = divides_linear(P("x^3 + 3v*x^2 + 5v*x + 6"), 2)
+def test_divides_linear_takes_the_greatest_quotient():
+    # 2 is the root of the linear factor and lies inside the root interval
+    # [1, 3] of the quadratic.  Both x^2 + 3*x + 4 (the linear dropped) and
+    # x^2 + 2*x + 4 (the quadratic replaced by x + 3) are witnesses; the
+    # greatest is returned.
+    f = P("x^3 + 3v*x^2 + 5v*x + 6")
+    w = divides_linear(f, 2)
     assert w.q == P("x^2 + 3*x + 4")
+    assert verify_division(f, P("x + 2"), P("x^2 + 2*x + 4"))
+
+
+def test_divides_linear_quotient_lies_over_every_witness():
+    # Brute force over the tangible quotients of degree <= 2 with
+    # half-integer coefficients in [-2, 2]: each one accepted lies under
+    # the returned q as a function, and none is accepted where
+    # divides_linear finds no witness.
+    halves = [ZERO] + [tangible(Fraction(n, 2)) for n in range(-4, 5)]
+    quotients = [Poly(dict(enumerate(cs)))
+                 for cs in product(halves, repeat=3)][1:]
+    gen = Gen(405)
+    for _ in range(8):
+        deg = gen.rng.randint(1, 3)
+        f = Poly({i: Element(gen.fraction(-2, 2), gen.rng.random() < 0.35)
+                  for i in range(deg + 1)
+                  if i == deg or gen.rng.random() < 0.7})
+        roots = tangible_roots(f)
+        probes = {a for lo, hi in roots.intervals for a in (lo, hi)
+                  if isinstance(a, Fraction)} | {gen.fraction(-2, 2)}
+        for a in probes:
+            w = divides_linear(f, a)
+            g = Poly.linear(a)
+            for q in quotients:
+                if verify_division(f, g, q):
+                    assert w is not None, (f, a, q)
+                    assert e_equiv((q + w.q).nu(), w.q.nu()), (f, a, q, w.q)
+
+
+def test_root_division_equivalence_check():
+    assert check_root_division_equivalence() > 0
 
 
 def test_divides_linear_rejects_constants():

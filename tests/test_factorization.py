@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertrop import (DivisionWitness, Factorization, IntervalSet, ONE, Poly,
-                       divides_linear, e_divides, e_equiv, expand,
-                       factor_min_ghosts, left_ghost_factor, parse_poly,
-                       quadratic_factor, right_ghost_factor,
-                       split_tan_intan, tangible, tangible_roots)
+from supertrop import (Factorization, IntervalSet, ONE, Poly, divides_linear,
+                       e_divides, e_equiv, expand, factor_min_ghosts,
+                       left_ghost_factor, parse_poly, quadratic_factor,
+                       right_ghost_factor, split_tan_intan, tangible,
+                       tangible_roots, verify_division)
 from supertrop.checks import Gen
 from supertrop.intervals import NEG_INF, POS_INF
 from supertrop.poly import canonical_full, full_from_corners
@@ -197,64 +197,6 @@ def e_divides_oracle(g, f):
     return e_equiv(g * h, f)
 
 
-def _without_oracle(fact, kind, index=0):
-    # One copy of the chosen factor removed, through a new Factorization.
-    left, right = fact.left_ghost, fact.right_ghost
-    linears, quads = list(fact.linears), list(fact.quadratics)
-    if kind == "left":
-        left = None
-    elif kind == "right":
-        right = None
-    elif kind == "linear":
-        a, m = linears[index]
-        linears[index:index + 1] = [(a, m - 1)] if m > 1 else []
-    elif kind == "quad":
-        b, c, m = quads[index]
-        quads[index:index + 1] = [(b, c, m - 1)] if m > 1 else []
-    return Factorization(lead=fact.lead, power=fact.power, left_ghost=left,
-                         right_ghost=right, linears=tuple(linears),
-                         quadratics=tuple(quads))
-
-
-def divides_linear_oracle(f, a):
-    """`divides_linear` searching each factor kind in turn, on `_without`."""
-    if a not in tangible_roots(f):
-        return None
-    fact = factor_min_ghosts(f)
-
-    def witness(q):
-        q = q.hat()
-        return DivisionWitness(q=q, ghost_sum=f + q * Poly.linear(a))
-
-    if fact.lead.is_ghost:
-        corners = [r for r, m in fact.linears for _ in range(m)]
-        if not corners:
-            return None
-        above = [r for r in corners if r >= a]
-        scale = Fraction(0)
-        if above:
-            corners.remove(min(above))
-        else:
-            scale = corners[-1] - a
-            corners.pop()
-        lead = Poly.monomial(fact.power, tangible(fact.lead.mag + scale))
-        return witness(Poly.product([lead, *map(Poly.linear, corners)]))
-
-    for i, (r, _) in enumerate(fact.linears):
-        if r == a:
-            return witness(expand(_without_oracle(fact, "linear", i)).hat())
-    for i, (b, c, _) in enumerate(fact.quadratics):
-        if c - b <= a <= b:
-            rest = expand(_without_oracle(fact, "quad", i)).hat()
-            return witness(rest * Poly.linear(c - a))
-    if fact.right_ghost is not None and a <= fact.right_ghost:
-        return witness(expand(_without_oracle(fact, "right")).hat())
-    if fact.left_ghost is not None and a >= fact.left_ghost:
-        rest = expand(_without_oracle(fact, "left")).hat()
-        return witness(rest.scale(tangible(fact.left_ghost - a)))
-    raise AssertionError(f"root {a} not covered by any factor of {f}")
-
-
 # Halves, so that corner roots repeat and probes land on them.
 CORNERS = [Fraction(k, 2) for k in range(-6, 7)]
 
@@ -300,8 +242,25 @@ def test_e_divides_matches_the_flag_block_oracle(g, h, product):
 @settings(max_examples=300, deadline=None)
 @given(factor_inputs(), st.lists(st.sampled_from(CORNERS + [Fraction(1, 4)]),
                                  min_size=1, max_size=6))
-def test_divides_linear_matches_the_without_oracle(f, probes):
-    probes = probes + [a for lo, hi in tangible_roots(f).intervals
-                        for a in (lo, hi) if isinstance(a, Fraction)]
+def test_divides_linear_witnesses_exactly_the_roots(f, probes):
+    roots = tangible_roots(f)
+    probes = probes + [a for lo, hi in roots.intervals
+                       for a in (lo, hi) if isinstance(a, Fraction)]
     for a in probes:
-        assert divides_linear(f, a) == divides_linear_oracle(f, a), (f, a)
+        g = Poly.linear(a)
+        w = divides_linear(f, a)
+        monomial = canonical_full(f).hi == 0
+        assert (w is not None) == (a in roots and not monomial), (f, a)
+        if w is not None:
+            assert verify_division(f, g, w.q), (f, a)
+            assert w.ghost_sum == f + w.q * g
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_inputs(4), st.sampled_from(CORNERS + [Fraction(1, 4)]))
+def test_divides_linear_quotient_lies_over_a_planted_one(q0, a):
+    # q0 witnesses its own product with x + a, so the greatest quotient
+    # lies over it as a function.
+    q0 = q0.hat()
+    w = divides_linear(q0 * Poly.linear(a), a)
+    assert w is not None and e_equiv((q0 + w.q).nu(), w.q.nu()), (q0, a)

@@ -340,7 +340,8 @@ def test_analyze_ghost_sum_takes_one_canonical_form_per_polynomial(monkeypatch):
     big = "(x+1)*(x+2)*(x^2+6v*x+7)"
     # g, f and the product g*h with the cofactor.
     assert hulls_in(lambda: e_divides(P("x+1"), P(big))) == 3
-    assert hulls_in(lambda: divides_linear(P(big), 1)) == 1
+    # f, and the ghost sum f + q*(x + 1) of the greatest quotient.
+    assert hulls_in(lambda: divides_linear(P(big), 1)) == 2
     assert hulls_in(lambda: decide(P("(x+1)*(x+2)"), P("x+1"))) == 2
     # f + g, f and g, on the half-tangible and the common-root path.
     assert hulls_in(lambda: analyze_ghost_sum(P("0v*x^2 + 1*x"),
