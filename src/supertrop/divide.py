@@ -18,7 +18,7 @@ non-monomial f.
 from __future__ import annotations
 
 from .element import Rational, as_fraction
-from .poly import Poly, canonical_full, e_equiv, is_ghost_poly, tangible_roots
+from .poly import Poly, canonical_full, is_ghost_poly, tangible_roots
 from .record import Record
 from .sparse import _unscaled, scaled
 
@@ -37,7 +37,14 @@ def verify_division(f: Poly, g: Poly, q: Poly) -> bool:
     if q.is_zero or not q.all_tangible():
         raise ValueError("witness must be a nonzero tangible polynomial")
     s = f + q * g
-    return is_ghost_poly(s) and e_equiv(s.nu(), f.nu())
+    if f.is_zero:
+        return s.is_zero
+    # nu keeps the hull, so s.nu() and f.nu() are e-equivalent exactly when
+    # the canonical forms of s and f have one shift and one magnitude per
+    # slot.  s holds every term of f, so two forms of one length have one
+    # shift.
+    a, b = canonical_full(s), canonical_full(f)
+    return a.all_ghost and [c.mag for c in a.coeffs] == [c.mag for c in b.coeffs]
 
 
 def _residual(f: Poly, g: Poly) -> Poly | None:

@@ -23,8 +23,10 @@ magnitudes scaled to Python ints, and a power squares.
 
 The canonical kernels avoid Fraction arithmetic too: the hull is taken on
 the magnitudes as `sparse.scaled` ints, vertex slots keep their Element,
-each ghost slot costs one Fraction, and the root locus is merged in one
-left-to-right pass over the corners.
+and each ghost slot costs one Fraction.  The same pass keeps the form's
+integer image, every slot on one scale, which the resultant engine reads
+in place of the Elements; the root locus is swept on it in one
+left-to-right pass over the corners, with one Fraction per endpoint.
 
 The answers built here (FullPoly, PiecewiseLinear and the ghost-sum
 verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
@@ -36,9 +38,10 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 from .element import Element, ONE, ZERO, Rational, as_fraction, tangible
-from .intervals import NEG_INF, POS_INF, Endpoint, IntervalSet, RootSet
+from .intervals import NEG_INF, POS_INF, IntervalSet, RootSet
 from .record import Record
 from .sparse import SparsePoly, scaled, terms_mul
 
@@ -50,7 +53,8 @@ class Poly(SparsePoly):
     convolution; there is no subtraction.
     """
 
-    __slots__ = ("_full",)  # the canonical form, once taken
+    # The canonical form and its integer image, once taken.
+    __slots__ = ("_full", "_image")
 
     # -- constructors --------------------------------------------------
 
@@ -203,10 +207,14 @@ def canonical_full(f: Poly) -> FullPoly:
     of polynomial functions.  A Poly never changes, so it keeps its form:
     the hull is taken at most once per object.
 
-    The hull is taken on the `scaled` ints, magnitude * den.  The slots
-    strictly inside a hull segment from (x0, y0) to (x0 + dx, y0 + dy) get
-    the ghosts of (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one
-    Fraction each.
+    The hull is taken on the `scaled` ints, magnitude * den.  A hull
+    segment from (x0, y0) to (x0 + dx, y0 + dy) rises by dy / dx per slot,
+    whose reduced denominator r divides dx; L is the lcm of the segments'
+    r.  The Poly also keeps the form's integer image (`_image_of`): the
+    scale D = den * L and each slot as (magnitude * D, ghost), y0 * L at
+    a vertex and y0 * L + i * dy * L / dx at the i-th slot inside a
+    segment.  Each of those inner slots costs one Fraction, n / D, for
+    its ghost.
     """
     full = getattr(f, "_full", None)
     if full is not None:
@@ -216,21 +224,35 @@ def canonical_full(f: Poly) -> FullPoly:
     shift = f.ldeg
     den, (view,) = scaled([f._coeffs])
     hull = _upper_hull([(deg - shift, m) for deg, (m, _) in sorted(view.items())])
+    segments = list(zip(hull, hull[1:]))
+    big = lcm(*[(x1 - x0) // gcd(x1 - x0, y1 - y0)
+                for (x0, y0), (x1, y1) in segments])
+    scale = den * big
     coeffs: list[Element] = [f.coeff(shift)]
     flags: list[bool] = [True]
-    x0, y0 = hull[0]
-    for x1, y1 in hull[1:]:
-        dx, dy = x1 - x0, y1 - y0
-        num, scale = y0 * dx, dx * den
-        coeffs.extend([Element(Fraction(num + dy * i, scale), True)
-                       for i in range(1, dx)])
+    image: list[tuple[int, bool]] = [(hull[0][1] * big, view[shift][1])]
+    for (x0, y0), (x1, y1) in segments:
+        dx = x1 - x0
+        base, rise = y0 * big, (y1 - y0) * big // dx
+        inner = [(base + rise * i, True) for i in range(1, dx)]
+        coeffs.extend([Element(Fraction(n, scale), True) for n, _ in inner])
+        image.extend(inner)
         flags.extend([False] * (dx - 1))
         coeffs.append(f.coeff(shift + x1))
+        image.append((y1 * big, view[shift + x1][1]))
         flags.append(True)
-        x0, y0 = x1, y1
     full = FullPoly(shift, tuple(coeffs), tuple(flags))
     object.__setattr__(f, "_full", full)
+    object.__setattr__(f, "_image", (scale, dict(enumerate(image))))
     return full
+
+
+def _image_of(f: Poly) -> tuple[int, dict]:
+    """The integer image of f's canonical form: its scale D and the map
+    slot -> (magnitude * D, ghost) over slots 0 .. hi, from the one hull
+    that `canonical_full` takes."""
+    canonical_full(f)
+    return f._image
 
 
 def essential_part(f: Poly) -> Poly:
@@ -268,26 +290,53 @@ def tangible_roots(f: Poly) -> RootSet:
     regions are unbounded.  The flag records a root at -inf (positive shift
     or ghost constant term).
 
+    The intervals are swept on the form's integer image (`_root_runs`);
+    each finite endpoint costs one Fraction, n / D.
+    """
+    full = canonical_full(f)
+    scale, view = f._image
+    return RootSet(_intervals(_root_runs(view), scale),
+                   full.shift > 0 or view[0][1])
+
+
+def _root_runs(view: dict) -> list[tuple]:
+    """The tangible root intervals of a canonical form's integer image, on
+    its scale: sorted, disjoint and separated (lo, hi) pairs of ints, with
+    the float infinities as the unbounded ends.
+
     One left-to-right pass: slot i dominates [a_i, a_{i+1}] (a_0 = -inf,
     a_{h+1} = +inf) and the corner a_{i+1} is a root in any case, so slot i
     adds the piece [a_i, a_{i+1}] when it is ghost and the point a_{i+1}
-    otherwise.  The pieces come with nondecreasing ends, so each one either
-    extends the last interval or starts a new one to its right.
+    otherwise.  Each piece starts at or after the end a_i of the last one,
+    so a ghost slot extends the last interval.  A tangible slot is a strict
+    hull vertex, so a_i < a_{i+1} and its point starts a new interval.
     """
-    full = canonical_full(f)
-    merged: list[tuple[Endpoint, Endpoint]] = []
-    lo: Endpoint = NEG_INF
-    for c, hi in zip(full.coeffs, (*full.corner_roots(), POS_INF)):
-        start = lo if c.is_ghost else hi
-        if start == POS_INF:
-            break  # a tangible top slot adds no point at +inf
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], hi)
+    runs: list[tuple] = []
+    slots = iter(view.values())
+    top, ghost = next(slots)
+    for mag, next_ghost in slots:
+        hi = top - mag
+        if not ghost:
+            runs.append((hi, hi))
+        elif runs:
+            runs[-1] = (runs[-1][0], hi)
         else:
-            merged.append((start, hi))
-        lo = hi
-    at_bottom = full.shift > 0 or full.coeffs[0].is_ghost
-    return RootSet(IntervalSet(tuple(merged)), at_bottom)
+            runs.append((NEG_INF, hi))
+        top, ghost = mag, next_ghost
+    if ghost:  # a ghost top slot dominates [a_h, +inf)
+        runs[-1:] = [(runs[-1][0] if runs else NEG_INF, POS_INF)]
+    return runs
+
+
+def _intervals(runs: list[tuple], scale: int) -> IntervalSet:
+    """Integer runs on `scale` as an IntervalSet: one Fraction, n / scale,
+    per finite endpoint."""
+    out = []
+    for lo, hi in runs:
+        a = lo if type(lo) is float else Fraction(lo, scale)
+        out.append((a, a if hi == lo else hi if type(hi) is float
+                    else Fraction(hi, scale)))
+    return IntervalSet(tuple(out))
 
 
 # -- graph of the polynomial function ----------------------------------------

@@ -9,18 +9,25 @@ a tangible root, provided at most one of them is divisible by x.  The
 vectors and factors powers of x out; `decide` restores the x | f, x | g
 bookkeeping on top of it.
 
-`resultant` is the one production route.  It puts its two coefficient
-maps (`_maps`) on one integer scale (`sparse.scaled`) once, lays the
-Sylvester band out over those scaled entries as one sparse {column:
-entry} row each (`_band`), and takes the permanent with an exact O(k^3)
-engine, `_assignment`: a maximum-weight assignment for the magnitude, and
-a test of whether the maximal permutation is unique for the layer.
+`resultant` is the one production route.  A `Poly` keeps its canonical
+form together with that form's integer image (`poly._image_of`): a scale
+D and each slot as (magnitude * D, ghost), built from the hull that
+`canonical_full` takes anyway.  `_joint` puts the two images on one
+scale, one lcm and a product per slot only on a side whose D differs;
+the band is laid out over those ints as one sparse {column: entry} row
+each (`_band`), and the permanent is taken with an exact O(k^3) engine,
+`_assignment`: a maximum-weight assignment for the magnitude, and a test
+of whether the maximal permutation is unique for the layer.  Only
+`sylvester` and raw (canonical=False) vectors still read the coefficient
+maps (`_maps`) and scale them with `sparse.scaled`.
 
 The engine is warm-started from the max-plus product P = f*g of the two
-scaled maps.  The Newton polygon of f*g is the Minkowski sum of those of
-f and g, and for canonical vectors of degrees m and n, F and G their
-scaled magnitudes and k = m + n, the column potentials -P_c are an
-optimal dual of the band:
+scaled vectors.  The Newton polygon of f*g is the Minkowski sum of those
+of f and g, so for canonical (concave) vectors P is a merge of their two
+slope sequences in O(m + n) (`_minkowski`); raw vectors are not concave
+and take the full convolution, `sparse._convolve`.  For canonical vectors
+of degrees m and n, F and G their scaled magnitudes and k = m + n, the
+column potentials -P_c are an optimal dual of the band:
 - f-row i's best reduced value is -G_i, and g-row q's is -F_q;
 - the sum of P_c over c < k, less G_i over i < n and F_q over q < m, is
   n F_m + m G_n + the sum of max(a, b) over the m n pairs of corner roots
@@ -30,10 +37,13 @@ optimal dual of the band:
   leaves c.  That is the highest tight column of its row, so the warm
   start matches every row unless f and g share a corner slope.
 
+`decide` reads the same two images: the engine on them, and the root
+sweep `poly._root_runs` of each, intersected as ints.
+
 `_permanent_assignment` feeds the same engine a matrix of Elements, with
 the column maxima of Jonker and Volgenant (1987) as potentials.
 `resultant_nu` is the ghost value by the corner-root product rule, on
-the scaled ints in O(mn), and `resultant_nu_assignment` the ghost image
+the joint images in O(mn), and `resultant_nu_assignment` the ghost image
 of `resultant`.
 
 Every route here runs in polynomial time.  The slow oracle routes that
@@ -44,10 +54,11 @@ semiring among them, live in `checks`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .element import Element, ZERO
-from .intervals import Endpoint, RootSet
-from .poly import Poly, canonical_full, tangible_roots
+from .intervals import Endpoint, RootSet, intersect_sorted
+from .poly import Poly, _image_of, _intervals, _root_runs, canonical_full
 from .record import Record
 from .sparse import _convolve, scaled
 
@@ -105,7 +116,7 @@ def _permanent_assignment(rows: Grid) -> Element:
                                  if e.mag is not None} for row in rows]))
 
 
-def _assignment(scale: int, rows: list[dict], product: dict | None = None
+def _assignment(scale: int, rows: list[dict], product: list | None = None
                 ) -> Element:
     """Permanent of a square matrix given as `scaled` rows, in O(k^3).
 
@@ -127,12 +138,12 @@ def _assignment(scale: int, rows: list[dict], product: dict | None = None
     scanned and the columns it settled.
 
     A column's potential is its smallest cost (minus its largest entry)
-    unless `product` is given.  `resultant` passes the scaled max-plus
-    product P = f*g of the two vectors of its band, and column c then
-    starts at -P_c; a column where P has no term, possible only for raw
-    vectors with Zero coefficients, keeps minus its largest entry.  For
-    canonical vectors these potentials are an optimal dual (module
-    docstring).
+    unless `product` is given.  `resultant` passes the magnitudes P_c of
+    the scaled max-plus product P = f*g of the two vectors of its band,
+    by column, and column c then starts at -P_c; a column where P has no
+    term (None), possible only for raw vectors with Zero coefficients,
+    keeps minus its largest entry.  For canonical vectors these
+    potentials are an optimal dual (module docstring).
 
     The value is ghost when two permutations reach the maximum, or when
     the only one that does uses a ghost entry.  Every maximal permutation
@@ -144,10 +155,8 @@ def _assignment(scale: int, rows: list[dict], product: dict | None = None
     if not all(rows):
         return ZERO
     # Reduced cost -m - u[i] - v[j] >= 0, and 0 on matched entries.
-    v: list = [None] * size
-    for j, (m, _) in (product or {}).items():
-        if j < size:
-            v[j] = -m
+    v: list = ([None] * size if product is None
+               else [None if p is None else -p for p in product[:size]])
     if None in v:
         # A term of the product at c has an entry of the band in column c,
         # so only the other columns can be empty.
@@ -227,6 +236,58 @@ def _assignment(scale: int, rows: list[dict], product: dict | None = None
     return Element(Fraction(total, scale), is_ghost)
 
 
+def _joint(f: Poly, g: Poly) -> tuple[int, dict, dict]:
+    """The integer images of the two canonical forms (`poly._image_of`),
+    power of x stripped, on one scale: one lcm of the two scales, and
+    one product per slot only on a side whose scale differs from it."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    (df, fv), (dg, gv) = _image_of(f), _image_of(g)
+    if df == dg:
+        return df, fv, gv
+    scale = lcm(df, dg)
+    return scale, _times(fv, scale // df), _times(gv, scale // dg)
+
+
+def _times(view: dict, k: int) -> dict:
+    if k == 1:
+        return view
+    return {s: (m * k, ghost) for s, (m, ghost) in view.items()}
+
+
+def _minkowski(fv: dict, gv: dict) -> list[int]:
+    """The magnitudes P_0 .. P_{m+n} of the max-plus product of two
+    canonical images of one scale, in O(m + n).
+
+    A canonical form's magnitudes are concave, so P_c, the largest F_i +
+    G_j with i + j = c, is the Minkowski sum of the two Newton polygons:
+    start at F_0 + G_0 and take the slope steps of both sides in
+    decreasing order, a merge of two sorted sequences.
+    """
+    fm = [m for m, _ in fv.values()]
+    gm = [m for m, _ in gv.values()]
+    m, n = len(fm) - 1, len(gm) - 1
+    i = j = 0
+    out = [fm[0] + gm[0]]
+    while i < m or j < n:
+        if j == n or (i < m and fm[i + 1] - fm[i] >= gm[j + 1] - gm[j]):
+            i += 1
+        else:
+            j += 1
+        out.append(fm[i] + gm[j])
+    return out
+
+
+def _solve(scale: int, fv: dict, gv: dict, product: list) -> Element:
+    """The permanent of the band of two scaled maps, warm-started from
+    their product's magnitudes; two constants give One, ghost when both
+    are ghost."""
+    rows = _band(fv, gv)
+    if not rows:
+        return Element(0, fv[0][1] and gv[0][1])
+    return _assignment(scale, rows, product)
+
+
 def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     """Permanent of the Sylvester matrix of f and g, in polynomial time.
 
@@ -235,12 +296,19 @@ def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     value is an invariant of the functions; ghost or zero output then means
     a shared tangible root.  With canonical=False the raw coefficients are
     used as written.  A constant side of value c against a side of degree
-    d gives c^d, and two constants give One.  The engine reads the sparse
-    band of the two scaled maps and starts from their max-plus product
-    (module docstring).
+    d gives c^d.  Two constants give One, ghost when both are ghost: a
+    ghost constant has every tangible root and a tangible one none, so the
+    two share a root exactly when both are ghost.  The engine reads the
+    sparse band of the two integer images, or of the two `scaled` raw
+    maps, and starts from their max-plus product (module docstring).
     """
-    scale, views = scaled(_maps(f, g, canonical))
-    return _assignment(scale, _band(*views), _convolve(*views))
+    if canonical:
+        scale, fv, gv = _joint(f, g)
+        return _solve(scale, fv, gv, _minkowski(fv, gv))
+    scale, (fv, gv) = scaled(_maps(f, g, False))
+    product = _convolve(fv, gv)
+    return _solve(scale, fv, gv, [product[c][0] if c in product else None
+                                  for c in range(max(product) + 1)])
 
 
 def resultant_nu(f: Poly, g: Poly) -> Element:
@@ -250,10 +318,10 @@ def resultant_nu(f: Poly, g: Poly) -> Element:
     coefficient magnitudes and a, b their corner roots, the magnitude is
     n F_m + m G_n + the sum of max(a, b) over all m n pairs: the value of
     the optimal dual that `_assignment` starts from (module docstring).
-    It is taken on the `scaled` ints, with one Fraction at the end, in
-    O(mn).  Agrees with nu(resultant(f, g)).
+    It is taken on the two integer images, with one Fraction at the end,
+    in O(mn).  Agrees with nu(resultant(f, g)).
     """
-    scale, (fs, gs) = scaled(_maps(f, g, True))
+    scale, fs, gs = _joint(f, g)
     fm, gm = [[mag for mag, _ in view.values()] for view in (fs, gs)]
     m, n = len(fm) - 1, len(gm) - 1
     fr = [a - b for a, b in zip(fm, fm[1:])]
@@ -314,15 +382,23 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
     spoil primeness (the common root set still records the bottom point in
     its flag).  The witness is the leftmost finite point of the common
     root set, None when there is none.
+
+    Both sides read the two integer images on one scale: the engine, and
+    the root sweep of each (`poly._root_runs`), whose runs are intersected
+    as ints; a Fraction is made only for each endpoint of the result.
     """
     for p in (f, g):
         if p.is_zero or p.degree == 0:
             raise ValueError("relative primeness needs nonconstant polynomials")
-    r = resultant(f, g)
-    common = tangible_roots(f).intersect(tangible_roots(g))
+    scale, fv, gv = _joint(f, g)
+    r = _solve(scale, fv, gv, _minkowski(fv, gv))
+    common = RootSet(
+        _intervals(intersect_sorted(_root_runs(fv), _root_runs(gv)), scale),
+        all(canonical_full(p).shift > 0 or v[0][1]
+            for p, v in ((f, fv), (g, gv))))
     # Root sharing and non-tangible resultant must agree; a failure here
     # is a bug in one of the two routes (the engine's uniqueness test and
-    # the root-set intersection read the canonical forms independently).
+    # the root sweep read the canonical forms independently).
     # Raised rather than asserted, so that -O keeps the check and
     # selfcheck reports it as a failure.
     if r.in_ghost_ideal != (not common.intervals.is_empty):

@@ -28,6 +28,27 @@ def test_verify_division_rejects_bad_witness():
         verify_division(f, P("x + 1"), Poly.zero())
 
 
+def test_verify_division_matches_the_nu_definition():
+    # The definition: s = f + q*g is ghost and e-equivalent to f after nu,
+    # three hulls, against one comparison of s's and f's canonical forms.
+    gen = Gen(4101)
+    accepted = 0
+    for _ in range(300):
+        g, q = gen.poly(3), _relayer(gen, gen.poly(2, 0))
+        q = Poly({i: Element(c.mag) for i, c in q.items()})
+        f = gen.poly(5, 0)
+        if gen.rng.random() < 0.5:
+            # Over q*g, ghost where it wins: often a witness.
+            f = _relayer(gen, q * g) + f.nu()
+        s = f + q * g
+        want = is_ghost_poly(s) and e_equiv(s.nu(), f.nu())
+        assert verify_division(f, g, q) == want, (f, g, q)
+        accepted += want
+    assert accepted > 30
+    assert verify_division(Poly.zero(), Poly.zero(), P("x + 1"))
+    assert not verify_division(Poly.zero(), P("x"), P("x + 1"))
+
+
 def test_divides_linear_examples():
     f = P("x^2 + 6v*x + 7")
     expected = {0: False, 1: True, 4: True, 6: True, 7: False}

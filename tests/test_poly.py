@@ -22,6 +22,8 @@ from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        resultant_nu_assignment, tangible, tangible_roots,
                        NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
+from supertrop.resultant import _joint, _minkowski
+from supertrop.sparse import _convolve
 
 P = parse_poly
 
@@ -115,6 +117,25 @@ def tangible_roots_oracle(f: Poly) -> RootSet:
                    full.shift > 0 or full.coeffs[0].is_ghost)
 
 
+def tangible_roots_merge(f: Poly) -> RootSet:
+    """The one-pass merge of the root locus on the Fraction corner roots of
+    the canonical form, as the library did before its integer sweep."""
+    full = canonical_full(f)
+    merged = []
+    lo = NEG_INF
+    for c, hi in zip(full.coeffs, (*full.corner_roots(), POS_INF)):
+        start = lo if c.is_ghost else hi
+        if start == POS_INF:
+            break  # a tangible top slot adds no point at +inf
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((start, hi))
+        lo = hi
+    at_bottom = full.shift > 0 or full.coeffs[0].is_ghost
+    return RootSet(IntervalSet(tuple(merged)), at_bottom)
+
+
 # Denominators near 10^6, like the benchmark's large pairs, and numerators
 # far beyond machine words.
 _PRIMES = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037)
@@ -151,6 +172,75 @@ def test_canonical_full_matches_fraction_oracle(f):
 @given(polys())
 def test_tangible_roots_match_fraction_oracle(f):
     assert tangible_roots(f) == tangible_roots_oracle(f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys())
+def test_integer_image_is_the_canonical_form_on_one_scale(f):
+    full = canonical_full(f)
+    scale, view = M._image_of(f)
+    assert list(view) == list(range(full.hi + 1))
+    assert [(Fraction(m, scale), g) for m, g in view.values()] == [
+        (c.mag, c.is_ghost) for c in full.coeffs]
+    assert tangible_roots(f) == tangible_roots_merge(f)
+
+
+@st.composite
+def pairs(draw):
+    """Two `polys`: drawn apart, or g a relayered, shifted and scaled copy
+    of f, or f times a third, so that corner slopes are shared."""
+    f = draw(polys())
+    kind = draw(st.sampled_from(["apart", "copy", "product"]))
+    if kind == "apart":
+        return f, draw(polys())
+    if kind == "copy":
+        k, t = draw(st.integers(0, 2)), draw(_magnitude)
+        return f, Poly({d + k: Element(c.mag + t, draw(st.booleans()))
+                        for d, c in f.items()})
+    return f, f * draw(polys(max_deg=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_merged_product_is_the_convolution_of_canonical_images(pair):
+    f, g = pair
+    scale, fv, gv = _joint(f, g)
+    for view, p in ((fv, f), (gv, g)):
+        assert [Fraction(m, scale) for m, _ in view.values()] == [
+            c.mag for c in canonical_full(p).coeffs]
+    product = _convolve(fv, gv)
+    assert _minkowski(fv, gv) == [product[c][0] for c in sorted(product)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_common_roots_match_the_fraction_oracle(pair):
+    f, g = pair
+    if f.degree == 0 or g.degree == 0:
+        return
+    want = tangible_roots_merge(f).intersect(tangible_roots_merge(g))
+    assert want == tangible_roots_oracle(f).intersect(tangible_roots_oracle(g))
+    rep = decide(f, g)
+    assert rep.common == want
+    assert rep.relatively_prime == want.intervals.is_empty
+
+
+def test_ghost_monomials_share_every_root():
+    # Both forms are ghost constants once x is stripped: every point is a
+    # common root, and the resultant of two ghost constants is ghost.
+    for texts in [("1v*x", "2v*x"), ("1v*x^2", "3v*x^5"), ("0v*x", "0v*x")]:
+        f, g = map(P, texts)
+        rep = decide(f, g)
+        assert rep.resultant == ghost(0), texts
+        assert not rep.relatively_prime and rep.witness == 0
+        assert rep.common == RootSet(IntervalSet(((NEG_INF, POS_INF),)), True)
+    # A tangible constant has no root, so one ghost side is not enough.
+    for texts in [("1v*x", "2*x"), ("3*x^2", "1v*x"), ("x", "x")]:
+        rep = decide(*map(P, texts))
+        assert rep.resultant == tangible(0) and rep.relatively_prime, texts
+        assert rep.common.intervals.is_empty
+    assert resultant(P("3v"), P("5v*x^2")) == ghost(0)
+    assert resultant(P("3v"), P("5"), canonical=False) == tangible(0)
 
 
 def test_canonical_oracles_on_examples():
@@ -382,10 +472,12 @@ def test_each_kernel_scales_its_inputs_once(monkeypatch):
     h = Poly({1: tangible("-1/7"), 2: tangible(0)})
     assert scalings_in(lambda: canonical_full(f)) == 1
     assert scalings_in(lambda: canonical_full(f)) == 0
-    # The two canonical forms and the assignment engine.
-    assert scalings_in(lambda: resultant(g, h)) == 3
-    # With the canonical forms cached, the int product rule scales once.
-    assert scalings_in(lambda: resultant_nu(g, h)) == 1
+    # The two canonical forms; the engine reads their integer images.
+    assert scalings_in(lambda: resultant(g, h)) == 2
+    # With the canonical forms cached, nothing is scaled again.
+    assert scalings_in(lambda: resultant(g, h)) == 0
+    assert scalings_in(lambda: resultant_nu(g, h)) == 0
+    assert scalings_in(lambda: decide(g, h)) == 0
     # One product; a sum is never scaled.
     assert scalings_in(lambda: P("(x+1)*(x+2)")) == 1
     assert scalings_in(lambda: P("x^2 + 1/3*x + 2/5v")) == 0

@@ -86,10 +86,21 @@ def dense(maps, zero=ZERO):
             + [[zero] * j + gv + [zero] * (m - 1 - j) for j in range(m)])
 
 
+def constants_rule(maps):
+    """Two constants give One, ghost when both are ghost: the resultant's
+    convention where the Sylvester matrix is empty and its permanent One.
+    None when a side is not constant."""
+    if max(maps[0]) or max(maps[1]):
+        return None
+    return Element(0, maps[0][0].is_ghost and maps[1][0].is_ghost)
+
+
 def resultant_dp(f, g, canonical=True):
     """`resultant` through the subset DP `permanent`, in O(2^(m+n)), on the
     same canonical or raw vectors."""
-    return permanent(dense(_maps(f, g, canonical)))
+    maps = _maps(f, g, canonical)
+    want = constants_rule(maps)
+    return permanent(dense(maps)) if want is None else want
 
 
 def grid(f, g):
@@ -226,8 +237,10 @@ def test_resultant_matches_oracle_on_its_band(pair):
         rows = dense(maps)
         if canonical and m and n:
             assert rows == sylvester(f, g)
-        assert resultant(f, g, canonical) == permanent_oracle(rows), (
-            f, g, canonical)
+        want = constants_rule(maps)
+        if want is None:
+            want = permanent_oracle(rows)
+        assert resultant(f, g, canonical) == want, (f, g, canonical)
 
 
 def test_resultant_matches_dp_at_8_plus_8():
@@ -567,6 +580,25 @@ def test_decide_examples():
 
     with pytest.raises(ValueError):
         decide(P("x + 1"), P("3"))
+
+
+def test_canonical_routes_read_the_images_only(monkeypatch):
+    # Once the canonical forms are taken, the canonical routes neither
+    # rescale (`scaled`) nor convolve (`_convolve`); raw vectors do both.
+    module = sys.modules["supertrop.resultant"]
+    f, g = P("x^3 + 1/3*x + 2v"), P("2/7*x^2 + 5v*x")
+    canonical_full(f), canonical_full(g)
+
+    def refuse(*args):
+        raise RuntimeError("called")
+
+    monkeypatch.setattr(module, "scaled", refuse)
+    monkeypatch.setattr(module, "_convolve", refuse)
+    assert resultant(f, g) == resultant_dp(f, g)
+    assert resultant_nu(f, g) == resultant_dp(f, g).nu()
+    assert decide(f, g).resultant == resultant_dp(f, g)
+    with pytest.raises(RuntimeError, match="called"):
+        resultant(f, g, canonical=False)
 
 
 def test_decide_raises_when_routes_disagree(monkeypatch):
