@@ -23,10 +23,11 @@ magnitudes scaled to Python ints, and a power squares.
 
 The canonical kernels avoid Fraction arithmetic too: the hull is taken on
 the magnitudes as `sparse.scaled` ints, vertex slots keep their Element,
-and each ghost slot costs one Fraction.  The same pass keeps the form's
-integer image, every slot on one scale, which the resultant engine reads
-in place of the Elements; the root locus is swept on it in one
-left-to-right pass over the corners, with one Fraction per endpoint.
+and each ghost slot costs one Fraction.  The same pass keeps the hull's
+ints, from which the form's integer image, every slot on one scale, is
+built when first asked for: the resultant engine reads it in place of the
+Elements, and the root locus is swept on it in one left-to-right pass
+over the corners, with one Fraction per endpoint.
 
 The answers built here (FullPoly, PiecewiseLinear and the ghost-sum
 verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
@@ -53,8 +54,9 @@ class Poly(SparsePoly):
     convolution; there is no subtraction.
     """
 
-    # The canonical form and its integer image, once taken.
-    __slots__ = ("_full", "_image")
+    # The canonical form, once taken; its hull on scaled ints until the
+    # form's integer image is built from it (`_image_of`).
+    __slots__ = ("_full", "_hull", "_image")
 
     # -- constructors --------------------------------------------------
 
@@ -128,9 +130,6 @@ class Poly(SparsePoly):
     def nu(self) -> "Poly":
         return Poly({deg: c.nu() for deg, c in self._coeffs.items()})
 
-    def hat(self) -> "Poly":
-        return Poly({deg: c.hat() for deg, c in self._coeffs.items()})
-
 
 # -- canonical full form ----------------------------------------------------
 
@@ -182,7 +181,8 @@ class FullPoly(Record):
 def _upper_hull(points: list[tuple]) -> list[tuple]:
     """Strict vertices of the upper concave hull; collinear points dropped.
 
-    Points are (x, y) pairs sorted by increasing x.
+    Points are tuples (x, y, ...) sorted by increasing x; any further
+    items ride along.
     """
     stack: list[tuple] = []
     for p in points:
@@ -207,14 +207,11 @@ def canonical_full(f: Poly) -> FullPoly:
     of polynomial functions.  A Poly never changes, so it keeps its form:
     the hull is taken at most once per object.
 
-    The hull is taken on the `scaled` ints, magnitude * den.  A hull
-    segment from (x0, y0) to (x0 + dx, y0 + dy) rises by dy / dx per slot,
-    whose reduced denominator r divides dx; L is the lcm of the segments'
-    r.  The Poly also keeps the form's integer image (`_image_of`): the
-    scale D = den * L and each slot as (magnitude * D, ghost), y0 * L at
-    a vertex and y0 * L + i * dy * L / dx at the i-th slot inside a
-    segment.  Each of those inner slots costs one Fraction, n / D, for
-    its ghost.
+    The hull is taken on the `scaled` ints, magnitude * den.  The slots
+    strictly inside a hull segment from (x0, y0) to (x0 + dx, y0 + dy) get
+    the ghosts of (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one
+    Fraction each.  The Poly keeps den and the hull's vertices, with their
+    layers, until `_image_of` turns them into the form's integer image.
     """
     full = getattr(f, "_full", None)
     if full is not None:
@@ -223,36 +220,52 @@ def canonical_full(f: Poly) -> FullPoly:
         raise ValueError("the zero polynomial has no canonical full form")
     shift = f.ldeg
     den, (view,) = scaled([f._coeffs])
-    hull = _upper_hull([(deg - shift, m) for deg, (m, _) in sorted(view.items())])
-    segments = list(zip(hull, hull[1:]))
-    big = lcm(*[(x1 - x0) // gcd(x1 - x0, y1 - y0)
-                for (x0, y0), (x1, y1) in segments])
-    scale = den * big
+    hull = _upper_hull([(deg - shift, m, ghost)
+                        for deg, (m, ghost) in sorted(view.items())])
     coeffs: list[Element] = [f.coeff(shift)]
     flags: list[bool] = [True]
-    image: list[tuple[int, bool]] = [(hull[0][1] * big, view[shift][1])]
-    for (x0, y0), (x1, y1) in segments:
-        dx = x1 - x0
-        base, rise = y0 * big, (y1 - y0) * big // dx
-        inner = [(base + rise * i, True) for i in range(1, dx)]
-        coeffs.extend([Element(Fraction(n, scale), True) for n, _ in inner])
-        image.extend(inner)
+    x0, y0, _ = hull[0]
+    for x1, y1, _ in hull[1:]:
+        dx, dy = x1 - x0, y1 - y0
+        num, scale = y0 * dx, dx * den
+        coeffs.extend([Element(Fraction(num + dy * i, scale), True)
+                       for i in range(1, dx)])
         flags.extend([False] * (dx - 1))
         coeffs.append(f.coeff(shift + x1))
-        image.append((y1 * big, view[shift + x1][1]))
         flags.append(True)
+        x0, y0 = x1, y1
     full = FullPoly(shift, tuple(coeffs), tuple(flags))
     object.__setattr__(f, "_full", full)
-    object.__setattr__(f, "_image", (scale, dict(enumerate(image))))
+    object.__setattr__(f, "_hull", (den, hull))
     return full
 
 
 def _image_of(f: Poly) -> tuple[int, dict]:
-    """The integer image of f's canonical form: its scale D and the map
-    slot -> (magnitude * D, ghost) over slots 0 .. hi, from the one hull
-    that `canonical_full` takes."""
+    """The integer image of f's canonical form: a scale D and the map
+    slot -> (magnitude * D, ghost) over slots 0 .. hi, built once per Poly
+    from the hull that `canonical_full` took, with no second `scaled`.
+
+    A hull segment from (x0, y0) to (x0 + dx, y0 + dy) rises by dy / dx
+    per slot, whose reduced denominator r divides dx; L is the lcm of the
+    segments' r, and D = den * L.  A vertex slot is y0 * L, and the i-th
+    slot inside a segment y0 * L + i * dy * L / dx.
+    """
     canonical_full(f)
-    return f._image
+    if f._hull is None:
+        return f._image
+    den, hull = f._hull
+    segments = list(zip(hull, hull[1:]))
+    big = lcm(*[(x1 - x0) // gcd(x1 - x0, y1 - y0)
+                for (x0, y0, _), (x1, y1, _) in segments])
+    view = [(hull[0][1] * big, hull[0][2])]
+    for (x0, y0, _), (x1, y1, ghost) in segments:
+        base, rise = y0 * big, (y1 - y0) * big // (x1 - x0)
+        view += [(base + rise * i, True) for i in range(1, x1 - x0)]
+        view.append((y1 * big, ghost))
+    image = den * big, dict(enumerate(view))
+    object.__setattr__(f, "_image", image)
+    object.__setattr__(f, "_hull", None)
+    return image
 
 
 def essential_part(f: Poly) -> Poly:
@@ -294,7 +307,7 @@ def tangible_roots(f: Poly) -> RootSet:
     each finite endpoint costs one Fraction, n / D.
     """
     full = canonical_full(f)
-    scale, view = f._image
+    scale, view = _image_of(f)
     return RootSet(_intervals(_root_runs(view), scale),
                    full.shift > 0 or view[0][1])
 

@@ -12,22 +12,22 @@ bookkeeping on top of it.
 `resultant` is the one production route.  A `Poly` keeps its canonical
 form together with that form's integer image (`poly._image_of`): a scale
 D and each slot as (magnitude * D, ghost), built from the hull that
-`canonical_full` takes anyway.  `_joint` puts the two images on one
-scale, one lcm and a product per slot only on a side whose D differs;
-the band is laid out over those ints as one sparse {column: entry} row
-each (`_band`), and the permanent is taken with an exact O(k^3) engine,
-`_assignment`: a maximum-weight assignment for the magnitude, and a test
-of whether the maximal permutation is unique for the layer.  Only
-`sylvester` and raw (canonical=False) vectors still read the coefficient
-maps (`_maps`) and scale them with `sparse.scaled`.
+`canonical_full` takes.  `_joint` puts the two images on one scale, one
+lcm and a product per slot only on a side whose D differs, and the
+permanent is taken with an exact O(k^3) engine, `_assignment`: a
+maximum-weight assignment for the magnitude, and a test of whether the
+maximal permutation is unique for the layer.  The engine reads the band
+as one sparse {column: entry} row each.  Only `sylvester` and raw
+(canonical=False) vectors still read the coefficient maps (`_maps`),
+scale them with `sparse.scaled` and lay the whole band out (`_band`).
 
 The engine is warm-started from the max-plus product P = f*g of the two
 scaled vectors.  The Newton polygon of f*g is the Minkowski sum of those
 of f and g, so for canonical (concave) vectors P is a merge of their two
-slope sequences in O(m + n) (`_minkowski`); raw vectors are not concave
-and take the full convolution, `sparse._convolve`.  For canonical vectors
-of degrees m and n, F and G their scaled magnitudes and k = m + n, the
-column potentials -P_c are an optimal dual of the band:
+slope sequences; raw vectors are not concave and take the full
+convolution, `sparse._convolve`.  For canonical vectors of degrees m and
+n, F and G their scaled magnitudes and k = m + n, the column potentials
+-P_c are an optimal dual of the band:
 - f-row i's best reduced value is -G_i, and g-row q's is -F_q;
 - the sum of P_c over c < k, less G_i over i < n and F_q over q < m, is
   n F_m + m G_n + the sum of max(a, b) over the m n pairs of corner roots
@@ -36,6 +36,16 @@ column potentials -P_c are an optimal dual of the band:
 - column c goes to the row whose edge of the merged Newton-polygon path
   leaves c.  That is the highest tight column of its row, so the warm
   start matches every row unless f and g share a corner slope.
+By complementary slackness every maximal permutation then uses only
+tight entries, those of reduced value 0, and so does the test for a
+second one; the other entries change neither the magnitude nor the layer.
+So the canonical route hands the engine the tight entries alone,
+`_tight_band`: f-row t holds F_s at column s + t when F_s + G_t =
+P_{s+t}, which are the states of the slope merge together with a
+rectangle wherever f and g share a corner slope.  The band it reads has
+O(m + n + the sum of those rectangles) entries, against n (m + 1) +
+m (n + 1) for the whole band.  A Zero from the engine there would mean the
+argument failed, and is raised as a failed invariant.
 
 `decide` reads the same two images: the engine on them, and the root
 sweep `poly._root_runs` of each, intersected as ints.
@@ -57,7 +67,7 @@ from fractions import Fraction
 from math import lcm
 
 from .element import Element, ZERO
-from .intervals import Endpoint, RootSet, intersect_sorted
+from .intervals import NEG_INF, Endpoint, RootSet, intersect_sorted
 from .poly import Poly, _image_of, _intervals, _root_runs, canonical_full
 from .record import Record
 from .sparse import _convolve, scaled
@@ -255,37 +265,88 @@ def _times(view: dict, k: int) -> dict:
     return {s: (m * k, ghost) for s, (m, ghost) in view.items()}
 
 
-def _minkowski(fv: dict, gv: dict) -> list[int]:
-    """The magnitudes P_0 .. P_{m+n} of the max-plus product of two
-    canonical images of one scale, in O(m + n).
+def _tight_band(fv: dict, gv: dict) -> tuple[list[dict], list[int]]:
+    """The tight rows of the band of two canonical images of one scale,
+    and the magnitudes P_0 .. P_{m+n} of their max-plus product, in
+    O(m + n + the tie rectangles).
 
-    A canonical form's magnitudes are concave, so P_c, the largest F_i +
-    G_j with i + j = c, is the Minkowski sum of the two Newton polygons:
+    A canonical form's magnitudes are concave, so P_c, the largest F_s +
+    G_t with s + t = c, is the Minkowski sum of the two Newton polygons:
     start at F_0 + G_0 and take the slope steps of both sides in
-    decreasing order, a merge of two sorted sequences.
+    decreasing order, a merge of two sorted sequences.  The pairs (s, t)
+    with F_s + G_t = P_{s+t} are the states (s, t) of that merge, and
+    where a run of equal slopes of f, steps i+1 .. i2, meets a run of the
+    same slope of g, steps j+1 .. j2, the whole rectangle [i..i2] x
+    [j..j2].
+
+    f-row t holds F_s at column s + t, and g-row s holds G_t there,
+    exactly for those pairs.  A step of f from (i, j) adds to f-row j and
+    starts g-row i + 1, a step of g the other way round, and a rectangle
+    adds to both and starts one row per further slot.  The columns of a
+    row only grow along the merge, so each comes out in ascending order.
+    The rows are `_band`'s, in its order, with only these entries.
     """
-    fm = [m for m, _ in fv.values()]
-    gm = [m for m, _ in gv.values()]
+    fl, gl = list(fv.values()), list(gv.values())
+    fm = [mag for mag, _ in fl]
+    gm = [mag for mag, _ in gl]
     m, n = len(fm) - 1, len(gm) - 1
+    df = [b - a for a, b in zip(fm, fm[1:])] + [NEG_INF]
+    dg = [b - a for a, b in zip(gm, gm[1:])] + [NEG_INF]
+    frows, grows = [{0: fl[0]}], [{0: gl[0]}]
+    product = [fm[0] + gm[0]]
     i = j = 0
-    out = [fm[0] + gm[0]]
     while i < m or j < n:
-        if j == n or (i < m and fm[i + 1] - fm[i] >= gm[j + 1] - gm[j]):
+        a, b = df[i], dg[j]
+        if a > b:
             i += 1
-        else:
+            frows[j][i + j] = fl[i]
+            grows.append({i + j: gl[j]})
+            product.append(fm[i] + gm[j])
+        elif b > a:
             j += 1
-        out.append(fm[i] + gm[j])
-    return out
+            grows[i][i + j] = gl[j]
+            frows.append({i + j: fl[i]})
+            product.append(fm[i] + gm[j])
+        else:
+            i2, j2 = i + 1, j + 1
+            while df[i2] == a:
+                i2 += 1
+            while dg[j2] == a:
+                j2 += 1
+            frows[j].update({s + j: fl[s] for s in range(i + 1, i2 + 1)})
+            grows[i].update({i + t: gl[t] for t in range(j + 1, j2 + 1)})
+            frows += [{s + t: fl[s] for s in range(i, i2 + 1)}
+                      for t in range(j + 1, j2 + 1)]
+            grows += [{s + t: gl[t] for t in range(j, j2 + 1)}
+                      for s in range(i + 1, i2 + 1)]
+            product += [fm[s] + gm[j] for s in range(i + 1, i2 + 1)]
+            product += [fm[i2] + gm[t] for t in range(j + 1, j2 + 1)]
+            i, j = i2, j2
+    # The last f-row and g-row, t = n and s = m, are not rows of the band.
+    return frows[:n] + grows[:m], product
 
 
-def _solve(scale: int, fv: dict, gv: dict, product: list) -> Element:
-    """The permanent of the band of two scaled maps, warm-started from
-    their product's magnitudes; two constants give One, ghost when both
-    are ghost."""
-    rows = _band(fv, gv)
+def _solve(scale: int, fv: dict, gv: dict, rows: list[dict], product: list
+           ) -> Element:
+    """The permanent of a band of two scaled maps, given as its rows and
+    warm-started from their product's magnitudes; two constants give One,
+    ghost when both are ghost."""
     if not rows:
         return Element(0, fv[0][1] and gv[0][1])
     return _assignment(scale, rows, product)
+
+
+def _solve_tight(scale: int, fv: dict, gv: dict) -> Element:
+    """The resultant of two canonical images of one scale, from the tight
+    entries of their band alone (`_tight_band`)."""
+    value = _solve(scale, fv, gv, *_tight_band(fv, gv))
+    # The tight entries hold every maximal permutation, so Zero here means
+    # the optimal-dual argument failed.  Raised rather than asserted, so
+    # that -O keeps the check.
+    if value.is_zero:
+        raise AssertionError(("no permutation among the tight entries",
+                              fv, gv))
+    return value
 
 
 def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
@@ -299,16 +360,17 @@ def resultant(f: Poly, g: Poly, canonical: bool = True) -> Element:
     d gives c^d.  Two constants give One, ghost when both are ghost: a
     ghost constant has every tangible root and a tangible one none, so the
     two share a root exactly when both are ghost.  The engine reads the
-    sparse band of the two integer images, or of the two `scaled` raw
-    maps, and starts from their max-plus product (module docstring).
+    tight entries of the band of the two integer images, or the whole
+    sparse band of the two `scaled` raw maps, and starts from their
+    max-plus product (module docstring).
     """
     if canonical:
-        scale, fv, gv = _joint(f, g)
-        return _solve(scale, fv, gv, _minkowski(fv, gv))
+        return _solve_tight(*_joint(f, g))
     scale, (fv, gv) = scaled(_maps(f, g, False))
     product = _convolve(fv, gv)
-    return _solve(scale, fv, gv, [product[c][0] if c in product else None
-                                  for c in range(max(product) + 1)])
+    return _solve(scale, fv, gv, _band(fv, gv),
+                  [product[c][0] if c in product else None
+                   for c in range(max(product) + 1)])
 
 
 def resultant_nu(f: Poly, g: Poly) -> Element:
@@ -391,7 +453,7 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
         if p.is_zero or p.degree == 0:
             raise ValueError("relative primeness needs nonconstant polynomials")
     scale, fv, gv = _joint(f, g)
-    r = _solve(scale, fv, gv, _minkowski(fv, gv))
+    r = _solve_tight(scale, fv, gv)
     common = RootSet(
         _intervals(intersect_sorted(_root_runs(fv), _root_runs(gv)), scale),
         all(canonical_full(p).shift > 0 or v[0][1]

@@ -274,6 +274,20 @@ def test_failed_runtime_cross_check_exits_3(capsys, monkeypatch):
     assert "resultant and root sets disagree" in err
 
 
+def test_failed_tight_band_invariant_exits_3(capsys, monkeypatch):
+    # No permutation among the tight entries of a canonical band is a bug
+    # in the library too: the self-check code, in text and under --json.
+    module = importlib.import_module("supertrop.resultant")
+    monkeypatch.setattr(module, "_tight_band",
+                        lambda fv, gv: ([{}, {}], [0, 0, 0]))
+    code, out, err = run(capsys, "resultant", "x^2 + 1", "x + 2")
+    assert (code, out) == (3, "")
+    assert "no permutation among the tight entries" in err
+    code, out, err = run(capsys, "relprime", "--json", "x + 1", "x + 2")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["kind"] == "check"
+
+
 def test_resource_errors_exit_2(capsys, monkeypatch):
     # Running out of memory or stack is a domain error, with no traceback,
     # in text and under --json.  The command only raises the error: no

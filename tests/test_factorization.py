@@ -261,6 +261,6 @@ def test_divides_linear_witnesses_exactly_the_roots(f, probes):
 def test_divides_linear_quotient_lies_over_a_planted_one(q0, a):
     # q0 witnesses its own product with x + a, so the greatest quotient
     # lies over it as a function.
-    q0 = q0.hat()
+    q0 = Poly({deg: c.hat() for deg, c in q0.items()})
     w = divides_linear(q0 * Poly.linear(a), a)
     assert w is not None and e_equiv((q0 + w.q).nu(), w.q.nu()), (q0, a)

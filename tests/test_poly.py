@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import supertrop
 import supertrop.poly as M
@@ -22,7 +22,7 @@ from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        resultant_nu_assignment, tangible, tangible_roots,
                        NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
-from supertrop.resultant import _joint, _minkowski
+from supertrop.resultant import _band, _joint, _tight_band
 from supertrop.sparse import _convolve
 
 P = parse_poly
@@ -185,6 +185,19 @@ def test_integer_image_is_the_canonical_form_on_one_scale(f):
     assert tangible_roots(f) == tangible_roots_merge(f)
 
 
+def test_integer_image_is_built_on_first_use():
+    # Reading the form leaves the image unbuilt, so `canon` and `e_equiv`
+    # do not pay for it; the first `_image_of` builds it once.
+    f = P("x^3 + 1/3*x + 2v")
+    canonical_full(f)
+    assert getattr(f, "_image", None) is None
+    image = M._image_of(f)
+    assert M._image_of(f) is image
+    # The hull runs from (0, 2) to (3, 0), so slots 1 and 2 are ghosts.
+    assert image == (3, {0: (6, True), 1: (4, True), 2: (2, True),
+                         3: (0, False)})
+
+
 @st.composite
 def pairs(draw):
     """Two `polys`: drawn apart, or g a relayered, shifted and scaled copy
@@ -209,7 +222,32 @@ def test_merged_product_is_the_convolution_of_canonical_images(pair):
         assert [Fraction(m, scale) for m, _ in view.values()] == [
             c.mag for c in canonical_full(p).coeffs]
     product = _convolve(fv, gv)
-    assert _minkowski(fv, gv) == [product[c][0] for c in sorted(product)]
+    assert _tight_band(fv, gv)[1] == [product[c][0] for c in sorted(product)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+@example((P("3v*x^2"), P("(x+1)*(x+2v)")))
+@example((P("x^2 + 1v*x + 2"), P("1/1000003*x")))
+@example((P("(x+1)^2*(x+2)"), P("(x+1)*(x+2)^2")))
+def test_tight_rows_are_the_band_entries_on_the_product(pair):
+    # Brute force over the full band: f-row t keeps F_s at column s + t,
+    # and g-row s keeps G_t there, exactly when F_s + G_t = P_{s+t}.
+    f, g = pair
+    _, fv, gv = _joint(f, g)
+    product, n = _convolve(fv, gv), len(gv) - 1
+
+    def tight(s, t):
+        return fv[s][0] + gv[t][0] == product[s + t][0]
+
+    band = _band(fv, gv)
+    want = [{c: e for c, e in row.items()
+             if (tight(c - r, r) if r < n else tight(r - n, c - r + n))}
+            for r, row in enumerate(band)]
+    rows, _ = _tight_band(fv, gv)
+    assert rows == want
+    for row in rows:
+        assert row and list(row) == sorted(row)
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,6 +510,8 @@ def test_each_kernel_scales_its_inputs_once(monkeypatch):
     h = Poly({1: tangible("-1/7"), 2: tangible(0)})
     assert scalings_in(lambda: canonical_full(f)) == 1
     assert scalings_in(lambda: canonical_full(f)) == 0
+    # The integer image is built from the hull that the form kept.
+    assert scalings_in(lambda: M._image_of(f)) == 0
     # The two canonical forms; the engine reads their integer images.
     assert scalings_in(lambda: resultant(g, h)) == 2
     # With the canonical forms cached, nothing is scaled again.

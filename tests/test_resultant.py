@@ -288,6 +288,12 @@ try:
     R.decide(P("x + 1"), P("x + 2"))
 except AssertionError:
     print("raised")
+R._assignment = real
+R._tight_band = lambda fv, gv: ([{}], [0, 0])
+try:
+    R.resultant(P("x + 1"), P("x + 2"))
+except AssertionError:
+    print("raised")
 """
     src = str(Path(supertrop.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -295,7 +301,7 @@ except AssertionError:
         filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["8v", "raised"]
+    assert out.split() == ["8v", "raised", "raised"]
 
 
 def test_resultant_symmetry():
@@ -599,6 +605,51 @@ def test_canonical_routes_read_the_images_only(monkeypatch):
     assert decide(f, g).resultant == resultant_dp(f, g)
     with pytest.raises(RuntimeError, match="called"):
         resultant(f, g, canonical=False)
+
+
+def test_engine_reads_only_the_tight_entries(monkeypatch):
+    # The entries that reach the engine on the canonical route: the tight
+    # ones, against n*|f| + m*|g| for the full band (2,002,000 and 45,300).
+    module = sys.modules["supertrop.resultant"]
+    real, entries = module._assignment, []
+
+    def counted(scale, rows, product=None):
+        entries.append(sum(map(len, rows)))
+        return real(scale, rows, product)
+
+    monkeypatch.setattr(module, "_assignment", counted)
+    cases = [("x^1000 + 1", "x^1000 + 2", 3000, "2000"),
+             ("(x+1)^100*(x+2)^50", "(x+2)^150", 15400, "45000v"),
+             ("(x+1/3)^150 + 5v*x^7", "(x+2)^150", 450, "45000")]
+    for f, g, want, value in cases:
+        entries.clear()
+        assert str(resultant(P(f), P(g))) == value
+        assert entries == [want], (f, g)
+    entries.clear()
+    # The raw route still lays the whole band out: 3*2 + 3*2 entries.
+    raw = resultant(P("x^3 + 1"), P("x^3 + 2"), canonical=False)
+    assert raw == tangible(6) and entries == [12]
+
+
+def test_canonical_route_raises_without_a_tight_permutation(monkeypatch):
+    # The tight rows always hold a perfect matching; one emptied row
+    # leaves none, and that is a failed invariant, not a Zero resultant.
+    module = sys.modules["supertrop.resultant"]
+    real = module._tight_band
+
+    def drop_one_row(fv, gv):
+        rows, product = real(fv, gv)
+        if rows:
+            rows[-1] = {}
+        return rows, product
+
+    monkeypatch.setattr(module, "_tight_band", drop_one_row)
+    for route in (resultant, decide):
+        with pytest.raises(AssertionError, match="tight entries"):
+            route(P("(x+1)*(x+2)"), P("x + 3"))
+    # Two constants have no rows, and the raw route reads the full band.
+    assert resultant(P("2"), P("5")) == ONE
+    assert resultant(P("x + 1"), P("x + 2"), canonical=False) == tangible(2)
 
 
 def test_decide_raises_when_routes_disagree(monkeypatch):
