@@ -7,7 +7,8 @@ scaled integers),
 `resultant_recursive` (constant-term peeling),
 `resultant_tangible_product` (the closed form for tangible inputs) and
 `resultant_quadratic` (the closed form against a monic quadratic).  Each
-is compared with `resultant`, or its engine, on its own domain.
+is compared with `resultant`, or with the other permanent, on its own
+domain.
 
 Each check function fixes its own seed and case count, so running one from
 pytest and from the command line exercises identical cases.  A failure
@@ -46,8 +47,7 @@ from .poly import (CommonRoot, HalfTangible, NotGhostSum, Poly, _corners,
                    classify_half_tangible, e_equiv, essential_part, frobenius,
                    full_from_corners, ggraph, is_ghost_poly, mul_shift,
                    tangible_roots)
-from .resultant import (_permanent_assignment, decide, resultant,
-                        resultant_nu, sylvester)
+from .resultant import decide, resultant, resultant_nu, sylvester
 from .sparse import scaled
 
 
@@ -234,8 +234,7 @@ def resultant_tangible_product(f: Poly, g: Poly) -> Element:
 
     lead_f^n * lead_g^m * prod over corner-root pairs (a, b) of (a + b),
     for degrees m and n, taken on Element magnitudes: a pair adds
-    max(a, b), and a tie a = b makes the value ghost.  `resultant_nu`
-    takes the same rule on scaled ints.
+    max(a, b), and a tie a = b makes the value ghost.
     """
     for p in (f, g):
         if p.is_zero or not p.is_full() or p.ldeg != 0 or not p.all_tangible():
@@ -427,7 +426,7 @@ def check_cross_algorithms() -> int:
             rows = [[ZERO if gen.rng.random() < 0.25 else gen.element()
                      for _ in range(side)] for _ in range(side)]
             want = permanent_oracle(rows)
-            if permanent(rows) != want or _permanent_assignment(rows) != want:
+            if permanent(rows) != want:
                 raise AssertionError(rows)
             total += 1
     for _ in range(cases):
@@ -671,8 +670,7 @@ def _resultant(e: dict) -> tuple:
 def _permanent(e: dict) -> tuple:
     rows = [[Element.parse(c) for c in row] for row in e["matrix"]]
     want = _el(e, "expect")
-    return ((_permanent_assignment(rows), permanent(rows),
-             permanent_oracle(rows)), (want, want, want))
+    return (permanent(rows), permanent_oracle(rows)), (want, want)
 
 
 def _relprime(e: dict) -> tuple:

@@ -25,8 +25,8 @@ The canonical kernels avoid Fraction arithmetic too: the hull is taken on
 the magnitudes as `sparse.scaled` ints, vertex slots keep their Element,
 and each ghost slot costs one Fraction.  The same pass keeps the hull's
 ints, from which the form's integer image, every slot on one scale, is
-built when first asked for: the resultant engine reads it in place of the
-Elements, and the root locus is swept on it in one left-to-right pass
+built when first asked for: the resultant's slope merge reads it in place
+of the Elements, and the root locus is swept on it in one left-to-right pass
 over the corners, with one Fraction per endpoint.
 
 The answers built here (FullPoly, PiecewiseLinear and the ghost-sum

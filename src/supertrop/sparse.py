@@ -17,7 +17,7 @@ Fraction.
 `scaled` is the one place that clears denominators: it puts the
 magnitudes of some maps on one integer scale, the lcm of their
 denominators, for the hull of `poly`, the products and powers here, the
-resultant engine, the elimination of y and the Bezout scan.  A one-term operand of a product
+elimination of y and the Bezout scan.  A one-term operand of a product
 (as in "3*x^2") only shifts exponents and multiplies each coefficient by
 its own; the others are convolved on their `scaled` (int, ghost) pairs.
 Magnitudes add, ghost absorbs, and two products that land on one

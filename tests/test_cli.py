@@ -218,9 +218,8 @@ def test_json_errors_are_objects_on_stdout(capsys, monkeypatch, tmp_path):
         assert (error["kind"], error["position"]) == (kind, pos), argv
         assert words in error["message"], argv
     module = importlib.import_module("supertrop.resultant")
-    real = module._assignment
-    monkeypatch.setattr(module, "_assignment",
-                        lambda *a: real(*a).nu())
+    real = module._merge
+    monkeypatch.setattr(module, "_merge", lambda *a: real(*a).nu())
     code, out, err = run(capsys, "relprime", "--json", "x + 1", "x + 2")
     assert (code, err) == (3, "")
     assert json.loads(out)["error"]["kind"] == "check"
@@ -261,31 +260,16 @@ def test_corpus_entry_without_kind_is_a_domain_error(capsys, monkeypatch):
 
 
 def test_failed_runtime_cross_check_exits_3(capsys, monkeypatch):
-    # `decide` cross-checks the engine against the root sets; a failure is
+    # `decide` cross-checks the merge against the root sets; a failure is
     # a bug in the library, reported with the self-check code.  The package
     # attribute `supertrop.resultant` is the function, hence import_module.
     module = importlib.import_module("supertrop.resultant")
-    real = module._assignment
-    monkeypatch.setattr(module, "_assignment",
-                        lambda *a: real(*a).nu())
+    real = module._merge
+    monkeypatch.setattr(module, "_merge", lambda *a: real(*a).nu())
     code, out, err = run(capsys, "relprime", "x + 1", "x + 2")
     assert (code, out) == (3, "")
     assert err.startswith("internal check failed: ")
     assert "resultant and root sets disagree" in err
-
-
-def test_failed_tight_band_invariant_exits_3(capsys, monkeypatch):
-    # No permutation among the tight entries of a canonical band is a bug
-    # in the library too: the self-check code, in text and under --json.
-    module = importlib.import_module("supertrop.resultant")
-    monkeypatch.setattr(module, "_tight_band",
-                        lambda fv, gv: ([{}, {}], [0, 0, 0]))
-    code, out, err = run(capsys, "resultant", "x^2 + 1", "x + 2")
-    assert (code, out) == (3, "")
-    assert "no permutation among the tight entries" in err
-    code, out, err = run(capsys, "relprime", "--json", "x + 1", "x + 2")
-    assert (code, err) == (3, "")
-    assert json.loads(out)["error"]["kind"] == "check"
 
 
 def test_resource_errors_exit_2(capsys, monkeypatch):

@@ -22,8 +22,10 @@ from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        resultant_nu_assignment, tangible, tangible_roots,
                        NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
-from supertrop.resultant import _band, _joint, _tight_band
-from supertrop.sparse import _convolve
+from supertrop.resultant import _band, _joint, _merge
+from supertrop.sparse import _convolve, scaled
+
+from assignment import assignment
 
 P = parse_poly
 
@@ -213,16 +215,75 @@ def pairs(draw):
     return f, f * draw(polys(max_deg=3))
 
 
+def dual_value(fv, gv):
+    """The value of the dual -P_c of the band of two images: the sum of
+    P_c over c < m + n, P = f*g by the full convolution, less G_t over
+    t < n and F_s over s < m."""
+    product, m, n = _convolve(fv, gv), len(fv) - 1, len(gv) - 1
+    return (sum(product[c][0] for c in range(m + n))
+            - sum(gv[t][0] for t in range(n)) - sum(fv[s][0] for s in range(m)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(pairs())
 def test_merged_product_is_the_convolution_of_canonical_images(pair):
+    # The merge's magnitude is the value of the dual built from the full
+    # convolution of the two images.
     f, g = pair
     scale, fv, gv = _joint(f, g)
     for view, p in ((fv, f), (gv, g)):
         assert [Fraction(m, scale) for m, _ in view.values()] == [
             c.mag for c in canonical_full(p).coeffs]
-    product = _convolve(fv, gv)
-    assert _tight_band(fv, gv)[1] == [product[c][0] for c in sorted(product)]
+    assert _merge(scale, fv, gv).mag * scale == dual_value(fv, gv)
+
+
+def tight_rows(fv, gv):
+    """The rows of the band of two canonical images of one scale with only
+    their tight entries, F_s + G_t = P_{s+t}, in `_band`'s row order: the
+    states of the slope merge, and the whole rectangle wherever a run of
+    equal slopes of f meets one of g.  The resultant took the permanent of
+    these rows with the assignment engine before the merge read it off."""
+    fl, gl = list(fv.values()), list(gv.values())
+    fm = [mag for mag, _ in fl]
+    gm = [mag for mag, _ in gl]
+    m, n = len(fm) - 1, len(gm) - 1
+    df = [b - a for a, b in zip(fm, fm[1:])] + [NEG_INF]
+    dg = [b - a for a, b in zip(gm, gm[1:])] + [NEG_INF]
+    frows, grows = [{0: fl[0]}], [{0: gl[0]}]
+    i = j = 0
+    while i < m or j < n:
+        a, b = df[i], dg[j]
+        if a > b:
+            i += 1
+            frows[j][i + j] = fl[i]
+            grows.append({i + j: gl[j]})
+        elif b > a:
+            j += 1
+            grows[i][i + j] = gl[j]
+            frows.append({i + j: fl[i]})
+        else:
+            i2, j2 = i + 1, j + 1
+            while df[i2] == a:
+                i2 += 1
+            while dg[j2] == a:
+                j2 += 1
+            frows[j].update({s + j: fl[s] for s in range(i + 1, i2 + 1)})
+            grows[i].update({i + t: gl[t] for t in range(j + 1, j2 + 1)})
+            frows += [{s + t: fl[s] for s in range(i, i2 + 1)}
+                      for t in range(j + 1, j2 + 1)]
+            grows += [{s + t: gl[t] for t in range(j, j2 + 1)}
+                      for s in range(i + 1, i2 + 1)]
+            i, j = i2, j2
+    # The last f-row and g-row, t = n and s = m, are not rows of the band.
+    return frows[:n] + grows[:m]
+
+
+def engine(scale, rows, fv, gv):
+    """The assignment engine on band rows; two constants, whose band is
+    empty, give One, ghost when both are ghost."""
+    if not rows:
+        return Element(0, fv[0][1] and gv[0][1])
+    return assignment(scale, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -244,10 +305,43 @@ def test_tight_rows_are_the_band_entries_on_the_product(pair):
     want = [{c: e for c, e in row.items()
              if (tight(c - r, r) if r < n else tight(r - n, c - r + n))}
             for r, row in enumerate(band)]
-    rows, _ = _tight_band(fv, gv)
+    rows = tight_rows(fv, gv)
     assert rows == want
     for row in rows:
         assert row and list(row) == sorted(row)
+
+
+@st.composite
+def merge_pairs(draw):
+    """`pairs`, or two products with a common factor, so that corner
+    slopes are shared; either side may be shifted by a power of x."""
+    if draw(st.booleans()):
+        f, g = draw(pairs())
+    else:
+        h = draw(polys(max_deg=3))
+        f, g = draw(polys(max_deg=5)) * h, draw(polys(max_deg=5)) * h
+    return [p * Poly({draw(st.integers(0, 2)): Element(0)}) for p in (f, g)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_pairs())
+@example([P("(x+1)^2*(x+2)"), P("(x+1)*(x+2)^2")])
+@example([P("3v*x^2"), P("(x+1)*(x+2v)")])
+@example([P("2v"), P("5v*x")])
+@example([P("x^3 + 1v*x^2 + 2"), P("x^2 + 1v")])
+def test_merge_matches_the_tight_band_engine(pair):
+    # The merge against the engine on the tight rows and on the full band
+    # of the canonical images, and the raw route against the engine on
+    # the full band of the raw coefficients.
+    f, g = pair
+    scale, fv, gv = _joint(f, g)
+    want = engine(scale, tight_rows(fv, gv), fv, gv)
+    assert _merge(scale, fv, gv) == want == engine(scale, _band(fv, gv),
+                                                   fv, gv)
+    assert resultant(f, g) == want
+    den, (rf, rg) = scaled([dict(sorted(p.items())) for p in (f, g)])
+    assert resultant(f, g, canonical=False) == engine(den, _band(rf, rg),
+                                                      rf, rg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -495,8 +589,7 @@ def test_each_kernel_scales_its_inputs_once(monkeypatch):
     users = {name for name, module in sys.modules.items()
              if name.startswith("supertrop")
              and getattr(module, "scaled", None) is real}
-    assert users >= {"supertrop.sparse", "supertrop.poly",
-                     "supertrop.resultant", "supertrop.bipoly"}
+    assert users >= {"supertrop.sparse", "supertrop.poly", "supertrop.bipoly"}
     for name in users:
         monkeypatch.setattr(sys.modules[name], "scaled", counted)
 
@@ -512,10 +605,12 @@ def test_each_kernel_scales_its_inputs_once(monkeypatch):
     assert scalings_in(lambda: canonical_full(f)) == 0
     # The integer image is built from the hull that the form kept.
     assert scalings_in(lambda: M._image_of(f)) == 0
-    # The two canonical forms; the engine reads their integer images.
+    # The two canonical forms; the merge reads their integer images.
     assert scalings_in(lambda: resultant(g, h)) == 2
-    # With the canonical forms cached, nothing is scaled again.
+    # With the canonical forms cached, nothing is scaled again, on raw
+    # vectors either.
     assert scalings_in(lambda: resultant(g, h)) == 0
+    assert scalings_in(lambda: resultant(g, h, canonical=False)) == 0
     assert scalings_in(lambda: resultant_nu(g, h)) == 0
     assert scalings_in(lambda: decide(g, h)) == 0
     # One product; a sum is never scaled.

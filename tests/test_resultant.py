@@ -16,12 +16,13 @@ from supertrop import (ONE, ZERO, Element, Poly, decide, ghost, parse_poly,
                        resultant, resultant_nu, resultant_nu_assignment,
                        sylvester, tangible, tangible_roots)
 from supertrop.poly import canonical_full, full_from_corners
-from supertrop.resultant import (_band, _maps, _permanent_assignment,
-                                 semitangible_blocks)
+from supertrop.resultant import _band, _joint, semitangible_blocks
 from supertrop.sparse import _convolve, scaled
 from supertrop.checks import (Gen, permanent, permanent_oracle,
                               resultant_quadratic, resultant_recursive,
                               resultant_tangible_product)
+
+from assignment import permanent_assignment
 
 P = parse_poly
 
@@ -76,10 +77,18 @@ def sylvester_pairs(draw):
     return pair
 
 
+def maps_of(f, g, canonical):
+    """The two sides as ascending {slot: nonzero coefficient} maps: the
+    canonical full vectors, power of x stripped, or the raw coefficients."""
+    if canonical:
+        return [dict(enumerate(canonical_full(p).coeffs)) for p in (f, g)]
+    return [dict(sorted(p.items())) for p in (f, g)]
+
+
 def dense(maps, zero=ZERO):
     """The Sylvester matrix of two ascending {slot: coefficient} maps, laid
     out dense with `zero` in the gaps: the oracles' own layout, built
-    apart from the engine's sparse `_band`."""
+    apart from the sparse `_band`."""
     fv, gv = ([p.get(i, zero) for i in range(max(p) + 1)] for p in maps)
     m, n = len(fv) - 1, len(gv) - 1
     return ([[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
@@ -98,7 +107,7 @@ def constants_rule(maps):
 def resultant_dp(f, g, canonical=True):
     """`resultant` through the subset DP `permanent`, in O(2^(m+n)), on the
     same canonical or raw vectors."""
-    maps = _maps(f, g, canonical)
+    maps = maps_of(f, g, canonical)
     want = constants_rule(maps)
     return permanent(dense(maps)) if want is None else want
 
@@ -141,7 +150,7 @@ def test_permanent_examples():
     assert permanent(rows) == tangible(2)
     with pytest.raises(ValueError):
         permanent([[ONE, ONE]])
-    for route in (_permanent_assignment, permanent_oracle):
+    for route in (permanent_assignment, permanent_oracle):
         for rows in ([[ONE, ONE]], [[ONE, ONE], [ONE]]):
             with pytest.raises(ValueError, match="square matrix"):
                 route(rows)
@@ -159,7 +168,7 @@ def test_permanent_matches_oracle():
 @settings(max_examples=120, deadline=None)
 @given(matrices())
 def test_assignment_permanent_matches_oracle(rows):
-    assert _permanent_assignment(rows) == permanent_oracle(rows)
+    assert permanent_assignment(rows) == permanent_oracle(rows)
 
 
 def test_assignment_zero_exits():
@@ -170,7 +179,7 @@ def test_assignment_zero_exits():
     # only: no permutation avoids Zero, and the search finds no path.
     hall = [[ZERO, a, a, ZERO]] * 3 + [[a, a, a, a]]
     for rows in (empty_row, empty_col, hall):
-        assert _permanent_assignment(rows) == ZERO == permanent_oracle(rows)
+        assert permanent_assignment(rows) == ZERO == permanent_oracle(rows)
 
 
 def test_assignment_search_after_warm_start():
@@ -183,18 +192,19 @@ def test_assignment_search_after_warm_start():
                        ([[1, 1, 0, 0], [-1, 2, 2, 0], [0, 0, 0, 0],
                          [1, 0, -1, 0]], tangible(4))):
         rows = [[tangible(m) for m in row] for row in rows]
-        assert _permanent_assignment(rows) == want == permanent_oracle(rows)
+        assert permanent_assignment(rows) == want == permanent_oracle(rows)
     # Two rows search, the second after the first has moved the potentials.
     for rows, want in (([[2, 1, 0], [0, 0, 0], [0, 0, 0]], ghost(2)),
                        ([[3, 3, -1, 0], [1, 0, 0, 0], [-1, 0, 1, 0],
                          [0, 1, 3, 0]], tangible(7))):
         rows = [[tangible(m) for m in row] for row in rows]
-        assert _permanent_assignment(rows) == want == permanent_oracle(rows)
-    # On a band the product's potentials are an optimal dual, but a corner
-    # root that f and g share leaves one row to the search.
+        assert permanent_assignment(rows) == want == permanent_oracle(rows)
+    # A band whose sides share the corner root 1: the engine, the merge
+    # and the oracle all give the ghost.
     f, g = P("(x+1)^3"), P("(x+1)^2*(x+2)")
-    rows = dense(_maps(f, g, True))
-    assert resultant(f, g) == ghost(12) == permanent_oracle(rows)
+    rows = dense(maps_of(f, g, True))
+    assert (permanent_assignment(rows) == resultant(f, g) == ghost(12)
+            == permanent_oracle(rows))
 
 
 def test_resultant_examples():
@@ -226,7 +236,7 @@ def test_resultant_matches_oracle_on_its_band(pair):
     # reads the dense Element matrix of the same maps.
     f, g = pair
     for canonical in (True, False):
-        maps = _maps(f, g, canonical)
+        maps = maps_of(f, g, canonical)
         band = _band(*maps)
         for row in band:
             cols = list(row)
@@ -282,18 +292,14 @@ import importlib
 R = importlib.import_module("supertrop.resultant")
 from supertrop import parse_poly as P
 print(R.resultant_nu_assignment(P("x^2 + 3*x + 1"), P("x + 4")))
-real = R._assignment
-R._assignment = lambda *a: real(*a).nu()
-try:
-    R.decide(P("x + 1"), P("x + 2"))
-except AssertionError:
-    print("raised")
-R._assignment = real
-R._tight_band = lambda fv, gv: ([{}], [0, 0])
-try:
-    R.resultant(P("x + 1"), P("x + 2"))
-except AssertionError:
-    print("raised")
+real = R._merge
+for broken, pair in ((lambda *a: real(*a).nu(), ("x + 1", "x + 2")),
+                     (lambda *a: real(*a).hat(), ("x + 1", "x + 1"))):
+    R._merge = broken
+    try:
+        R.decide(*map(P, pair))
+    except AssertionError:
+        print("raised")
 """
     src = str(Path(supertrop.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -362,6 +368,19 @@ def resultant_nu_oracle(f, g):
     return out.nu()
 
 
+def product_rule_oracle(f, g):
+    """`resultant_nu` before the merge: on the joint integer images of
+    degrees m and n, with F and G their magnitudes and a, b their corner
+    roots, n F_m + m G_n + the sum of max(a, b) over all m n pairs."""
+    scale, fs, gs = _joint(f, g)
+    fm, gm = [[mag for mag, _ in view.values()] for view in (fs, gs)]
+    m, n = len(fm) - 1, len(gm) - 1
+    fr = [a - b for a, b in zip(fm, fm[1:])]
+    gr = [a - b for a, b in zip(gm, gm[1:])]
+    total = n * fm[m] + m * gm[n] + sum([max(a, b) for a in fr for b in gr])
+    return Element(Fraction(total, scale), True)
+
+
 def tangible_product_oracle(f, g):
     """`resultant_tangible_product` as a product of sums a_i + b_j."""
     fv, gv = f.coeff_vector(), g.coeff_vector()
@@ -389,7 +408,8 @@ def tangible_full(draw):
 def test_resultant_nu_matches_the_pair_loop(f, g):
     if f.is_zero or g.is_zero:
         return
-    assert resultant_nu(f, g) == resultant_nu_oracle(f, g)
+    assert (resultant_nu(f, g) == resultant_nu_oracle(f, g)
+            == product_rule_oracle(f, g))
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +461,7 @@ def test_recursive_matches_the_unmemoized_recursion(f, g):
     assert resultant_recursive(f, g) == want
 
 
-# -- the dual certificate of the engine's warm start -------------------------
+# -- the dual certificate behind the merge -----------------------------------
 
 
 @st.composite
@@ -460,7 +480,7 @@ def test_product_gives_an_optimal_dual(pair):
     # u_r form a feasible dual of the band whose value, sum u - sum v, is
     # the resultant's magnitude on the scaled ints: an optimal dual.
     f, g = pair
-    scale, views = scaled(_maps(f, g, True))
+    scale, views = scaled(maps_of(f, g, True))
     band = dense(views, zero=None)
     product = _convolve(*views)
     v = [-product[c][0] for c in range(len(band))]
@@ -471,9 +491,9 @@ def test_product_gives_an_optimal_dual(pair):
 
 def test_product_missing_columns_fall_back():
     # Raw vectors with Zero coefficients: f*g has no term at columns 1 and
-    # 3, which keep minus their largest entry.
+    # 3, and the raw value still equals the oracle's.
     f, g = P("x^2 + 0"), P("x^2 + 1")
-    maps = _maps(f, g, False)
+    maps = maps_of(f, g, False)
     _, views = scaled(maps)
     assert sorted(_convolve(*views)) == [0, 2, 4]
     rows = dense(maps)
@@ -589,76 +609,60 @@ def test_decide_examples():
 
 
 def test_canonical_routes_read_the_images_only(monkeypatch):
-    # Once the canonical forms are taken, the canonical routes neither
-    # rescale (`scaled`) nor convolve (`_convolve`); raw vectors do both.
-    module = sys.modules["supertrop.resultant"]
+    # Once the canonical forms are taken, every route, raw vectors too,
+    # reads their integer images: nothing is rescaled or convolved.
+    import supertrop.sparse as S
     f, g = P("x^3 + 1/3*x + 2v"), P("2/7*x^2 + 5v*x")
     canonical_full(f), canonical_full(g)
 
     def refuse(*args):
         raise RuntimeError("called")
 
-    monkeypatch.setattr(module, "scaled", refuse)
-    monkeypatch.setattr(module, "_convolve", refuse)
-    assert resultant(f, g) == resultant_dp(f, g)
+    monkeypatch.setattr(S, "scaled", refuse)
+    monkeypatch.setattr(S, "_convolve", refuse)
+    monkeypatch.setattr(sys.modules["supertrop.poly"], "scaled", refuse)
+    for canonical in (True, False):
+        assert resultant(f, g, canonical) == resultant_dp(f, g, canonical)
     assert resultant_nu(f, g) == resultant_dp(f, g).nu()
     assert decide(f, g).resultant == resultant_dp(f, g)
-    with pytest.raises(RuntimeError, match="called"):
-        resultant(f, g, canonical=False)
 
 
-def test_engine_reads_only_the_tight_entries(monkeypatch):
-    # The entries that reach the engine on the canonical route: the tight
-    # ones, against n*|f| + m*|g| for the full band (2,002,000 and 45,300).
+def test_merge_takes_m_plus_n_steps(monkeypatch):
+    # Each route call runs one merge over the two images, m + n steps, and
+    # builds no band: at k = 2000 the full band has 2,002,000 entries.
     module = sys.modules["supertrop.resultant"]
-    real, entries = module._assignment, []
+    real, steps = module._merge, []
 
-    def counted(scale, rows, product=None):
-        entries.append(sum(map(len, rows)))
-        return real(scale, rows, product)
+    def counted(scale, fv, gv):
+        steps.append(len(fv) + len(gv) - 2)
+        return real(scale, fv, gv)
 
-    monkeypatch.setattr(module, "_assignment", counted)
-    cases = [("x^1000 + 1", "x^1000 + 2", 3000, "2000"),
-             ("(x+1)^100*(x+2)^50", "(x+2)^150", 15400, "45000v"),
-             ("(x+1/3)^150 + 5v*x^7", "(x+2)^150", 450, "45000")]
+    monkeypatch.setattr(module, "_merge", counted)
+    cases = [("x^1000 + 1", "x^1000 + 2", 2000, "2000"),
+             ("(x+1)^100*(x+2)^50", "(x+2)^150", 300, "45000v"),
+             ("(x+1/3)^150 + 5v*x^7", "(x+2)^150", 300, "45000"),
+             ("(x+1)^150*(x+2)^150", "(x+1)^150*(x+2)^150", 600, "157500v")]
     for f, g, want, value in cases:
-        entries.clear()
+        steps.clear()
         assert str(resultant(P(f), P(g))) == value
-        assert entries == [want], (f, g)
-    entries.clear()
-    # The raw route still lays the whole band out: 3*2 + 3*2 entries.
-    raw = resultant(P("x^3 + 1"), P("x^3 + 2"), canonical=False)
-    assert raw == tangible(6) and entries == [12]
-
-
-def test_canonical_route_raises_without_a_tight_permutation(monkeypatch):
-    # The tight rows always hold a perfect matching; one emptied row
-    # leaves none, and that is a failed invariant, not a Zero resultant.
-    module = sys.modules["supertrop.resultant"]
-    real = module._tight_band
-
-    def drop_one_row(fv, gv):
-        rows, product = real(fv, gv)
-        if rows:
-            rows[-1] = {}
-        return rows, product
-
-    monkeypatch.setattr(module, "_tight_band", drop_one_row)
-    for route in (resultant, decide):
-        with pytest.raises(AssertionError, match="tight entries"):
-            route(P("(x+1)*(x+2)"), P("x + 3"))
-    # Two constants have no rows, and the raw route reads the full band.
-    assert resultant(P("2"), P("5")) == ONE
-    assert resultant(P("x + 1"), P("x + 2"), canonical=False) == tangible(2)
+        assert decide(P(f), P(g)).relatively_prime != value.endswith("v")
+        assert steps == [want, want], (f, g)
+    # The raw route takes the same merge, here with x^3 divided out of g,
+    # and multiplies by f's constant term cubed.
+    steps.clear()
+    raw = resultant(P("x^3 + 1"), P("x^6 + 2*x^3"), canonical=False)
+    assert raw == tangible(9) and steps == [6]
 
 
 def test_decide_raises_when_routes_disagree(monkeypatch):
+    # A ghost resultant without a common root, and a tangible one with.
     module = importlib.import_module("supertrop.resultant")
-    real = module._assignment
-    monkeypatch.setattr(module, "_assignment",
-                        lambda *a: real(*a).nu())
-    with pytest.raises(AssertionError):
-        decide(P("x + 1"), P("x + 2"))
+    real = module._merge
+    for broken, pair in ((lambda *a: real(*a).nu(), ("x + 1", "x + 2")),
+                         (lambda *a: real(*a).hat(), ("x + 1", "x + 1"))):
+        monkeypatch.setattr(module, "_merge", broken)
+        with pytest.raises(AssertionError, match="disagree"):
+            decide(*map(P, pair))
 
 
 def test_decide_against_endpoint_oracle():
