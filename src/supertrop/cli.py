@@ -232,8 +232,9 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("--method", choices=["assignment", "nu"],
                    default="assignment",
-                   help="assignment (the default) prints the resultant, nu "
-                   "its ghost value")
+                   help="what to print, both read off one slope merge: "
+                   "assignment (the default, an old route's name) the "
+                   "resultant, nu its ghost value")
     p = cmd("relprime", _cmd_relprime, "relative primeness decision")
     p.add_argument("f")
     p.add_argument("g")

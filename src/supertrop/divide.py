@@ -18,7 +18,8 @@ non-monomial f.
 from __future__ import annotations
 
 from .element import Rational, as_fraction
-from .poly import Poly, canonical_full, is_ghost_poly, tangible_roots
+from .poly import (Poly, _same_image, canonical_full, is_ghost_poly,
+                   tangible_roots)
 from .record import Record
 from .sparse import _unscaled, scaled
 
@@ -43,8 +44,7 @@ def verify_division(f: Poly, g: Poly, q: Poly) -> bool:
     # the canonical forms of s and f have one shift and one magnitude per
     # slot.  s holds every term of f, so two forms of one length have one
     # shift.
-    a, b = canonical_full(s), canonical_full(f)
-    return a.all_ghost and [c.mag for c in a.coeffs] == [c.mag for c in b.coeffs]
+    return is_ghost_poly(s) and _same_image(s, f, layers=False)
 
 
 def _residual(f: Poly, g: Poly) -> Poly | None:

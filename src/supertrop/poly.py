@@ -21,13 +21,13 @@ A Poly is a `sparse.SparsePoly` keyed by degree: its value protocol,
 sums, products and powers are the core's; products and powers run on
 magnitudes scaled to Python ints, and a power squares.
 
-The canonical kernels avoid Fraction arithmetic too: the hull is taken on
-the magnitudes as `sparse.scaled` ints, vertex slots keep their Element,
-and each ghost slot costs one Fraction.  The same pass keeps the hull's
-ints, from which the form's integer image, every slot on one scale, is
-built when first asked for: the resultant's slope merge reads it in place
-of the Elements, and the root locus is swept on it in one left-to-right pass
-over the corners, with one Fraction per endpoint.
+The canonical kernels avoid Fraction arithmetic too.  One hull pass per
+Poly, on the magnitudes as `sparse.scaled` ints, gives the form's integer
+image: every slot 0 .. hi as (magnitude * D, ghost) on one scale D.  The
+root sweep, the resultant's slope merge, e-equivalence and the ghost test
+read the image and build no Element.  The Element form is read off the
+image only when first asked for: a vertex slot keeps its Element, and
+each other slot costs one Fraction.
 
 The answers built here (FullPoly, PiecewiseLinear and the ghost-sum
 verdicts CommonRoot, HalfTangible, NotGhostSum) are value records
@@ -54,9 +54,9 @@ class Poly(SparsePoly):
     convolution; there is no subtraction.
     """
 
-    # The canonical form, once taken; its hull on scaled ints until the
-    # form's integer image is built from it (`_image_of`).
-    __slots__ = ("_full", "_hull", "_image")
+    # The canonical form's integer image, once taken (`_image_of`), and
+    # its Element form, once read off the image (`canonical_full`).
+    __slots__ = ("_full", "_image")
 
     # -- constructors --------------------------------------------------
 
@@ -197,6 +197,40 @@ def _upper_hull(points: list[tuple]) -> list[tuple]:
     return stack
 
 
+def _image_of(f: Poly) -> tuple[int, list]:
+    """The integer image of f's canonical form: a scale D and the list of
+    (magnitude * D, ghost) over slots 0 .. hi, the one hull pass per Poly.
+
+    The lowest power of x is factored out and the upper concave hull of
+    (degree, magnitude) is taken on the `scaled` ints, magnitude * den.
+    A hull segment from (x0, y0) to (x0 + dx, y0 + dy) rises by dy / dx
+    per slot, whose reduced denominator r divides dx; L is the lcm of the
+    segments' r, and D = den * L.  A vertex slot is y0 * L with its own
+    layer, and the i-th slot inside a segment the ghost y0 * L +
+    i * dy * L / dx.
+    """
+    image = getattr(f, "_image", None)
+    if image is not None:
+        return image
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no canonical full form")
+    shift = f.ldeg
+    den, (view,) = scaled([f._coeffs])
+    hull = _upper_hull([(deg - shift, m, ghost)
+                        for deg, (m, ghost) in sorted(view.items())])
+    segments = list(zip(hull, hull[1:]))
+    big = lcm(*[(x1 - x0) // gcd(x1 - x0, y1 - y0)
+                for (x0, y0, _), (x1, y1, _) in segments])
+    slots = [(hull[0][1] * big, hull[0][2])]
+    for (x0, y0, _), (x1, y1, ghost) in segments:
+        base, rise = y0 * big, (y1 - y0) * big // (x1 - x0)
+        slots += [(base + rise * i, True) for i in range(1, x1 - x0)]
+        slots.append((y1 * big, ghost))
+    image = den * big, slots
+    object.__setattr__(f, "_image", image)
+    return image
+
+
 def canonical_full(f: Poly) -> FullPoly:
     """Canonical representative of f's function class.
 
@@ -204,68 +238,39 @@ def canonical_full(f: Poly) -> FullPoly:
     under the upper concave hull of (degree, magnitude), hull vertices keep
     their original coefficient, and all other slots become ghosts of the hull
     magnitude.  Idempotent, and equal canonical forms characterize equality
-    of polynomial functions.  A Poly never changes, so it keeps its form:
-    the hull is taken at most once per object.
+    of polynomial functions.  A Poly never changes, so it keeps its form.
 
-    The hull is taken on the `scaled` ints, magnitude * den.  The slots
-    strictly inside a hull segment from (x0, y0) to (x0 + dx, y0 + dy) get
-    the ghosts of (y0*dx + dy*i) / (dx*den) for i = 1 .. dx-1, one
-    Fraction each.  The Poly keeps den and the hull's vertices, with their
-    layers, until `_image_of` turns them into the form's integer image.
+    The form is read off the integer image (`_image_of`) on first request.
+    The hull keeps strict vertices only, so slot i is a vertex exactly at
+    the two ends or where 2 * v_i > v_(i-1) + v_(i+1) on the image's
+    magnitudes v; a vertex keeps f's coefficient, and every other slot is
+    the ghost of v_i / D, one Fraction each.
     """
     full = getattr(f, "_full", None)
     if full is not None:
         return full
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no canonical full form")
-    shift = f.ldeg
-    den, (view,) = scaled([f._coeffs])
-    hull = _upper_hull([(deg - shift, m, ghost)
-                        for deg, (m, ghost) in sorted(view.items())])
-    coeffs: list[Element] = [f.coeff(shift)]
-    flags: list[bool] = [True]
-    x0, y0, _ = hull[0]
-    for x1, y1, _ in hull[1:]:
-        dx, dy = x1 - x0, y1 - y0
-        num, scale = y0 * dx, dx * den
-        coeffs.extend([Element(Fraction(num + dy * i, scale), True)
-                       for i in range(1, dx)])
-        flags.extend([False] * (dx - 1))
-        coeffs.append(f.coeff(shift + x1))
-        flags.append(True)
-        x0, y0 = x1, y1
-    full = FullPoly(shift, tuple(coeffs), tuple(flags))
+    scale, image = _image_of(f)
+    shift, mags, hi = f.ldeg, [m for m, _ in image], len(image) - 1
+    # Lists, not generators, under tuple(): in long runs the generator
+    # form left the heap more fragmented (peak RSS grew about twice as
+    # fast over repeated `canon` requests).
+    vertex = tuple([i in (0, hi) or 2 * m > mags[i - 1] + mags[i + 1]
+                   for i, m in enumerate(mags)])
+    full = FullPoly(shift, tuple([
+        f.coeff(shift + i) if v else Element(Fraction(m, scale), True)
+        for i, (m, v) in enumerate(zip(mags, vertex))]), vertex)
     object.__setattr__(f, "_full", full)
-    object.__setattr__(f, "_hull", (den, hull))
     return full
 
 
-def _image_of(f: Poly) -> tuple[int, dict]:
-    """The integer image of f's canonical form: a scale D and the map
-    slot -> (magnitude * D, ghost) over slots 0 .. hi, built once per Poly
-    from the hull that `canonical_full` took, with no second `scaled`.
-
-    A hull segment from (x0, y0) to (x0 + dx, y0 + dy) rises by dy / dx
-    per slot, whose reduced denominator r divides dx; L is the lcm of the
-    segments' r, and D = den * L.  A vertex slot is y0 * L, and the i-th
-    slot inside a segment y0 * L + i * dy * L / dx.
-    """
-    canonical_full(f)
-    if f._hull is None:
-        return f._image
-    den, hull = f._hull
-    segments = list(zip(hull, hull[1:]))
-    big = lcm(*[(x1 - x0) // gcd(x1 - x0, y1 - y0)
-                for (x0, y0, _), (x1, y1, _) in segments])
-    view = [(hull[0][1] * big, hull[0][2])]
-    for (x0, y0, _), (x1, y1, ghost) in segments:
-        base, rise = y0 * big, (y1 - y0) * big // (x1 - x0)
-        view += [(base + rise * i, True) for i in range(1, x1 - x0)]
-        view.append((y1 * big, ghost))
-    image = den * big, dict(enumerate(view))
-    object.__setattr__(f, "_image", image)
-    object.__setattr__(f, "_hull", None)
-    return image
+def _same_image(f: Poly, g: Poly, layers: bool) -> bool:
+    """Do the canonical forms of f and g, shift aside, have the same
+    magnitude in every slot, and with `layers` the same layer?  Read on
+    the integer images, v_f * D_g == v_g * D_f, with no Element built."""
+    (df, fv), (dg, gv) = _image_of(f), _image_of(g)
+    return len(fv) == len(gv) and all(
+        a * dg == b * df and (x == y or not layers)
+        for (a, x), (b, y) in zip(fv, gv))
 
 
 def essential_part(f: Poly) -> Poly:
@@ -279,16 +284,14 @@ def e_equiv(f: Poly, g: Poly) -> bool:
     """Equality as polynomial functions (equal canonical full forms)."""
     if f.is_zero or g.is_zero:
         return f.is_zero and g.is_zero
-    a = canonical_full(f)
-    b = canonical_full(g)
-    return a.shift == b.shift and a.coeffs == b.coeffs
+    return f.ldeg == g.ldeg and _same_image(f, g, layers=True)
 
 
 def is_ghost_poly(f: Poly) -> bool:
     """Does f take ghost-ideal values everywhere (including at -inf)?"""
     if f.is_zero:
         return True
-    return canonical_full(f).all_ghost
+    return all(ghost for _, ghost in _image_of(f)[1])
 
 
 # -- tangible roots ----------------------------------------------------------
@@ -306,13 +309,12 @@ def tangible_roots(f: Poly) -> RootSet:
     The intervals are swept on the form's integer image (`_root_runs`);
     each finite endpoint costs one Fraction, n / D.
     """
-    full = canonical_full(f)
     scale, view = _image_of(f)
     return RootSet(_intervals(_root_runs(view), scale),
-                   full.shift > 0 or view[0][1])
+                   f.ldeg > 0 or view[0][1])
 
 
-def _root_runs(view: dict) -> list[tuple]:
+def _root_runs(view: list) -> list[tuple]:
     """The tangible root intervals of a canonical form's integer image, on
     its scale: sorted, disjoint and separated (lo, hi) pairs of ints, with
     the float infinities as the unbounded ends.
@@ -325,7 +327,7 @@ def _root_runs(view: dict) -> list[tuple]:
     hull vertex, so a_i < a_{i+1} and its point starts a new interval.
     """
     runs: list[tuple] = []
-    slots = iter(view.values())
+    slots = iter(view)
     top, ghost = next(slots)
     for mag, next_ghost in slots:
         hi = top - mag

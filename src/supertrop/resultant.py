@@ -9,11 +9,10 @@ a tangible root, provided at most one of them is divisible by x.  The
 vectors and factors powers of x out; `decide` restores the x | f, x | g
 bookkeeping on top of it.
 
-A `Poly` keeps its canonical form together with that form's integer
-image (`poly._image_of`): a scale D and each slot as (magnitude * D,
-ghost).  `_joint` puts the two images on one scale, and `_merge` reads
-the permanent off the merge of their slope sequences in O(m + n), with
-no matrix built.  `resultant`, `decide` and `resultant_nu` all read it.
+A `Poly` keeps its canonical form's integer image (`poly._image_of`):
+a scale D and the list of slots as (magnitude * D, ghost).  `_joint`
+puts the two images on one scale, and `_merge` reads the permanent off
+the merge of their slope sequences in O(m + n), with no matrix built.  `resultant`, `decide` and `resultant_nu` all read it.
 
 Why the merge is the permanent.  Let F_0 .. F_m and G_0 .. G_n be the
 magnitudes of the two canonical vectors, which are concave, and P_c the
@@ -125,7 +124,7 @@ def sylvester(f: Poly, g: Poly) -> Grid:
     return [[row.get(j, ZERO) for j in range(len(rows))] for row in rows]
 
 
-def _joint(f: Poly, g: Poly) -> tuple[int, dict, dict]:
+def _joint(f: Poly, g: Poly) -> tuple[int, list, list]:
     """The integer images of the two canonical forms (`poly._image_of`),
     power of x stripped, on one scale: one lcm of the two scales, and
     one product per slot only on a side whose scale differs from it."""
@@ -137,13 +136,13 @@ def _joint(f: Poly, g: Poly) -> tuple[int, dict, dict]:
     return scale, _times(fv, scale // df), _times(gv, scale // dg)
 
 
-def _times(view: dict, k: int) -> dict:
+def _times(view: list, k: int) -> list:
     if k == 1:
         return view
-    return {s: (m * k, ghost) for s, (m, ghost) in view.items()}
+    return [(m * k, ghost) for m, ghost in view]
 
 
-def _merge(scale: int, fv: dict, gv: dict) -> Element:
+def _merge(scale: int, fl: list, gl: list) -> Element:
     """The permanent of the band of two canonical images of one scale, in
     m + n steps of the slope merge (module docstring).
 
@@ -152,7 +151,6 @@ def _merge(scale: int, fv: dict, gv: dict) -> Element:
     the walk breaks towards f.  Two constants give One, ghost when both
     are ghost.
     """
-    fl, gl = list(fv.values()), list(gv.values())
     m, n = len(fl) - 1, len(gl) - 1
     if not m and not n:
         return Element(0, fl[0][1] and gl[0][1])
@@ -206,14 +204,9 @@ def resultant_nu(f: Poly, g: Poly) -> Element:
     return _merge(*_joint(f, g)).nu()
 
 
-def resultant_nu_assignment(f: Poly, g: Poly) -> Element:
-    """Ghost value of the resultant, the ghost image of `resultant`.
-
-    The magnitude of a permanent is the largest total magnitude of any
-    permutation avoiding zero entries, an assignment problem that the
-    slope merge solves exactly; this equals `resultant_nu`.
-    """
-    return resultant(f, g).nu()
+# The name of the retired assignment route, kept for `perfbench/`: the
+# same function as `resultant_nu`.
+resultant_nu_assignment = resultant_nu
 
 
 def semitangible_blocks(f: Poly) -> list[Poly]:
@@ -270,8 +263,7 @@ def decide(f: Poly, g: Poly) -> RelPrimeReport:
     r = _merge(scale, fv, gv)
     common = RootSet(
         _intervals(intersect_sorted(_root_runs(fv), _root_runs(gv)), scale),
-        all(canonical_full(p).shift > 0 or v[0][1]
-            for p, v in ((f, fv), (g, gv))))
+        all(p.ldeg > 0 or v[0][1] for p, v in ((f, fv), (g, gv))))
     # Root sharing and non-tangible resultant must agree; a failure here
     # is a bug in one of the two routes (the merge's layer and the root
     # sweep read the images independently).

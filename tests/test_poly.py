@@ -20,7 +20,7 @@ from supertrop import (CommonRoot, Element, FullPoly, HalfTangible,
                        frobenius, ggraph, ghost, is_ghost_poly, mul_shift,
                        parse_bipoly, parse_poly, resultant, resultant_nu,
                        resultant_nu_assignment, tangible, tangible_roots,
-                       NEG_INF, POS_INF, ZERO)
+                       verify_division, NEG_INF, POS_INF, ZERO)
 from supertrop.checks import Gen
 from supertrop.resultant import _band, _joint, _merge
 from supertrop.sparse import _convolve, scaled
@@ -166,6 +166,11 @@ def polys(draw, max_deg=12):
 
 @settings(max_examples=400, deadline=None)
 @given(polys())
+# A raw term on a hull segment is no vertex: the tangible 1*x, the ghost
+# 1v*x^2 and the three inner terms of the last become ghost slots.
+@example(P("x^2 + 1*x + 2"))
+@example(P("x^4 + 1v*x^2 + 2"))
+@example(P("x^4 + 1*x^3 + 2*x^2 + 3*x + 4"))
 def test_canonical_full_matches_fraction_oracle(f):
     assert canonical_full(f) == canonical_full_oracle(f)
 
@@ -179,25 +184,38 @@ def test_tangible_roots_match_fraction_oracle(f):
 @settings(max_examples=400, deadline=None)
 @given(polys())
 def test_integer_image_is_the_canonical_form_on_one_scale(f):
-    full = canonical_full(f)
     scale, view = M._image_of(f)
-    assert list(view) == list(range(full.hi + 1))
-    assert [(Fraction(m, scale), g) for m, g in view.values()] == [
+    full = canonical_full(f)
+    assert len(view) == full.hi + 1
+    assert [(Fraction(m, scale), g) for m, g in view] == [
         (c.mag, c.is_ghost) for c in full.coeffs]
     assert tangible_roots(f) == tangible_roots_merge(f)
 
 
-def test_integer_image_is_built_on_first_use():
-    # Reading the form leaves the image unbuilt, so `canon` and `e_equiv`
-    # do not pay for it; the first `_image_of` builds it once.
-    f = P("x^3 + 1/3*x + 2v")
-    canonical_full(f)
-    assert getattr(f, "_image", None) is None
+def test_element_form_is_read_off_the_image_on_first_request(monkeypatch):
+    # The readers that compare ints take the image and build no Element
+    # form; the first `canonical_full` reads it off the kept image.
+    f, g = P("x^3 + 1/3*x + 2v"), P("x + 1")
+    tangible_roots(f), resultant(f, g), decide(f, g), e_equiv(f, g)
+    is_ghost_poly(f), verify_division(f * g, g, g)
+    for p in (f, g, f * g):
+        assert getattr(p, "_full", None) is None
     image = M._image_of(f)
-    assert M._image_of(f) is image
+    builds = []
+
+    def counted(points):
+        builds.append(points)
+        return real(points)
+
+    real = M._upper_hull
+    monkeypatch.setattr(M, "_upper_hull", counted)
+    full = canonical_full(f)
+    assert canonical_full(f) is full and M._image_of(f) is image
+    assert builds == []
     # The hull runs from (0, 2) to (3, 0), so slots 1 and 2 are ghosts.
-    assert image == (3, {0: (6, True), 1: (4, True), 2: (2, True),
-                         3: (0, False)})
+    assert image == (3, [(6, True), (4, True), (2, True), (0, False)])
+    assert full == FullPoly(0, (ghost(2), ghost("4/3"), ghost("2/3"),
+                                tangible(0)), (True, False, False, True))
 
 
 @st.composite
@@ -215,10 +233,50 @@ def pairs(draw):
     return f, f * draw(polys(max_deg=3))
 
 
+def e_equiv_on_forms(f, g):
+    """`e_equiv` as it compared the Element forms before the images."""
+    if f.is_zero or g.is_zero:
+        return f.is_zero and g.is_zero
+    a, b = canonical_full(f), canonical_full(g)
+    return a.shift == b.shift and a.coeffs == b.coeffs
+
+
+def verify_division_on_forms(f, g, q):
+    """`verify_division` as it compared the Element forms."""
+    s = f + q * g
+    if f.is_zero:
+        return s.is_zero
+    a, b = canonical_full(s), canonical_full(f)
+    return a.all_ghost and [c.mag for c in a.coeffs] == [c.mag for c in b.coeffs]
+
+
+def fresh(p):
+    """A copy of p with neither its image nor its form taken."""
+    return Poly(dict(p.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs(), st.sampled_from(["raw", "ghost", "product"]))
+@example((P("x^2 + 1*x + 2"), P("x^2 + 1v*x + 2")), "raw")
+@example((P("1/3*x^2 + 2v"), P("x + 1")), "ghost")
+def test_image_readers_match_the_form_based_bodies(pair, kind):
+    # `e_equiv` and `verify_division` read the integer images, of different
+    # scales and shifts; they answer as the comparisons of the forms did.
+    f, g = pair
+    for a, b in ((f, g), (f, canonical_full(f).to_poly()), (f.nu(), g.nu())):
+        assert e_equiv(fresh(a), fresh(b)) == e_equiv_on_forms(a, b)
+    # A dividend over q*g, ghost where it wins, is often a witness.
+    q = Poly({d: tangible(c.mag) for d, c in f.items()})
+    h = {"raw": f, "ghost": (q * g).nu(), "product": f * g}[kind]
+    assert (verify_division(fresh(h), fresh(g), fresh(q))
+            == verify_division_on_forms(h, g, q))
+
+
 def dual_value(fv, gv):
     """The value of the dual -P_c of the band of two images: the sum of
     P_c over c < m + n, P = f*g by the full convolution, less G_t over
     t < n and F_s over s < m."""
+    fv, gv = dict(enumerate(fv)), dict(enumerate(gv))
     product, m, n = _convolve(fv, gv), len(fv) - 1, len(gv) - 1
     return (sum(product[c][0] for c in range(m + n))
             - sum(gv[t][0] for t in range(n)) - sum(fv[s][0] for s in range(m)))
@@ -232,7 +290,7 @@ def test_merged_product_is_the_convolution_of_canonical_images(pair):
     f, g = pair
     scale, fv, gv = _joint(f, g)
     for view, p in ((fv, f), (gv, g)):
-        assert [Fraction(m, scale) for m, _ in view.values()] == [
+        assert [Fraction(m, scale) for m, _ in view] == [
             c.mag for c in canonical_full(p).coeffs]
     assert _merge(scale, fv, gv).mag * scale == dual_value(fv, gv)
 
@@ -295,7 +353,7 @@ def test_tight_rows_are_the_band_entries_on_the_product(pair):
     # Brute force over the full band: f-row t keeps F_s at column s + t,
     # and g-row s keeps G_t there, exactly when F_s + G_t = P_{s+t}.
     f, g = pair
-    _, fv, gv = _joint(f, g)
+    fv, gv = (dict(enumerate(view)) for view in _joint(f, g)[1:])
     product, n = _convolve(fv, gv), len(gv) - 1
 
     def tight(s, t):
@@ -334,9 +392,10 @@ def test_merge_matches_the_tight_band_engine(pair):
     # of the canonical images, and the raw route against the engine on
     # the full band of the raw coefficients.
     f, g = pair
-    scale, fv, gv = _joint(f, g)
+    scale, fl, gl = _joint(f, g)
+    fv, gv = dict(enumerate(fl)), dict(enumerate(gl))
     want = engine(scale, tight_rows(fv, gv), fv, gv)
-    assert _merge(scale, fv, gv) == want == engine(scale, _band(fv, gv),
+    assert _merge(scale, fl, gl) == want == engine(scale, _band(fv, gv),
                                                    fv, gv)
     assert resultant(f, g) == want
     den, (rf, rg) = scaled([dict(sorted(p.items())) for p in (f, g)])

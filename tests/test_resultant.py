@@ -373,7 +373,7 @@ def product_rule_oracle(f, g):
     degrees m and n, with F and G their magnitudes and a, b their corner
     roots, n F_m + m G_n + the sum of max(a, b) over all m n pairs."""
     scale, fs, gs = _joint(f, g)
-    fm, gm = [[mag for mag, _ in view.values()] for view in (fs, gs)]
+    fm, gm = [[mag for mag, _ in view] for view in (fs, gs)]
     m, n = len(fm) - 1, len(gm) - 1
     fr = [a - b for a, b in zip(fm, fm[1:])]
     gr = [a - b for a, b in zip(gm, gm[1:])]
